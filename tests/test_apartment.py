@@ -1,7 +1,9 @@
 """Alcove geometry: membership, vertex tests, folding, enumeration."""
 
+import random
 from fractions import Fraction
 from itertools import product
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from alcove import (
     DimensionMismatchError,
     EnumerationLimitError,
+    FoldLimitError,
     NotAVertexError,
     ValidationError,
     alcove_vertex,
@@ -17,10 +20,12 @@ from alcove import (
     enumerate_box_vertices,
     enumerate_scaled_alcove_vertices,
     eval_root,
+    fold_pair,
     fold_to_alcove,
     in_scaled_alcove,
     is_special,
     is_vertex,
+    iter_box_vertices,
     iter_scaled_alcove_vertices,
     origin,
     parse_type,
@@ -263,3 +268,132 @@ def test_radius_validation(data):
         list(iter_scaled_alcove_vertices(a2, -1))
     with pytest.raises(ValidationError):
         list(iter_scaled_alcove_vertices(a2, Fraction(1, 2)))
+
+
+def assert_least_budget(run, least):
+    """run(least) completes and run(least - 1) runs out of candidates."""
+    run(least)
+    with pytest.raises(EnumerationLimitError):
+        run(least - 1)
+
+
+@pytest.mark.parametrize(
+    "name,r,least",
+    [("A2", 2, 6), ("G2", 6, 56), ("F4", 3, 128), ("B4", 4, 105), ("E6", 2, 181), ("E8", 3, 2485)],
+)
+def test_walk_work_counts(data, name, r, least):
+    datum = data(name)
+    assert_least_budget(lambda b: list(iter_scaled_alcove_vertices(datum, r, budget=b)), least)
+
+
+def test_box_work_count(data):
+    g2 = data("G2")
+    assert_least_budget(lambda b: list(iter_box_vertices(g2, (-1, -1), (1, 1), budget=b)), 74)
+
+
+def _reference_fold(datum, main, companions):
+    """The Fraction fold the integer one replaced, kept verbatim as an oracle.
+
+    Same coroot pre-translation, same lowest-index-wall-first order;
+    returns the folded points and the number of reflections applied.
+    """
+    d = datum.rank
+    cartan = datum.cartan
+    marks = datum.highest_root_coeffs
+    u = datum.alpha0_coroot_row
+    pts = [list(main)] + [list(c) for c in companions]
+    t = pts[0]
+
+    ainv = datum.cartan_inverse
+    lattice_coords = [
+        sum(ainv[i][j] * t[j] for j in range(d)) for i in range(d)
+    ]
+    units = [floor(v) for v in lattice_coords]
+    if any(units):
+        shift = [
+            sum(cartan[j][i] * units[i] for i in range(d)) for j in range(d)
+        ]
+        for p in pts:
+            for j in range(d):
+                p[j] -= shift[j]
+
+    steps = 0
+    while True:
+        wall = None
+        for i in range(d):
+            if t[i] < 0:
+                wall = i
+                break
+        if wall is not None:
+            for p in pts:
+                pi = p[wall]
+                for j in range(d):
+                    p[j] -= pi * cartan[j][wall]
+        else:
+            height = sum(m * v for m, v in zip(marks, t))
+            if height <= 1:
+                break
+            for p in pts:
+                g = sum(m * v for m, v in zip(marks, p)) - 1
+                for j in range(d):
+                    p[j] -= g * u[j]
+        steps += 1
+    return tuple(tuple(p) for p in pts), steps
+
+
+FAMILY_TYPES = ("A2", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2")
+
+
+def _random_rational_point(rng, d):
+    # denominators 5, 7 and 11 divide no scale, so most points are off-grid
+    return tuple(
+        Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 7, 11))) for _ in range(d)
+    )
+
+
+@pytest.mark.parametrize("name", FAMILY_TYPES)
+def test_fold_matches_reference(data, name):
+    datum = data(name)
+    rng = random.Random(f"fold {name}")
+    for _ in range(25):
+        x = _random_rational_point(rng, datum.rank)
+        y = _random_rational_point(rng, datum.rank)
+        (fx, fy), steps = _reference_fold(datum, x, (y,))
+        assert fold_pair(datum, x, y) == (fx, fy)
+        assert fold_to_alcove(datum, x, max_steps=steps) == fx
+        if steps:
+            with pytest.raises(FoldLimitError):
+                fold_to_alcove(datum, x, max_steps=steps - 1)
+
+
+def _affine_weyl_image(datum, rng, point, moves):
+    """point moved by random simple reflections, the affine reflection and
+    coroot translations, written out from the Cartan matrix."""
+    d = datum.rank
+    cartan = datum.cartan
+    t = list(point)
+    for _ in range(moves):
+        kind = rng.randrange(3)
+        if kind == 0:
+            w = rng.randrange(d)
+            tw = t[w]
+            t = [t[j] - tw * cartan[j][w] for j in range(d)]
+        elif kind == 1:
+            g = sum(m * v for m, v in zip(datum.highest_root_coeffs, t)) - 1
+            t = [t[j] - g * datum.alpha0_coroot_row[j] for j in range(d)]
+        else:
+            k = rng.randrange(d)
+            sign = rng.choice((1, -1))
+            t = [t[j] + sign * cartan[j][k] for j in range(d)]
+    return tuple(t)
+
+
+@pytest.mark.parametrize("name", FAMILY_TYPES)
+def test_vertex_type_of_corner_images(data, name):
+    datum = data(name)
+    rng = random.Random(f"corners {name}")
+    for i in range(datum.rank + 1):
+        corner = alcove_vertex(datum, i)
+        for _ in range(4):
+            image = _affine_weyl_image(datum, rng, corner, 12)
+            assert vertex_type(datum, image) == i

@@ -290,3 +290,28 @@ def test_fold_pair_preserves_simplicial_distance(data):
         direct = simplicial_distance(g2, x, y, 10, check=False)
         folded = simplicial_distance(g2, fx, fy, 10, check=False)
         assert direct == folded
+
+
+@pytest.mark.parametrize("name,least", [("A3", 125), ("B3", 729)])
+def test_wall_ball_work_count(data, name, least):
+    datum = data(name)
+    o = origin(datum)
+
+    def run(budget):
+        return list(iter_wall_ball_points(datum, o, 2, budget=budget))
+
+    run(least)
+    with pytest.raises(EnumerationLimitError):
+        run(least - 1)
+
+
+def test_search_work_count(data):
+    b3 = data("B3")
+    o = origin(b3)
+
+    def run(budget):
+        return simplicial_distances(b3, o, 3, candidate_budget=budget)
+
+    run(625)
+    with pytest.raises(EnumerationLimitError):
+        run(624)
