@@ -6,14 +6,21 @@ root alpha_0; its corners are the origin and omega_i / c_i where c_i
 are the marks.  Vertices of the simplicial structure are points where
 the integral roots span full rank; every vertex of type i sits on the
 (1/c_i)-grid, which is what the enumerators exploit.
+
+Inside the library a point is an integer tuple of numerators over one
+common denominator: datum.scale (the lcm of the marks) for vertices,
+the lcm of the input denominators for arbitrary rational points.  The
+grid walker, the rank test and the fold all work on those integers;
+Fraction appears only at the public edge, where arguments come in and
+results go out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
-from typing import Iterable, Iterator
+from math import ceil, floor, lcm
+from typing import Callable, Iterable, Iterator
 
 from .cartan import Root, RootDatum, eval_root
 from .errors import (
@@ -22,6 +29,7 @@ from .errors import (
     FoldLimitError,
     NotAVertexError,
     ValidationError,
+    require_int,
 )
 
 Point = tuple[Fraction, ...]
@@ -30,11 +38,20 @@ DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_FOLD_LIMIT = 1_000_000
 
 
-def as_point(datum: RootDatum, values: Iterable) -> Point:
+def _rational(value) -> Fraction:
+    """An exact rational; floats and bools are refused, not converted."""
+    if isinstance(value, (bool, float)):
+        raise ValidationError(
+            f"coordinates are not rational numbers: {value!r} is a {type(value).__name__}"
+        )
     try:
-        point = tuple(Fraction(v) for v in values)
+        return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as err:
         raise ValidationError(f"coordinates are not rational numbers: {err}") from err
+
+
+def as_point(datum: RootDatum, values: Iterable) -> Point:
+    point = tuple(_rational(v) for v in values)
     if len(point) != datum.rank:
         raise DimensionMismatchError(
             f"expected {datum.rank} coordinates, got {len(point)}"
@@ -72,17 +89,13 @@ def eval_affine(datum: RootDatum, affine: AffineRoot, x) -> Fraction:
 
 def in_scaled_alcove(datum: RootDatum, r, x) -> bool:
     """Membership in rC: t_i >= 0 for all i and alpha_0(x) <= r."""
-    r = Fraction(r)
+    r = _rational(r)
     if r < 0:
         raise ValidationError("scaling factor must be nonnegative")
     point = as_point(datum, x)
     if any(t < 0 for t in point):
         return False
-    height = sum(
-        (Fraction(c) * t for c, t in zip(datum.highest_root_coeffs, point)),
-        Fraction(0),
-    )
-    return height <= r
+    return sum(c * t for c, t in zip(datum.highest_root_coeffs, point)) <= r
 
 
 def scaled_coords(datum: RootDatum, x) -> tuple[int, ...] | None:
@@ -91,13 +104,21 @@ def scaled_coords(datum: RootDatum, x) -> tuple[int, ...] | None:
     Every vertex lies on the (1/scale)-grid, so None means "not a
     vertex" for callers that only care about vertices.
     """
-    out = []
-    for t in as_point(datum, x):
-        v = t * datum.scale
-        if v.denominator != 1:
-            return None
-        out.append(int(v))
-    return tuple(out)
+    point = as_point(datum, x)
+    if any(datum.scale % t.denominator for t in point):
+        return None
+    return _scaled(point, datum.scale)
+
+
+def _scaled(point: Point, scale: int) -> tuple[int, ...]:
+    """Numerators of point over scale, which its denominators divide."""
+    return tuple(t.numerator * (scale // t.denominator) for t in point)
+
+
+def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
+    """The points as integer lists over the lcm N of their denominators."""
+    N = lcm(*(t.denominator for p in points for t in p))
+    return [list(_scaled(p, N)) for p in points], N
 
 
 def _int_rank(rows: list[Root], d: int) -> int:
@@ -127,11 +148,16 @@ def _int_rank(rows: list[Root], d: int) -> int:
 
 
 class _VertexTester:
-    """Memoized full-rank test keyed by the set of integral roots."""
+    """Memoized full-rank test keyed by the set of integral roots, and
+    the integer inverse Cartan matrix of the fold; one per datum."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.memo: dict[int, bool] = {}
+        inverse = datum.cartan_inverse
+        # cartan_inverse == inverse_rows / inverse_denom
+        self.inverse_denom = lcm(*(v.denominator for row in inverse for v in row))
+        self.inverse_rows = [list(_scaled(row, self.inverse_denom)) for row in inverse]
 
     def from_mask(self, mask: int) -> bool:
         ok = self.memo.get(mask)
@@ -152,19 +178,24 @@ class _VertexTester:
         return self.from_mask(mask)
 
 
+def _tester(datum: RootDatum) -> _VertexTester:
+    """The datum's one vertex tester, kept in its instance dict as
+    functools.cached_property would, outside the dataclass fields."""
+    tester = datum.__dict__.get("_vertex_tester")
+    if tester is None:
+        tester = datum.__dict__["_vertex_tester"] = _VertexTester(datum)
+    return tester
+
+
 def is_vertex(datum: RootDatum, x) -> bool:
     """True iff the roots taking integer values at x span full rank."""
-    point = as_point(datum, x)
-    a = scaled_coords(datum, point)
-    if a is None:
-        return False
-    return _VertexTester(datum).scaled(a, datum.scale)
+    a = scaled_coords(datum, x)
+    return a is not None and _tester(datum).scaled(a, datum.scale)
 
 
 def is_special(datum: RootDatum, x) -> bool:
     """True iff every root takes an integer value at x."""
-    point = as_point(datum, x)
-    a = scaled_coords(datum, point)
+    a = scaled_coords(datum, x)
     if a is None:
         return False
     N = datum.scale
@@ -173,15 +204,11 @@ def is_special(datum: RootDatum, x) -> bool:
     )
 
 
-def _fold(
-    datum: RootDatum,
-    main: Point,
-    companions: tuple[Point, ...],
-    max_steps: int,
-) -> tuple[Point, ...]:
-    """Fold main into the closed alcove, dragging companions along.
+def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> None:
+    """Fold pts[0] into the closed alcove in place, dragging the rest along.
 
-    The representative is unique, so the coroot-lattice pre-translation
+    Points are integer numerators over the common denominator N.  The
+    representative is unique, so the coroot-lattice pre-translation
     below only shortens the reflection walk; the walk itself applies
     the lowest-index violated wall first (simple walls in order, then
     the affine wall of the highest root).
@@ -190,18 +217,15 @@ def _fold(
     cartan = datum.cartan
     marks = datum.highest_root_coeffs
     u = datum.alpha0_coroot_row
-    pts = [list(main)] + [list(c) for c in companions]
     t = pts[0]
 
-    ainv = datum.cartan_inverse
-    lattice_coords = [
-        sum(ainv[i][j] * t[j] for j in range(d)) for i in range(d)
+    tester = _tester(datum)
+    lattice_denom = tester.inverse_denom * N
+    units = [
+        sum(c * v for c, v in zip(row, t)) // lattice_denom for row in tester.inverse_rows
     ]
-    units = [floor(v) for v in lattice_coords]
     if any(units):
-        shift = [
-            sum(cartan[j][i] * units[i] for i in range(d)) for j in range(d)
-        ]
+        shift = [N * sum(c * k for c, k in zip(cartan[j], units)) for j in range(d)]
         for p in pts:
             for j in range(d):
                 p[j] -= shift[j]
@@ -219,42 +243,46 @@ def _fold(
                 for j in range(d):
                     p[j] -= pi * cartan[j][wall]
         else:
-            height = sum(m * v for m, v in zip(marks, t))
-            if height <= 1:
+            if sum(m * v for m, v in zip(marks, t)) <= N:
                 break
             for p in pts:
-                g = sum(m * v for m, v in zip(marks, p)) - 1
+                g = sum(m * v for m, v in zip(marks, p)) - N
                 for j in range(d):
                     p[j] -= g * u[j]
         steps += 1
         if steps > max_steps:
             raise FoldLimitError(f"folding exceeded {max_steps} reflections")
-    return tuple(tuple(p) for p in pts)
+
+
+def _folded_points(
+    datum: RootDatum, points: tuple[Point, ...], max_steps: int
+) -> tuple[Point, ...]:
+    pts, N = _numerators(points)
+    _fold(datum, pts, N, max_steps)
+    return tuple(tuple(Fraction(v, N) for v in p) for p in pts)
 
 
 def fold_to_alcove(datum: RootDatum, x, *, max_steps: int = DEFAULT_FOLD_LIMIT) -> Point:
     """Unique representative of x in the closed fundamental alcove."""
-    return _fold(datum, as_point(datum, x), (), max_steps)[0]
+    return _folded_points(datum, (as_point(datum, x),), max_steps)[0]
 
 
 def fold_pair(
     datum: RootDatum, x, y, *, max_steps: int = DEFAULT_FOLD_LIMIT
 ) -> tuple[Point, Point]:
     """Fold x into the alcove and move y by the same isometry."""
-    folded = _fold(datum, as_point(datum, x), (as_point(datum, y),), max_steps)
-    return folded[0], folded[1]
+    return _folded_points(datum, (as_point(datum, x), as_point(datum, y)), max_steps)
 
 
-def _vertex_type_folded(datum: RootDatum, folded: Point) -> int:
-    if all(v == 0 for v in folded):
+def _corner_type(datum: RootDatum, a: list[int], N: int) -> int:
+    """Index of the alcove corner that a / N folds onto; folds a in place."""
+    _fold(datum, [a], N, DEFAULT_FOLD_LIMIT)
+    if not any(a):
         return 0
-    for i in range(datum.rank):
-        corner = Fraction(1, datum.highest_root_coeffs[i])
-        if folded[i] == corner and all(
-            folded[j] == 0 for j in range(datum.rank) if j != i
-        ):
+    for i, c in enumerate(datum.highest_root_coeffs):
+        if a[i] * c == N and not any(v for j, v in enumerate(a) if j != i):
             return i + 1
-    raise NotAVertexError(f"{folded} is not an alcove corner")
+    raise NotAVertexError(f"{tuple(Fraction(v, N) for v in a)} is not an alcove corner")
 
 
 def vertex_type(datum: RootDatum, x, *, check: bool = True) -> int:
@@ -262,7 +290,8 @@ def vertex_type(datum: RootDatum, x, *, check: bool = True) -> int:
     point = as_point(datum, x)
     if check and not is_vertex(datum, point):
         raise NotAVertexError(f"{point} is not a vertex")
-    return _vertex_type_folded(datum, fold_to_alcove(datum, point))
+    pts, N = _numerators((point,))
+    return _corner_type(datum, pts[0], N)
 
 
 @dataclass(frozen=True)
@@ -280,7 +309,7 @@ def _make_vertex_set(datum: RootDatum, points: Iterable[Point]) -> VertexSet:
     ordered = tuple(sorted(points))
     counts = [0] * (datum.rank + 1)
     for p in ordered:
-        counts[_vertex_type_folded(datum, fold_to_alcove(datum, p))] += 1
+        counts[_corner_type(datum, list(_scaled(p, datum.scale)), datum.scale)] += 1
     return VertexSet(points=ordered, per_type_counts=tuple(counts))
 
 
@@ -291,9 +320,9 @@ def _maximal_denominators(datum: RootDatum) -> list[int]:
 
 class _Budget:
     def __init__(self, budget: int | None):
-        self.limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-        if self.limit <= 0:
-            raise ValidationError("budget must be positive")
+        if budget is None:
+            budget = DEFAULT_ENUMERATION_BUDGET
+        self.limit = require_int(budget, "budget must be positive", 1)
         self.used = 0
 
     def spend(self) -> None:
@@ -304,32 +333,33 @@ class _Budget:
             )
 
 
-def _iter_region(
+def _walk(
     datum: RootDatum,
-    denom: int,
-    bounds: list[tuple[int, int]],
-    cap: tuple[tuple[int, ...], int] | None,
-    budget: _Budget,
-    tester: _VertexTester,
+    region: Callable[[int], tuple],
+    budget: int | None,
 ) -> Iterator[tuple[int, ...]]:
-    """Vertices of one (1/denom)-grid region, as scaled integer tuples.
+    """Vertices on the grids of the maximal denominators, each once, as
+    integer tuples in 1/scale units.
 
-    bounds are inclusive per-axis ranges in grid units; cap optionally
-    adds sum(w_j a_j) <= limit with positive weights and nonnegative
-    axes, which prunes the walk to the simplex it describes.
+    region(denom) returns (bounds, cap) for the (1/denom)-grid: bounds
+    are inclusive per-axis ranges in grid units; cap is None or
+    (w, limit), adding sum(w_j a_j) <= limit with positive weights and
+    nonnegative axes, which prunes the walk to the simplex it
+    describes.  Every grid leaf spends one unit of budget.
     """
+    state = _Budget(budget)
+    tester = _tester(datum)
     d = datum.rank
+    scale = datum.scale
     pos = datum.positive_roots
-    npos = len(pos)
-    cols = [
-        [(idx, pos[idx][j]) for idx in range(npos) if pos[idx][j]] for j in range(d)
-    ]
-    partial = [0] * npos
+    cols = [[(i, root[j]) for i, root in enumerate(pos) if root[j]] for j in range(d)]
+    partial = [0] * len(pos)
     coords = [0] * d
+    seen: set[tuple[int, ...]] = set()
 
     def walk(j: int, cap_left: int) -> Iterator[tuple[int, ...]]:
         if j == d:
-            budget.spend()
+            state.spend()
             mask = 0
             bit = 1
             for v in partial:
@@ -337,7 +367,10 @@ def _iter_region(
                     mask |= bit
                 bit <<= 1
             if tester.from_mask(mask):
-                yield tuple(coords)
+                a = tuple(v * step for v in coords)
+                if a not in seen:
+                    seen.add(a)
+                    yield a
             return
         lo, hi = bounds[j]
         if cap is not None and cap[0][j] > 0:
@@ -361,27 +394,26 @@ def _iter_region(
             partial[idx] -= coeff * coords[j]
         coords[j] = 0
 
-    yield from walk(0, cap[1] if cap is not None else 0)
+    # walk reads denom, step, bounds and cap of the grid being walked
+    for denom in _maximal_denominators(datum):
+        step = scale // denom
+        bounds, cap = region(denom)
+        yield from walk(0, cap[1] if cap is not None else 0)
 
 
 def iter_scaled_alcove_vertices(
     datum: RootDatum, r: int, *, budget: int | None = None
 ) -> Iterator[Point]:
     """Vertices of rC, deduplicated across denominators, unordered."""
-    if not isinstance(r, int) or r < 0:
-        raise ValidationError("scaling factor must be a nonnegative integer")
-    state = _Budget(budget)
-    tester = _VertexTester(datum)
+    require_int(r, "scaling factor must be a nonnegative integer", 0)
     marks = datum.highest_root_coeffs
-    seen: set[Point] = set()
-    for denom in _maximal_denominators(datum):
-        bounds = [(0, (r * denom) // marks[j]) for j in range(datum.rank)]
-        cap = (marks, r * denom)
-        for a in _iter_region(datum, denom, bounds, cap, state, tester):
-            point = tuple(Fraction(v, denom) for v in a)
-            if point not in seen:
-                seen.add(point)
-                yield point
+
+    def region(denom: int) -> tuple:
+        return [(0, (r * denom) // c) for c in marks], (marks, r * denom)
+
+    scale = datum.scale
+    for a in _walk(datum, region, budget):
+        yield tuple(Fraction(v, scale) for v in a)
 
 
 def enumerate_scaled_alcove_vertices(
@@ -399,18 +431,13 @@ def iter_box_vertices(
     high = as_point(datum, hi)
     if any(a > b for a, b in zip(low, high)):
         raise ValidationError("box bounds must satisfy lo <= hi componentwise")
-    state = _Budget(budget)
-    tester = _VertexTester(datum)
-    seen: set[Point] = set()
-    for denom in _maximal_denominators(datum):
-        bounds = [
-            (ceil(low[j] * denom), floor(high[j] * denom)) for j in range(datum.rank)
-        ]
-        for a in _iter_region(datum, denom, bounds, None, state, tester):
-            point = tuple(Fraction(v, denom) for v in a)
-            if point not in seen:
-                seen.add(point)
-                yield point
+
+    def region(denom: int) -> tuple:
+        return [(ceil(a * denom), floor(b * denom)) for a, b in zip(low, high)], None
+
+    scale = datum.scale
+    for a in _walk(datum, region, budget):
+        yield tuple(Fraction(v, scale) for v in a)
 
 
 def enumerate_box_vertices(

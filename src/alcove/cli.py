@@ -1,7 +1,8 @@
 """Command line interface with deterministic json, csv, and markdown output.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid input,
-3 resource budget exhausted.
+3 resource budget exhausted, 4 unexpected internal error.  Every error
+exit prints a JSON payload with the exception kind and message on stderr.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ def _guarded(fn):
             _die(err, 2)
         except ResourceError as err:
             _die(err, 3)
+        except Exception as err:
+            _die(err, 4)
 
     return wrapper
 

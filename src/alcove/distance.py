@@ -11,24 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor
 from typing import Iterator
-
-from itertools import product
 
 from .apartment import (
     Point,
     VertexSet,
     _Budget,
-    _VertexTester,
-    _iter_region,
     _make_vertex_set,
     _maximal_denominators,
+    _tester,
+    _walk,
     as_point,
     scaled_coords,
 )
 from .cartan import Root, RootDatum, eval_root, require_positive_root
-from .errors import NotAVertexError, SearchBudgetError, ValidationError
+from .errors import NotAVertexError, SearchBudgetError, require_int
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,10 @@ def _between_scaled(a: int, b: int, scale: int) -> int:
     return max(0, (hi - 1) // scale - lo // scale)
 
 
-def _vertex_scaled(datum: RootDatum, x, tester: _VertexTester, check: bool) -> tuple[int, ...]:
+def _vertex_scaled(datum: RootDatum, x, check: bool) -> tuple[int, ...]:
     point = as_point(datum, x)
     a = scaled_coords(datum, point)
-    if a is None or (check and not tester.scaled(a, datum.scale)):
+    if a is None or (check and not _tester(datum).scaled(a, datum.scale)):
         raise NotAVertexError(f"{point} is not a vertex")
     return a
 
@@ -87,9 +86,8 @@ def _wall_distance_scaled(
 
 
 def wall_distance(datum: RootDatum, x, y, *, check: bool = True) -> DistanceReport:
-    tester = _VertexTester(datum)
-    ax = _vertex_scaled(datum, x, tester, check)
-    ay = _vertex_scaled(datum, y, tester, check)
+    ax = _vertex_scaled(datum, x, check)
+    ay = _vertex_scaled(datum, y, check)
     d, witness, count = _wall_distance_scaled(datum, ax, ay)
     return DistanceReport(d=d, witness_root=witness, wall_count=count)
 
@@ -107,40 +105,25 @@ def iter_wall_ball_points(
     value differing by more than r forces more than r-1 separating
     walls.
     """
-    if not isinstance(r, int) or r < 0:
-        raise ValidationError("radius must be a nonnegative integer")
-    tester = _VertexTester(datum)
-    ac = _vertex_scaled(datum, center, tester, check)
-    center_pt = as_point(datum, center)
+    require_int(r, "radius must be a nonnegative integer", 0)
+    ac = _vertex_scaled(datum, center, check)
     scale = datum.scale
-    state = _Budget(budget)
-    lo = [t - r for t in center_pt]
-    hi = [t + r for t in center_pt]
-    seen: set[tuple[int, ...]] = set()
+
+    def region(denom: int) -> tuple:
+        step = scale // denom
+        return [(-((r * scale - v) // step), (v + r * scale) // step) for v in ac], None
+
     pos = datum.positive_roots
     center_vals = [sum(c * v for c, v in zip(root, ac)) for root in pos]
-    for denom in _maximal_denominators(datum):
-        step = scale // denom
-        bounds = [
-            (ceil(lo[j] * denom), floor(hi[j] * denom)) for j in range(datum.rank)
-        ]
-        for a in _iter_region(datum, denom, bounds, None, state, tester):
-            aN = tuple(v * step for v in a)
-            if aN in seen:
-                continue
-            seen.add(aN)
-            if aN == ac:
-                yield tuple(Fraction(v, scale) for v in aN)
-                continue
-            ok = r >= 1
-            for i, root in enumerate(pos):
-                if not ok:
-                    break
-                vb = sum(c * v for c, v in zip(root, aN))
-                if _between_scaled(center_vals[i], vb, scale) > r - 1:
-                    ok = False
-            if ok:
-                yield tuple(Fraction(v, scale) for v in aN)
+    for a in _walk(datum, region, budget):
+        if a == ac or (
+            r >= 1
+            and all(
+                _between_scaled(cv, sum(c * v for c, v in zip(root, a)), scale) <= r - 1
+                for cv, root in zip(center_vals, pos)
+            )
+        ):
+            yield tuple(Fraction(v, scale) for v in a)
 
 
 def apartment_ball(
@@ -156,7 +139,6 @@ def _neighbor_offsets(
     datum: RootDatum,
     a: tuple[int, ...],
     cache: dict,
-    tester: _VertexTester,
     state: _Budget,
 ) -> list[tuple[int, ...]]:
     """Offsets to all vertices adjacent to a, keyed by a's residue class.
@@ -172,6 +154,7 @@ def _neighbor_offsets(
         return offsets
     pos = datum.positive_roots
     base_vals = [sum(c * v for c, v in zip(root, a)) for root in pos]
+    tester = _tester(datum)
     offsets = []
     tried: set[tuple[int, ...]] = set()
     for denom in _maximal_denominators(datum):
@@ -213,14 +196,13 @@ def _bfs(
     candidate_budget: int | None,
 ) -> dict[tuple[int, ...], int] | int:
     state = _Budget(candidate_budget)
-    tester = _VertexTester(datum)
     cache: dict = {}
     dist = {start: 0}
     frontier = [start]
     for depth in range(1, max_depth + 1):
         nxt = []
         for a in frontier:
-            for delta in _neighbor_offsets(datum, a, cache, tester, state):
+            for delta in _neighbor_offsets(datum, a, cache, state):
                 w = tuple(av + dv for av, dv in zip(a, delta))
                 if w not in dist:
                     dist[w] = depth
@@ -250,11 +232,9 @@ def simplicial_distance(
     is distinct from unreachability, which cannot happen inside one
     apartment.
     """
-    if not isinstance(budget, int) or budget < 0:
-        raise ValidationError("search budget must be a nonnegative integer")
-    tester = _VertexTester(datum)
-    ax = _vertex_scaled(datum, x, tester, check)
-    ay = _vertex_scaled(datum, y, tester, check)
+    require_int(budget, "search budget must be a nonnegative integer", 0)
+    ax = _vertex_scaled(datum, x, check)
+    ay = _vertex_scaled(datum, y, check)
     if ax == ay:
         return 0
     result = _bfs(datum, ax, budget, ay, candidate_budget)
@@ -271,10 +251,8 @@ def simplicial_distances(
     check: bool = True,
 ) -> dict[Point, int]:
     """Graph distances to every vertex within max_depth of source."""
-    if not isinstance(max_depth, int) or max_depth < 0:
-        raise ValidationError("search depth must be a nonnegative integer")
-    tester = _VertexTester(datum)
-    ax = _vertex_scaled(datum, source, tester, check)
+    require_int(max_depth, "search depth must be a nonnegative integer", 0)
+    ax = _vertex_scaled(datum, source, check)
     table = _bfs(datum, ax, max_depth, None, candidate_budget)
     assert isinstance(table, dict)
     scale = datum.scale

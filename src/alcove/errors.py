@@ -1,4 +1,4 @@
-"""Typed exceptions shared across the library.
+"""Typed exceptions shared across the library, and the integer-argument check.
 
 Two families matter to callers: ValidationError for bad arguments or
 domain-rule violations (CLI exit code 2), ResourceError for exceeded
@@ -68,3 +68,15 @@ class SearchBudgetError(ResourceError):
 
 class FoldLimitError(ResourceError):
     """Reflection count exceeded the folding circuit breaker."""
+
+
+def require_int(value, message: str, minimum: int | None = None) -> int:
+    """value if it is an int (not a bool) of at least minimum, else
+    ValidationError(message)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        raise ValidationError(message)
+    return value

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .apartment import (
-    Point,
-    iter_scaled_alcove_vertices,
-    scaled_coords,
-    vertex_type,
-)
+from .apartment import Point, _corner_type, _scaled, iter_scaled_alcove_vertices
 from .cartan import RootDatum, RootSystemType, build_root_datum, weyl_degrees
-from .errors import ValidationError
+from .errors import ValidationError, require_int
+from .moyprasad import _capped_exponent
 from .qpoly import QPolynomial
 
 
@@ -42,45 +38,31 @@ def growth_exponent(datum: RootDatum) -> Fraction:
     )
 
 
-def _scaled_vertex(datum: RootDatum, x: Point) -> tuple[int, ...]:
-    coords = scaled_coords(datum, x)
-    if coords is None:
-        raise ValidationError(f"{x} is not on the vertex grid")
-    return coords
+def _chamber_vertices(
+    datum: RootDatum, r: int, budget: int | None
+) -> list[tuple[tuple[int, ...], Point]]:
+    """The vertices of rC, each as its integer tuple in 1/scale units
+    and as its point, in the walk's order.
+
+    Each census is one pass of the public iterator, so a caller that
+    wraps it (bench/spans.py) sees every walk of the polytope.
+    """
+    require_int(r, "radius must be a nonnegative integer", 0)
+    return [
+        (_scaled(x, datum.scale), x)
+        for x in iter_scaled_alcove_vertices(datum, r, budget=budget)
+    ]
 
 
-def _exponent_scaled(datum: RootDatum, a: Sequence[int], cap: int | None) -> int:
-    """Sum over positive roots of max(min(ceil(a(x)), cap) - 1, 0) for a
-    chamber point given in coordinates scaled by datum.scale."""
-    scale = datum.scale
-    total = 0
-    for root in datum.positive_roots:
-        value = sum(c * v for c, v in zip(root, a))
-        level = (value + scale - 1) // scale
-        if cap is not None and level > cap:
-            level = cap
-        if level > 1:
-            total += level - 1
-    return total
-
-
-def _two_rho_scaled(datum: RootDatum, a: Sequence[int]) -> Fraction:
-    return Fraction(
-        sum(c * v for c, v in zip(datum.two_rho_coeffs, a)), datum.scale
-    )
+def _two_rho_scaled(datum: RootDatum, a: tuple[int, ...]) -> int:
+    return sum(c * v for c, v in zip(datum.two_rho_coeffs, a))
 
 
 def max_two_rho(datum: RootDatum, r: int, *, budget: int | None = None) -> Fraction:
     """Maximum of the height-sum functional over the vertices of the
     r-fold dilated fundamental alcove."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-        raise ValidationError("radius must be a nonnegative integer")
-    best = Fraction(0)
-    for x in iter_scaled_alcove_vertices(datum, r, budget=budget):
-        value = _two_rho_scaled(datum, _scaled_vertex(datum, x))
-        if value > best:
-            best = value
-    return best
+    values = [_two_rho_scaled(datum, a) for a, _ in _chamber_vertices(datum, r, budget)]
+    return Fraction(max(values, default=0), datum.scale)
 
 
 @dataclass(frozen=True)
@@ -108,20 +90,16 @@ def ball_sum(
     the radius-r ball; multiplying by the gamma polynomial gives the
     matching upper bound.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-        raise ValidationError("radius must be a nonnegative integer")
-    vertices = sorted(iter_scaled_alcove_vertices(datum, r, budget=budget))
+    vertices = sorted(_chamber_vertices(datum, r, budget))
+    scale = datum.scale
     terms: dict[int, int] = {}
     type_counts = [0] * (datum.rank + 1)
-    best = Fraction(0)
-    for x in vertices:
-        a = _scaled_vertex(datum, x)
-        e = _exponent_scaled(datum, a, None)
+    best = 0
+    for a, _ in vertices:
+        e = _capped_exponent(datum, a, scale, None)
         terms[e] = terms.get(e, 0) + 1
-        type_counts[vertex_type(datum, x, check=False)] += 1
-        value = _two_rho_scaled(datum, a)
-        if value > best:
-            best = value
+        type_counts[_corner_type(datum, list(a), scale)] += 1
+        best = max(best, _two_rho_scaled(datum, a))
     lower = QPolynomial(terms)
     gamma = gamma_polynomial(datum)
     return BallReport(
@@ -132,8 +110,8 @@ def ball_sum(
         lower_poly=lower,
         upper_poly=gamma * lower,
         gamma_poly=gamma,
-        max_two_rho=best,
-        chamber_vertices=tuple(vertices),
+        max_two_rho=Fraction(best, scale),
+        chamber_vertices=tuple(x for _, x in vertices),
     )
 
 
@@ -141,13 +119,11 @@ def quotient_ball_sum(
     datum: RootDatum, r: int, r_prime: int, *, budget: int | None = None
 ) -> QPolynomial:
     """Same census with every exponent capped at level r_prime."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-        raise ValidationError("radius must be a nonnegative integer")
-    if not isinstance(r_prime, int) or isinstance(r_prime, bool) or r_prime < 1:
-        raise ValidationError("cap level must be a positive integer")
+    require_int(r, "radius must be a nonnegative integer", 0)
+    require_int(r_prime, "cap level must be a positive integer", 1)
     terms: dict[int, int] = {}
-    for x in iter_scaled_alcove_vertices(datum, r, budget=budget):
-        e = _exponent_scaled(datum, _scaled_vertex(datum, x), r_prime)
+    for a, _ in _chamber_vertices(datum, r, budget):
+        e = _capped_exponent(datum, a, datum.scale, r_prime)
         terms[e] = terms.get(e, 0) + 1
     return QPolynomial(terms)
 
@@ -160,8 +136,7 @@ def parabolic_shift(datum: RootDatum, levi: Iterable[int]) -> int:
     """
     chosen: set[int] = set()
     for index in levi:
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise ValidationError(f"index {index!r} is not an integer")
+        require_int(index, f"index {index!r} is not an integer")
         if not 1 <= index <= datum.rank:
             raise ValidationError(
                 f"index {index} out of range 1..{datum.rank}"
@@ -208,12 +183,7 @@ def _table_row(rstype: RootSystemType) -> BoundsRow:
 def theorem_table(max_classical_rank: int = 8) -> BoundsTable:
     """One row per irreducible type: classical families up to the given
     rank, then the five exceptional types."""
-    if (
-        not isinstance(max_classical_rank, int)
-        or isinstance(max_classical_rank, bool)
-        or max_classical_rank < 2
-    ):
-        raise ValidationError("classical rank bound must be an integer >= 2")
+    require_int(max_classical_rank, "classical rank bound must be an integer >= 2", 2)
     types: list[RootSystemType] = []
     types += [RootSystemType("A", d) for d in range(1, max_classical_rank + 1)]
     types += [RootSystemType("B", d) for d in range(2, max_classical_rank + 1)]
@@ -253,10 +223,8 @@ def cind_sandwich(
     2 + (r+1) * (sum of the highest root marks); it counts depth-zero
     contributions only.
     """
-    if not isinstance(R, int) or isinstance(R, bool) or R < 0:
-        raise ValidationError("ball radius must be a nonnegative integer")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValidationError("level must be a positive integer")
+    require_int(R, "ball radius must be a nonnegative integer", 0)
+    require_int(r, "level must be a positive integer", 1)
     lower_radius = r - R - 2
     if lower_radius >= 0:
         lower_report = ball_sum(datum, lower_radius, budget=budget)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Mapping
 
-from .apartment import Point, as_point
+from .apartment import _numerators, as_point
 from .cartan import Root, RootDatum, eval_root
 from .errors import (
     DominationError,
@@ -23,6 +23,7 @@ from .errors import (
     NonConcaveError,
     NotInChamberError,
     ValidationError,
+    require_int,
 )
 
 
@@ -169,13 +170,20 @@ def quotient_exponents(datum: RootDatum, x, r_prime: int | None = None) -> int:
         raise NotInChamberError(
             f"{point} is outside the closed chamber; fold it before calling"
         )
-    if r_prime is not None and (not isinstance(r_prime, int) or r_prime < 1):
-        raise ValidationError("cap level must be a positive integer")
+    if r_prime is not None:
+        require_int(r_prime, "cap level must be a positive integer", 1)
+    pts, N = _numerators((point,))
+    return _capped_exponent(datum, pts[0], N, r_prime)
+
+
+def _capped_exponent(datum: RootDatum, a, N: int, cap: int | None) -> int:
+    """Sum over positive roots of max(min(ceil(alpha(x)), cap) - 1, 0)
+    at the point x = a / N given by integer numerators."""
     total = 0
     for root in datum.positive_roots:
-        level = ceil(eval_root(datum, root, point))
-        if r_prime is not None:
-            level = min(level, r_prime)
+        level = -(-sum(c * v for c, v in zip(root, a)) // N)
+        if cap is not None and level > cap:
+            level = cap
         if level > 1:
             total += level - 1
     return total
@@ -188,8 +196,8 @@ def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:
     and at 0; with r1 > r2 >= 0 it amounts to |a(x) - a(y)| <= r1 - r2
     for every root a.
     """
-    if not isinstance(r1, int) or not isinstance(r2, int):
-        raise ValidationError("levels must be integers")
+    require_int(r1, "levels must be integers")
+    require_int(r2, "levels must be integers")
     if not r1 > r2 >= 0:
         raise ValidationError("levels must satisfy r1 > r2 >= 0")
     px = as_point(datum, x)

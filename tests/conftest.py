@@ -1,6 +1,6 @@
 import pytest
 
-from alcove import build_root_datum, parse_type
+from alcove import EnumerationLimitError, build_root_datum, parse_type
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +14,16 @@ def data():
         return cache[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def assert_least_budget():
+    """Check that run(least) completes and run(least - 1) runs out of
+    candidates, so least is exactly the work run does."""
+
+    def check(run, least):
+        run(least)
+        with pytest.raises(EnumerationLimitError):
+            run(least - 1)
+
+    return check

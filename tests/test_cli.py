@@ -133,6 +133,17 @@ def test_budget_exits_3():
     assert json.loads(result.stderr)["error"]["kind"] == "EnumerationLimitError"
 
 
+def test_unexpected_error_exits_4(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("alcove.cli.ball_sum", broken)
+    result = _run("ball", "--type", "A2", "--radius", "1")
+    assert result.exit_code == 4
+    error = json.loads(result.stderr)["error"]
+    assert error == {"kind": "RuntimeError", "message": "boom"}
+
+
 def test_sandwich_flag_aliases():
     short = _run("sandwich", "--type", "A2", "--R", "1", "--r", "4")
     long = _run("sandwich", "--type", "A2", "--big-radius", "1", "--level", "4")

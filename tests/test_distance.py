@@ -293,25 +293,13 @@ def test_fold_pair_preserves_simplicial_distance(data):
 
 
 @pytest.mark.parametrize("name,least", [("A3", 125), ("B3", 729)])
-def test_wall_ball_work_count(data, name, least):
+def test_wall_ball_work_count(data, assert_least_budget, name, least):
     datum = data(name)
     o = origin(datum)
-
-    def run(budget):
-        return list(iter_wall_ball_points(datum, o, 2, budget=budget))
-
-    run(least)
-    with pytest.raises(EnumerationLimitError):
-        run(least - 1)
+    assert_least_budget(lambda b: list(iter_wall_ball_points(datum, o, 2, budget=b)), least)
 
 
-def test_search_work_count(data):
+def test_search_work_count(data, assert_least_budget):
     b3 = data("B3")
     o = origin(b3)
-
-    def run(budget):
-        return simplicial_distances(b3, o, 3, candidate_budget=budget)
-
-    run(625)
-    with pytest.raises(EnumerationLimitError):
-        run(624)
+    assert_least_budget(lambda b: simplicial_distances(b3, o, 3, candidate_budget=b), 625)
