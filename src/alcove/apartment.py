@@ -336,7 +336,7 @@ class _Budget:
 def _walk(
     datum: RootDatum,
     region: Callable[[int], tuple],
-    budget: int | None,
+    state: _Budget,
 ) -> Iterator[tuple[int, ...]]:
     """Vertices on the grids of the maximal denominators, each once, as
     integer tuples in 1/scale units.
@@ -345,9 +345,10 @@ def _walk(
     are inclusive per-axis ranges in grid units; cap is None or
     (w, limit), adding sum(w_j a_j) <= limit with positive weights and
     nonnegative axes, which prunes the walk to the simplex it
-    describes.  Every grid leaf spends one unit of budget.
+    describes.  Every grid leaf spends one unit of state, before the
+    dedupe; the caller owns that budget and may share it over several
+    walks, as a search does over every residue class it meets.
     """
-    state = _Budget(budget)
     tester = _tester(datum)
     d = datum.rank
     scale = datum.scale
@@ -412,7 +413,7 @@ def iter_scaled_alcove_vertices(
         return [(0, (r * denom) // c) for c in marks], (marks, r * denom)
 
     scale = datum.scale
-    for a in _walk(datum, region, budget):
+    for a in _walk(datum, region, _Budget(budget)):
         yield tuple(Fraction(v, scale) for v in a)
 
 
@@ -436,7 +437,7 @@ def iter_box_vertices(
         return [(ceil(a * denom), floor(b * denom)) for a, b in zip(low, high)], None
 
     scale = datum.scale
-    for a in _walk(datum, region, budget):
+    for a in _walk(datum, region, _Budget(budget)):
         yield tuple(Fraction(v, scale) for v in a)
 
 

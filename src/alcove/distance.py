@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil, floor
 from typing import Iterator
 
@@ -20,7 +19,6 @@ from .apartment import (
     VertexSet,
     _Budget,
     _make_vertex_set,
-    _maximal_denominators,
     _tester,
     _walk,
     as_point,
@@ -96,17 +94,16 @@ def adjacent(datum: RootDatum, x, y, *, check: bool = True) -> bool:
     return wall_distance(datum, x, y, check=check).d == 1
 
 
-def iter_wall_ball_points(
-    datum: RootDatum, center, r: int, *, budget: int | None = None, check: bool = True
-) -> Iterator[Point]:
-    """Vertices within wall distance r of center, unordered.
+def _wall_ball(
+    datum: RootDatum, ac: tuple[int, ...], r: int, state: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """Vertices within wall distance r of the vertex ac, ac included,
+    as integer tuples over datum.scale, unordered.
 
     Candidates come from the coordinate box of half-width r: any root
     value differing by more than r forces more than r-1 separating
     walls.
     """
-    require_int(r, "radius must be a nonnegative integer", 0)
-    ac = _vertex_scaled(datum, center, check)
     scale = datum.scale
 
     def region(denom: int) -> tuple:
@@ -115,7 +112,7 @@ def iter_wall_ball_points(
 
     pos = datum.positive_roots
     center_vals = [sum(c * v for c, v in zip(root, ac)) for root in pos]
-    for a in _walk(datum, region, budget):
+    for a in _walk(datum, region, state):
         if a == ac or (
             r >= 1
             and all(
@@ -123,7 +120,18 @@ def iter_wall_ball_points(
                 for cv, root in zip(center_vals, pos)
             )
         ):
-            yield tuple(Fraction(v, scale) for v in a)
+            yield a
+
+
+def iter_wall_ball_points(
+    datum: RootDatum, center, r: int, *, budget: int | None = None, check: bool = True
+) -> Iterator[Point]:
+    """Vertices within wall distance r of center, unordered."""
+    require_int(r, "radius must be a nonnegative integer", 0)
+    ac = _vertex_scaled(datum, center, check)
+    scale = datum.scale
+    for a in _wall_ball(datum, ac, r, _Budget(budget)):
+        yield tuple(Fraction(v, scale) for v in a)
 
 
 def apartment_ball(
@@ -143,78 +151,41 @@ def _neighbor_offsets(
 ) -> list[tuple[int, ...]]:
     """Offsets to all vertices adjacent to a, keyed by a's residue class.
 
+    The neighbours are the radius-1 wall ball around a, less a itself.
     Vertex membership and separating-wall counts only depend on the
     coordinates modulo the global scale, so the offset list can be
     shared by every vertex in the same residue class.
     """
-    scale = datum.scale
-    key = tuple(v % scale for v in a)
+    key = tuple(v % datum.scale for v in a)
     offsets = cache.get(key)
-    if offsets is not None:
-        return offsets
-    pos = datum.positive_roots
-    base_vals = [sum(c * v for c, v in zip(root, a)) for root in pos]
-    tester = _tester(datum)
-    offsets = []
-    tried: set[tuple[int, ...]] = set()
-    for denom in _maximal_denominators(datum):
-        step = scale // denom
-        # candidates live on the absolute step-grid of this denominator,
-        # not on a grid through a: neighbors of a may have a different
-        # coordinate denominator than a itself
-        axes = []
-        for av in a:
-            lo = -((scale - av) // step)
-            hi = (av + scale) // step
-            axes.append([k * step - av for k in range(lo, hi + 1)])
-        for delta in product(*axes):
-            state.spend()
-            if delta in tried or not any(delta):
-                continue
-            tried.add(delta)
-            w = tuple(av + dv for av, dv in zip(a, delta))
-            if not tester.scaled(w, scale):
-                continue
-            separated = False
-            for i, root in enumerate(pos):
-                vb = base_vals[i] + sum(c * dv for c, dv in zip(root, delta))
-                if _between_scaled(base_vals[i], vb, scale):
-                    separated = True
-                    break
-            if not separated:
-                offsets.append(delta)
-    offsets.sort()
-    cache[key] = offsets
+    if offsets is None:
+        offsets = cache[key] = sorted(
+            tuple(wv - av for wv, av in zip(w, a))
+            for w in _wall_ball(datum, a, 1, state)
+            if w != a
+        )
     return offsets
 
 
 def _bfs(
-    datum: RootDatum,
-    start: tuple[int, ...],
-    max_depth: int,
-    target: tuple[int, ...] | None,
-    candidate_budget: int | None,
-) -> dict[tuple[int, ...], int] | int:
-    state = _Budget(candidate_budget)
+    datum: RootDatum, start: tuple[int, ...], max_depth: int, state: _Budget
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each vertex within max_depth edges of start with its graph
+    distance, in breadth-first order, start first."""
     cache: dict = {}
-    dist = {start: 0}
+    seen = {start}
     frontier = [start]
+    yield start, 0
     for depth in range(1, max_depth + 1):
         nxt = []
         for a in frontier:
             for delta in _neighbor_offsets(datum, a, cache, state):
                 w = tuple(av + dv for av, dv in zip(a, delta))
-                if w not in dist:
-                    dist[w] = depth
-                    if target is not None and w == target:
-                        return depth
+                if w not in seen:
+                    seen.add(w)
                     nxt.append(w)
+                    yield w, depth
         frontier = nxt
-    if target is not None:
-        raise SearchBudgetError(
-            f"target not reached within search radius {max_depth}"
-        )
-    return dist
 
 
 def simplicial_distance(
@@ -235,11 +206,10 @@ def simplicial_distance(
     require_int(budget, "search budget must be a nonnegative integer", 0)
     ax = _vertex_scaled(datum, x, check)
     ay = _vertex_scaled(datum, y, check)
-    if ax == ay:
-        return 0
-    result = _bfs(datum, ax, budget, ay, candidate_budget)
-    assert isinstance(result, int)
-    return result
+    for a, depth in _bfs(datum, ax, budget, _Budget(candidate_budget)):
+        if a == ay:
+            return depth
+    raise SearchBudgetError(f"target not reached within search radius {budget}")
 
 
 def simplicial_distances(
@@ -253,11 +223,10 @@ def simplicial_distances(
     """Graph distances to every vertex within max_depth of source."""
     require_int(max_depth, "search depth must be a nonnegative integer", 0)
     ax = _vertex_scaled(datum, source, check)
-    table = _bfs(datum, ax, max_depth, None, candidate_budget)
-    assert isinstance(table, dict)
     scale = datum.scale
     return {
-        tuple(Fraction(v, scale) for v in a): depth for a, depth in table.items()
+        tuple(Fraction(v, scale) for v in a): depth
+        for a, depth in _bfs(datum, ax, max_depth, _Budget(candidate_budget))
     }
 
 

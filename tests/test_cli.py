@@ -122,6 +122,13 @@ def test_bad_point_string_exits_2():
     assert json.loads(result.stderr)["error"]["kind"] == "ValidationError"
 
 
+def test_zero_budget_exits_2_when_x_equals_y():
+    # the budget is checked before the search meets its target, even at x
+    result = _run("distance", "--type", "A2", "--x", "0,0", "--y", "0,0", "--budget", "0")
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"]["kind"] == "ValidationError"
+
+
 def test_small_q_eval_exits_2():
     result = _run("ball", "--type", "A2", "--radius", "1", "--q-eval", "1")
     assert result.exit_code == 2

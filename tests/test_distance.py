@@ -12,6 +12,7 @@ from alcove import (
     NotAVertexError,
     SearchBudgetError,
     adjacent,
+    alcove_vertex,
     apartment_ball,
     build_root_datum,
     eval_root,
@@ -20,11 +21,14 @@ from alcove import (
     iter_wall_ball_points,
     origin,
     parse_type,
+    scaled_coords,
     simplicial_distance,
     simplicial_distances,
     wall_count,
     wall_distance,
 )
+from alcove.apartment import _Budget, _maximal_denominators, _tester
+from alcove.distance import _between_scaled
 
 
 def F(a, b=1):
@@ -303,3 +307,95 @@ def test_search_work_count(data, assert_least_budget):
     b3 = data("B3")
     o = origin(b3)
     assert_least_budget(lambda b: simplicial_distances(b3, o, 3, candidate_budget=b), 625)
+
+
+# G2 and F4 walk two denominators, and every search but F4's at depth 1
+# spends one budget across several residue classes
+@pytest.mark.parametrize(
+    "name,corner,depth,least",
+    [("G2", 0, 2, 407), ("G2", 1, 2, 338), ("F4", 0, 1, 8962), ("C3", 1, 3, 500)],
+)
+def test_shared_budget_work_count(data, assert_least_budget, name, corner, depth, least):
+    datum = data(name)
+    v = alcove_vertex(datum, corner)
+    assert_least_budget(
+        lambda b: simplicial_distances(datum, v, depth, candidate_budget=b), least
+    )
+
+
+def _reference_neighbors(datum, a, state):
+    """Offsets from a to its neighbours by the old coordinate-box scan:
+    every candidate of the box around a on each maximal denominator's
+    grid, kept when it is a vertex that no wall separates from a.
+    Spends one unit of state per candidate."""
+    scale = datum.scale
+    pos = datum.positive_roots
+    base_vals = [sum(c * v for c, v in zip(root, a)) for root in pos]
+    tester = _tester(datum)
+    offsets = []
+    tried: set[tuple[int, ...]] = set()
+    for denom in _maximal_denominators(datum):
+        step = scale // denom
+        # candidates live on the absolute step-grid of this denominator,
+        # not on a grid through a: neighbors of a may have a different
+        # coordinate denominator than a itself
+        axes = []
+        for av in a:
+            lo = -((scale - av) // step)
+            hi = (av + scale) // step
+            axes.append([k * step - av for k in range(lo, hi + 1)])
+        for delta in product(*axes):
+            state.spend()
+            if delta in tried or not any(delta):
+                continue
+            tried.add(delta)
+            w = tuple(av + dv for av, dv in zip(a, delta))
+            if not tester.scaled(w, scale):
+                continue
+            separated = False
+            for i, root in enumerate(pos):
+                vb = base_vals[i] + sum(c * dv for c, dv in zip(root, delta))
+                if _between_scaled(base_vals[i], vb, scale):
+                    separated = True
+                    break
+            if not separated:
+                offsets.append(delta)
+    offsets.sort()
+    return offsets
+
+
+def _sphere(datum, v, **kwargs):
+    table = simplicial_distances(datum, v, 1, **kwargs)
+    return {y for y, depth in table.items() if depth == 1}
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "C3", "D4", "F4"])
+def test_neighbors_match_box_scan(data, assert_least_budget, name):
+    datum = data(name)
+    corners = [alcove_vertex(datum, i) for i in range(datum.rank + 1)]
+    others = sorted(set(iter_wall_ball_points(datum, origin(datum), 1)) - set(corners))
+    starts = corners + [others[0], others[len(others) // 2], others[-1]]
+    scale = datum.scale
+    for v in starts:
+        a = scaled_coords(datum, v)
+        state = _Budget(None)
+        expected = {
+            tuple(Fraction(av + dv, scale) for av, dv in zip(a, delta))
+            for delta in _reference_neighbors(datum, a, state)
+        }
+        assert _sphere(datum, v) == expected
+        # the same candidates are spent: one per leaf of the box
+        assert_least_budget(
+            lambda b: simplicial_distances(datum, v, 1, candidate_budget=b), state.used
+        )
+
+
+@pytest.mark.parametrize(
+    "name,degree", [("A2", 6), ("B3", 26), ("D4", 48), ("F4", 240), ("E6", 1278)]
+)
+def test_origin_degree(data, name, degree):
+    datum = data(name)
+    o = origin(datum)
+    assert len(_sphere(datum, o)) == degree
+    if name != "E6":  # the box scan takes seconds on E6
+        assert len(_reference_neighbors(datum, scaled_coords(datum, o), _Budget(None))) == degree

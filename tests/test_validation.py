@@ -36,6 +36,9 @@ CALLS = {
     "simplicial_distance candidate_budget": lambda d, o, v: simplicial_distance(
         d, o, (1, 0), 2, candidate_budget=v
     ),
+    "simplicial_distance candidate_budget, x == y": lambda d, o, v: simplicial_distance(
+        d, o, o, 2, candidate_budget=v
+    ),
     "simplicial_distances max_depth": lambda d, o, v: simplicial_distances(d, o, v),
     "simplicial_distances candidate_budget": lambda d, o, v: simplicial_distances(
         d, o, 1, candidate_budget=v
