@@ -38,6 +38,14 @@ GOLDEN = [
         "5a1068173513e7cbc4941db93b24c1d72b5d502e9dd45ef0073b3266373ceb88",
     ),
     (
+        "sandwich --type A2 --R 0 --r 5 --q-eval 3",
+        "0c2433199e7ed824b8299ccdb363daf6499f0811ae488112bcfafad4646c9241",
+    ),
+    (
+        "ball --type E7 --radius 3 --level 2",
+        "eec269f4fe11451e771950ae27cb0067072e5da87db8a31b0688bd8a9a838392",
+    ),
+    (
         "distance --type B3 --x 0,0,1/2 --y -3/2,0,1/2",
         "ad80ac12836a2c4a2e818516ee248bfbbef8b84071f5754cd34734f89957e687",
     ),
