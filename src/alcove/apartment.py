@@ -104,10 +104,14 @@ def scaled_coords(datum: RootDatum, x) -> tuple[int, ...] | None:
     Every vertex lies on the (1/scale)-grid, so None means "not a
     vertex" for callers that only care about vertices.
     """
-    point = as_point(datum, x)
-    if any(datum.scale % t.denominator for t in point):
+    return _grid_coords(as_point(datum, x), datum.scale)
+
+
+def _grid_coords(point: Point, scale: int) -> tuple[int, ...] | None:
+    """Numerators of point over scale, or None when off that grid."""
+    if any(scale % t.denominator for t in point):
         return None
-    return _scaled(point, datum.scale)
+    return _scaled(point, scale)
 
 
 def _scaled(point: Point, scale: int) -> tuple[int, ...]:

@@ -27,7 +27,6 @@ from .growth import (
     bounds_table_to_dict,
     cind_sandwich,
     growth_exponent,
-    quotient_ball_sum,
     sandwich_report_to_dict,
     theorem_table,
 )
@@ -230,6 +229,8 @@ def ball(
 ) -> None:
     """Vertex census of the dilated alcove with polynomial bounds."""
     _check_q(q_eval)
+    if level is not None and level < 1:
+        raise ValidationError("cap level must be a positive integer")
     datum = build_root_datum(parse_type(type_text))
     report = ball_sum(datum, radius, budget=budget)
     data = {
@@ -239,7 +240,7 @@ def ball(
     }
     quotient = None
     if level is not None:
-        quotient = quotient_ball_sum(datum, radius, level, budget=budget)
+        quotient = report.quotient_poly(level)
         data["quotient"] = {"level": level, **_poly_dict(quotient)}
     if q_eval is not None:
         evals = {

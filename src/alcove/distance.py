@@ -18,11 +18,11 @@ from .apartment import (
     Point,
     VertexSet,
     _Budget,
+    _grid_coords,
     _make_vertex_set,
     _tester,
     _walk,
     as_point,
-    scaled_coords,
 )
 from .cartan import Root, RootDatum, eval_root, require_positive_root
 from .errors import NotAVertexError, SearchBudgetError, require_int
@@ -59,7 +59,7 @@ def _between_scaled(a: int, b: int, scale: int) -> int:
 
 def _vertex_scaled(datum: RootDatum, x, check: bool) -> tuple[int, ...]:
     point = as_point(datum, x)
-    a = scaled_coords(datum, point)
+    a = _grid_coords(point, datum.scale)
     if a is None or (check and not _tester(datum).scaled(a, datum.scale)):
         raise NotAVertexError(f"{point} is not a vertex")
     return a

@@ -9,14 +9,16 @@ Fraction, and evaluation at a concrete q happens only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .apartment import Point, _corner_type, _scaled, iter_scaled_alcove_vertices
 from .cartan import RootDatum, RootSystemType, build_root_datum, weyl_degrees
 from .errors import ValidationError, require_int
-from .moyprasad import _capped_exponent
+from .moyprasad import _capped_exponent, _root_levels
 from .qpoly import QPolynomial
 
 
@@ -38,31 +40,34 @@ def growth_exponent(datum: RootDatum) -> Fraction:
     )
 
 
-def _chamber_vertices(
+def _census(
     datum: RootDatum, r: int, budget: int | None
-) -> list[tuple[tuple[int, ...], Point]]:
-    """The vertices of rC, each as its integer tuple in 1/scale units
-    and as its point, in the walk's order.
-
-    Each census is one pass of the public iterator, so a caller that
-    wraps it (bench/spans.py) sees every walk of the polytope.
+) -> list[tuple[tuple[int, ...], Point, tuple[int, ...]]]:
+    """The sorted vertices of rC as (integer tuple over datum.scale,
+    point, root levels): the one walk each growth aggregate reads.  It
+    is the public iterator, not apartment._walk, since bench/spans.py
+    counts walks and vertices there; the move waits for engine meters.
     """
     require_int(r, "radius must be a nonnegative integer", 0)
-    return [
-        (_scaled(x, datum.scale), x)
-        for x in iter_scaled_alcove_vertices(datum, r, budget=budget)
-    ]
+    walk = iter_scaled_alcove_vertices(datum, r, budget=budget)
+    points = {_scaled(x, datum.scale): x for x in walk}
+    return [(a, points[a], _root_levels(datum, a, datum.scale)) for a in sorted(points)]
 
 
-def _two_rho_scaled(datum: RootDatum, a: tuple[int, ...]) -> int:
-    return sum(c * v for c, v in zip(datum.two_rho_coeffs, a))
+def _exponent_poly(levels: Iterable[tuple[int, ...]], cap: int | None) -> QPolynomial:
+    """Sum of q^e over the vertices, e the quotient exponent capped at cap."""
+    return QPolynomial(Counter(_capped_exponent(row, cap) for row in levels))
+
+
+def _two_rho_max(datum: RootDatum, census: list) -> Fraction:
+    coeffs = datum.two_rho_coeffs
+    return Fraction(max(sum(map(mul, coeffs, a)) for a, _, _ in census), datum.scale)
 
 
 def max_two_rho(datum: RootDatum, r: int, *, budget: int | None = None) -> Fraction:
     """Maximum of the height-sum functional over the vertices of the
     r-fold dilated fundamental alcove."""
-    values = [_two_rho_scaled(datum, a) for a, _ in _chamber_vertices(datum, r, budget)]
-    return Fraction(max(values, default=0), datum.scale)
+    return _two_rho_max(datum, _census(datum, r, budget))
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,12 @@ class BallReport:
     gamma_poly: QPolynomial
     max_two_rho: Fraction
     chamber_vertices: tuple[Point, ...]
+    root_levels: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    def quotient_poly(self, level: int) -> QPolynomial:
+        """The census with every exponent capped at level."""
+        require_int(level, "cap level must be a positive integer", 1)
+        return _exponent_poly(self.root_levels, level)
 
 
 def ball_sum(
@@ -90,28 +101,22 @@ def ball_sum(
     the radius-r ball; multiplying by the gamma polynomial gives the
     matching upper bound.
     """
-    vertices = sorted(_chamber_vertices(datum, r, budget))
-    scale = datum.scale
-    terms: dict[int, int] = {}
-    type_counts = [0] * (datum.rank + 1)
-    best = 0
-    for a, _ in vertices:
-        e = _capped_exponent(datum, a, scale, None)
-        terms[e] = terms.get(e, 0) + 1
-        type_counts[_corner_type(datum, list(a), scale)] += 1
-        best = max(best, _two_rho_scaled(datum, a))
-    lower = QPolynomial(terms)
+    census = _census(datum, r, budget)
+    types = Counter(_corner_type(datum, list(a), datum.scale) for a, _, _ in census)
+    levels = tuple(row for _, _, row in census)
+    lower = _exponent_poly(levels, None)
     gamma = gamma_polynomial(datum)
     return BallReport(
         rstype=datum.rstype,
         radius=r,
-        vertex_count_chamber=len(vertices),
-        per_type_counts=tuple(type_counts),
+        vertex_count_chamber=len(census),
+        per_type_counts=tuple(types[i] for i in range(datum.rank + 1)),
         lower_poly=lower,
         upper_poly=gamma * lower,
         gamma_poly=gamma,
-        max_two_rho=Fraction(best, scale),
-        chamber_vertices=tuple(x for _, x in vertices),
+        max_two_rho=_two_rho_max(datum, census),
+        chamber_vertices=tuple(x for _, x, _ in census),
+        root_levels=levels,
     )
 
 
@@ -119,13 +124,8 @@ def quotient_ball_sum(
     datum: RootDatum, r: int, r_prime: int, *, budget: int | None = None
 ) -> QPolynomial:
     """Same census with every exponent capped at level r_prime."""
-    require_int(r, "radius must be a nonnegative integer", 0)
     require_int(r_prime, "cap level must be a positive integer", 1)
-    terms: dict[int, int] = {}
-    for a, _ in _chamber_vertices(datum, r, budget):
-        e = _capped_exponent(datum, a, datum.scale, r_prime)
-        terms[e] = terms.get(e, 0) + 1
-    return QPolynomial(terms)
+    return _exponent_poly((row for _, _, row in _census(datum, r, budget)), r_prime)
 
 
 def parabolic_shift(datum: RootDatum, levi: Iterable[int]) -> int:
@@ -226,16 +226,12 @@ def cind_sandwich(
     require_int(R, "ball radius must be a nonnegative integer", 0)
     require_int(r, "level must be a positive integer", 1)
     lower_radius = r - R - 2
-    if lower_radius >= 0:
-        lower_report = ball_sum(datum, lower_radius, budget=budget)
-        lower_poly: QPolynomial | None = lower_report.lower_poly
-        lower_empty = False
-    else:
-        lower_poly = None
-        lower_empty = True
     upper_radius = 2 + (r + 1) * sum(datum.highest_root_coeffs)
-    upper_level = r + 1
-    quotient = quotient_ball_sum(datum, upper_radius, upper_level, budget=budget)
+    # one walk at the upper radius: a vertex lies in the lower polytope iff
+    # its level at the highest root (the last one) is at most lower_radius
+    levels = [row for _, _, row in _census(datum, upper_radius, budget)]
+    lower = [row for row in levels if row[-1] <= lower_radius]
+    lower_poly = _exponent_poly(lower, None) if lower_radius >= 0 else None
     return SandwichReport(
         rstype=datum.rstype,
         big_radius=R,
@@ -243,10 +239,10 @@ def cind_sandwich(
         lower_radius=lower_radius,
         lower_divisor=datum.rank + 1,
         lower_poly=lower_poly,
-        lower_empty=lower_empty,
+        lower_empty=lower_poly is None,
         upper_radius=upper_radius,
-        upper_level=upper_level,
-        upper_poly=gamma_polynomial(datum) * quotient,
+        upper_level=r + 1,
+        upper_poly=gamma_polynomial(datum) * _exponent_poly(levels, r + 1),
         upper_depth_zero_only=True,
     )
 

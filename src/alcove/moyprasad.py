@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import mul
 from typing import Iterable, Mapping
 
 from .apartment import _numerators, as_point
@@ -173,20 +174,18 @@ def quotient_exponents(datum: RootDatum, x, r_prime: int | None = None) -> int:
     if r_prime is not None:
         require_int(r_prime, "cap level must be a positive integer", 1)
     pts, N = _numerators((point,))
-    return _capped_exponent(datum, pts[0], N, r_prime)
+    return _capped_exponent(_root_levels(datum, pts[0], N), r_prime)
 
 
-def _capped_exponent(datum: RootDatum, a, N: int, cap: int | None) -> int:
-    """Sum over positive roots of max(min(ceil(alpha(x)), cap) - 1, 0)
-    at the point x = a / N given by integer numerators."""
-    total = 0
-    for root in datum.positive_roots:
-        level = -(-sum(c * v for c, v in zip(root, a)) // N)
-        if cap is not None and level > cap:
-            level = cap
-        if level > 1:
-            total += level - 1
-    return total
+def _root_levels(datum: RootDatum, a, N: int) -> tuple[int, ...]:
+    """ceil(alpha(x)) over the positive roots at x = a / N."""
+    return tuple([-(-sum(map(mul, root, a)) // N) for root in datum.positive_roots])
+
+
+def _capped_exponent(levels: Iterable[int], cap: int | None) -> int:
+    """Sum of max(min(level, cap) - 1, 0) over the root levels of a
+    point in the closed chamber; cap None means no cap."""
+    return sum(min(level, cap or level) - 1 for level in levels if level > 1)
 
 
 def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:

@@ -134,6 +134,15 @@ def test_small_q_eval_exits_2():
     assert result.exit_code == 2
 
 
+def test_zero_level_exits_2_before_the_walk():
+    # a budget of one candidate cannot finish the walk, so exit 2 shows
+    # that the level is refused before it starts
+    result = _run("ball", "--type", "A2", "--radius", "2", "--level", "0", "--budget", "1")
+    assert result.exit_code == 2
+    error = json.loads(result.stderr)["error"]
+    assert error == {"kind": "ValidationError", "message": "cap level must be a positive integer"}
+
+
 def test_budget_exits_3():
     result = _run("ball", "--type", "C3", "--radius", "3", "--budget", "5")
     assert result.exit_code == 3

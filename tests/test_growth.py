@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import prod
+from math import ceil, prod
 
 import pytest
+from click.testing import CliRunner
 
 from alcove import (
     EnumerationLimitError,
@@ -17,6 +18,7 @@ from alcove import (
     cind_sandwich,
     gamma_polynomial,
     growth_exponent,
+    iter_scaled_alcove_vertices,
     max_two_rho,
     parabolic_shift,
     parse_type,
@@ -26,7 +28,28 @@ from alcove import (
     theorem_table,
     weyl_degrees,
 )
-from alcove.cartan import RootSystemType, _generate_positive_roots
+from alcove.cartan import RootSystemType, _generate_positive_roots, eval_root
+from alcove.cli import main
+
+
+def _oracle_exponent(datum, x, cap=None):
+    """Quotient exponent at a chamber point, from the definition in
+    Fraction arithmetic: sum of max(min(ceil(alpha(x)), cap) - 1, 0)."""
+    total = 0
+    for root in datum.positive_roots:
+        level = ceil(eval_root(datum, root, x))
+        if cap is not None:
+            level = min(level, cap)
+        total += max(level - 1, 0)
+    return total
+
+
+def _oracle_poly(datum, points, cap=None):
+    terms: dict[int, int] = {}
+    for x in points:
+        e = _oracle_exponent(datum, x, cap)
+        terms[e] = terms.get(e, 0) + 1
+    return QPolynomial(terms)
 
 
 def test_gamma_frozen(data):
@@ -101,15 +124,17 @@ def test_ball_sum_r0(data):
 
 
 def test_ball_sum_exponent_oracle(data):
-    # recompute each exponent through the concave-function route
+    # recompute each exponent from the definition, and through the
+    # concave-function route; every cap level 1..r+1 reads the same census
     for name, r in (("A2", 3), ("B2", 3), ("G2", 2), ("C3", 2)):
         datum = data(name)
         report = ball_sum(datum, r)
-        expected: dict[int, int] = {}
-        for x in report.chamber_vertices:
-            e = quotient_exponents(datum, x)
-            expected[e] = expected.get(e, 0) + 1
-        assert report.lower_poly == QPolynomial(expected)
+        vertices = report.chamber_vertices
+        assert report.lower_poly == _oracle_poly(datum, vertices)
+        for x in vertices:
+            assert quotient_exponents(datum, x) == _oracle_exponent(datum, x)
+        for level in range(1, r + 2):
+            assert report.quotient_poly(level) == _oracle_poly(datum, vertices, level)
 
 
 def test_quotient_ball_sum(data):
@@ -126,11 +151,21 @@ def test_quotient_cap_oracle(data):
     for name, r, rp in (("A2", 3, 2), ("B2", 2, 2), ("G2", 2, 3)):
         datum = data(name)
         report = ball_sum(datum, r)
-        expected: dict[int, int] = {}
+        expected = _oracle_poly(datum, report.chamber_vertices, rp)
+        assert quotient_ball_sum(datum, r, rp) == expected
         for x in report.chamber_vertices:
-            e = quotient_exponents(datum, x, r_prime=rp)
-            expected[e] = expected.get(e, 0) + 1
-        assert quotient_ball_sum(datum, r, rp) == QPolynomial(expected)
+            assert quotient_exponents(datum, x, r_prime=rp) == _oracle_exponent(datum, x, rp)
+    # both sandwich bounds: the uncapped census at the lower radius, and
+    # gamma times the level-(r+1) census at the upper radius
+    for name in ("A2", "B2", "G2", "C3"):
+        datum = data(name)
+        for R, r in ((0, 3), (1, 4), (0, 5)):
+            report = cind_sandwich(datum, R, r)
+            lower = iter_scaled_alcove_vertices(datum, report.lower_radius)
+            assert report.lower_poly == _oracle_poly(datum, lower)
+            upper = iter_scaled_alcove_vertices(datum, report.upper_radius)
+            census = _oracle_poly(datum, upper, r + 1)
+            assert report.upper_poly == gamma_polynomial(datum) * census
 
 
 def test_max_two_rho_identity(data):
@@ -254,3 +289,47 @@ def test_report_dict_shapes(data):
     assert sandwich["lower"]["radius"] == 2
     assert sandwich["upper"]["level"] == 5
     assert sandwich["upper"]["depth_zero_only"] is True
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The radii of every census walk growth makes, through its one
+    binding of the public walker."""
+    radii = []
+
+    def counted(datum, r, **kwargs):
+        radii.append(r)
+        return iter_scaled_alcove_vertices(datum, r, **kwargs)
+
+    monkeypatch.setattr("alcove.growth.iter_scaled_alcove_vertices", counted)
+    return radii
+
+
+# each run and the one radius it walks; the sandwich walks only its upper polytope
+ONE_WALK = {
+    "ball_sum": (lambda a2: ball_sum(a2, 3), 3),
+    "quotient_ball_sum": (lambda a2: quotient_ball_sum(a2, 3, 2), 3),
+    "max_two_rho": (lambda a2: max_two_rho(a2, 3), 3),
+    "cind_sandwich": (lambda a2: cind_sandwich(a2, 0, 5), 14),
+    "cli ball --level": (
+        lambda a2: CliRunner().invoke(
+            main, "ball --type A2 --radius 3 --level 2".split(), catch_exceptions=False
+        ),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_WALK))
+def test_one_census_walk(data, walks, name):
+    run, radius = ONE_WALK[name]
+    run(data("A2"))
+    assert walks == [radius]
+
+
+@pytest.mark.parametrize(
+    "name,R,r,least", [("A2", 0, 5, 120), ("A3", 1, 3, 680), ("C3", 0, 1, 819), ("G2", 0, 1, 188)]
+)
+def test_sandwich_work_count(data, assert_least_budget, name, R, r, least):
+    datum = data(name)
+    assert_least_budget(lambda n: cind_sandwich(datum, R, r, budget=n), least)
