@@ -53,6 +53,11 @@ GOLDEN = [
         "distance --type G2 --x 0,0 --y 1,0",
         "e8bb82fd4fc86eda65b508cfe2999750ebf9bccf10f31d6b0d8eae6f08f4d9ba",
     ),
+    (
+        # simplicial distance 2: the search expands non-corner residue classes
+        "distance --type E6 --x 0,0,0,0,0,0 --y 0,1,0,0,0,0",
+        "0bea5398ddba61a1dbe17f2932cd3be73de4db48985232f9c429b9fc9e20da46",
+    ),
 ]
 
 
