@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Callable, Iterable, Iterator
 
-from .cartan import Root, RootDatum, eval_root
+from .cartan import Root, RootDatum
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
@@ -40,6 +40,8 @@ DEFAULT_FOLD_LIMIT = 1_000_000
 
 def _rational(value) -> Fraction:
     """An exact rational; floats and bools are refused, not converted."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (bool, float)):
         raise ValidationError(
             f"coordinates are not rational numbers: {value!r} is a {type(value).__name__}"
@@ -73,18 +75,6 @@ def alcove_vertex(datum: RootDatum, i: int) -> Point:
     return tuple(
         Fraction(1, c) if j == i - 1 else Fraction(0) for j in range(datum.rank)
     )
-
-
-@dataclass(frozen=True)
-class AffineRoot:
-    """alpha + k as a function on the apartment."""
-
-    root: Root
-    offset: int
-
-
-def eval_affine(datum: RootDatum, affine: AffineRoot, x) -> Fraction:
-    return eval_root(datum, affine.root, as_point(datum, x)) + affine.offset
 
 
 def in_scaled_alcove(datum: RootDatum, r, x) -> bool:
@@ -329,8 +319,8 @@ class _Budget:
         self.limit = require_int(budget, "budget must be positive", 1)
         self.used = 0
 
-    def spend(self) -> None:
-        self.used += 1
+    def spend(self, n: int = 1) -> None:
+        self.used += n
         if self.used > self.limit:
             raise EnumerationLimitError(
                 f"enumeration examined more than {self.limit} candidate points"
@@ -450,10 +440,3 @@ def enumerate_box_vertices(
 ) -> VertexSet:
     return _make_vertex_set(datum, iter_box_vertices(datum, lo, hi, budget=budget))
 
-
-def vertex_set_to_dict(vs: VertexSet) -> dict:
-    return {
-        "points": [[str(c) for c in p] for p in vs.points],
-        "per_type_counts": list(vs.per_type_counts),
-        "count": len(vs.points),
-    }

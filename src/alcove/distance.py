@@ -4,20 +4,31 @@ The wall metric between distinct vertices is one plus the largest
 number of walls from a single parallel class strictly separating them;
 for a root alpha the class contributes the number of integers strictly
 between alpha(x) and alpha(y).  The simplicial metric is the graph
-distance in the 1-skeleton, where adjacency is wall distance one.
+distance in the 1-skeleton, where adjacency is wall distance one, so
+a point query answers 0 and 1 without a search.
+
+The breadth-first search takes a vertex's neighbours from the link of
+its alcove corner: the orbit of the other corners under the
+reflections in the walls through that corner, mapped back through the
+linear part of the fold.  Each residue class modulo the scale is
+generated once per search; E6 and E7 distances run interactively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor
+from operator import add, mul, sub
 from typing import Iterator
 
 from .apartment import (
+    DEFAULT_FOLD_LIMIT,
     Point,
     VertexSet,
     _Budget,
+    _fold,
     _grid_coords,
     _make_vertex_set,
     _tester,
@@ -94,16 +105,17 @@ def adjacent(datum: RootDatum, x, y, *, check: bool = True) -> bool:
     return wall_distance(datum, x, y, check=check).d == 1
 
 
-def _wall_ball(
-    datum: RootDatum, ac: tuple[int, ...], r: int, state: _Budget
-) -> Iterator[tuple[int, ...]]:
-    """Vertices within wall distance r of the vertex ac, ac included,
-    as integer tuples over datum.scale, unordered.
+def iter_wall_ball_points(
+    datum: RootDatum, center, r: int, *, budget: int | None = None, check: bool = True
+) -> Iterator[Point]:
+    """Vertices within wall distance r of center, unordered.
 
     Candidates come from the coordinate box of half-width r: any root
     value differing by more than r forces more than r-1 separating
     walls.
     """
+    require_int(r, "radius must be a nonnegative integer", 0)
+    ac = _vertex_scaled(datum, center, check)
     scale = datum.scale
 
     def region(denom: int) -> tuple:
@@ -112,7 +124,7 @@ def _wall_ball(
 
     pos = datum.positive_roots
     center_vals = [sum(c * v for c, v in zip(root, ac)) for root in pos]
-    for a in _walk(datum, region, state):
+    for a in _walk(datum, region, _Budget(budget)):
         if a == ac or (
             r >= 1
             and all(
@@ -120,18 +132,7 @@ def _wall_ball(
                 for cv, root in zip(center_vals, pos)
             )
         ):
-            yield a
-
-
-def iter_wall_ball_points(
-    datum: RootDatum, center, r: int, *, budget: int | None = None, check: bool = True
-) -> Iterator[Point]:
-    """Vertices within wall distance r of center, unordered."""
-    require_int(r, "radius must be a nonnegative integer", 0)
-    ac = _vertex_scaled(datum, center, check)
-    scale = datum.scale
-    for a in _wall_ball(datum, ac, r, _Budget(budget)):
-        yield tuple(Fraction(v, scale) for v in a)
+            yield tuple(Fraction(v, scale) for v in a)
 
 
 def apartment_ball(
@@ -143,27 +144,108 @@ def apartment_ball(
     )
 
 
+def _corners(datum: RootDatum) -> list[tuple[int, ...]]:
+    """The corners v_0..v_d of the fundamental alcove over datum.scale."""
+    N, d = datum.scale, datum.rank
+    return [(0,) * d] + [
+        tuple(N // c if j == i else 0 for j in range(d))
+        for i, c in enumerate(datum.highest_root_coeffs)
+    ]
+
+
+def _link(
+    datum: RootDatum, corner: tuple[int, ...], state: _Budget
+) -> list[tuple[int, ...]]:
+    """Sorted offsets from an alcove corner to its neighbours.
+
+    The stabilizer of the corner in the affine Weyl group is generated
+    by the reflections in the alcove walls through it, and the
+    neighbours are the orbit of the other corners under it.  Each wall
+    is a functional f = w.p - k and reflects p to p - f(p) col, the
+    linear step _fold applies.  Spends one unit of state per reflection
+    image: rank times the number of neighbours.
+    """
+    N, d = datum.scale, datum.rank
+    cartan = datum.cartan
+    walls = [
+        (tuple(int(k == j) for k in range(d)), 0, tuple(row[j] for row in cartan))
+        for j in range(d)
+    ]
+    walls.append((datum.highest_root_coeffs, N, datum.alpha0_coroot_row))
+    through = [wall for wall in walls if sum(map(mul, wall[0], corner)) == wall[1]]
+    orbit = {c for c in _corners(datum) if c != corner}
+    todo = list(orbit)
+    while todo:
+        p = todo.pop()
+        state.spend(len(through))
+        for w, k, col in through:
+            f = sum(map(mul, w, p)) - k
+            if f:
+                q = tuple([pv - f * cv for pv, cv in zip(p, col)])
+                if q not in orbit:
+                    orbit.add(q)
+                    todo.append(q)
+    return sorted(tuple(map(sub, p, corner)) for p in orbit)
+
+
+def _inverse(m: list[list[int]]) -> list[list[int]]:
+    """Inverse of an integer matrix of determinant +-1, such as the
+    linear part of a fold, by Gauss-Jordan elimination."""
+    d = len(m)
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(d):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [[int(v) for v in row[d:]] for row in rows]
+
+
 def _neighbor_offsets(
     datum: RootDatum,
     a: tuple[int, ...],
     cache: dict,
     state: _Budget,
 ) -> list[tuple[int, ...]]:
-    """Offsets to all vertices adjacent to a, keyed by a's residue class.
+    """Sorted offsets to all vertices adjacent to a, keyed by a's
+    residue class.
 
-    The neighbours are the radius-1 wall ball around a, less a itself.
     Vertex membership and separating-wall counts only depend on the
-    coordinates modulo the global scale, so the offset list can be
-    shared by every vertex in the same residue class.
+    coordinates modulo the global scale, so the offset list is shared
+    by every vertex in the same residue class.  A new class folds a
+    onto its alcove corner, together with a + e_1, ..., a + e_d, which
+    reads off the fold's linear part L; the corner's offsets come from
+    its link (_link), and a's offsets are their images under L^-1.
+    Mapping them into the new class spends one unit of state per offset.
     """
-    key = tuple(v % datum.scale for v in a)
+    N = datum.scale
+    key = tuple([v % N for v in a])
     offsets = cache.get(key)
     if offsets is None:
-        offsets = cache[key] = sorted(
-            tuple(wv - av for wv, av in zip(w, a))
-            for w in _wall_ball(datum, a, 1, state)
-            if w != a
-        )
+        d = datum.rank
+        pts = [list(a)] + [[v + (j == k) for j, v in enumerate(a)] for k in range(d)]
+        _fold(datum, pts, N, DEFAULT_FOLD_LIMIT)
+        corner = tuple(pts[0])
+        if corner not in _corners(datum):
+            raise NotAVertexError(f"{tuple(Fraction(v, N) for v in a)} is not a vertex")
+        corner_key = tuple([v % N for v in corner])
+        offsets = cache.get(corner_key)
+        if offsets is None:
+            offsets = cache[corner_key] = _link(datum, corner, state)
+        if corner_key != key:
+            inverse = _inverse([[p[j] - corner[j] for p in pts[1:]] for j in range(d)])
+            state.spend(len(offsets))
+            offsets = sorted(
+                tuple([sum(map(mul, row, delta)) for row in inverse]) for delta in offsets
+            )
+        cache[key] = offsets
     return offsets
 
 
@@ -180,7 +262,7 @@ def _bfs(
         nxt = []
         for a in frontier:
             for delta in _neighbor_offsets(datum, a, cache, state):
-                w = tuple(av + dv for av, dv in zip(a, delta))
+                w = tuple(map(add, a, delta))
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -199,14 +281,19 @@ def simplicial_distance(
 ) -> int:
     """Graph distance in the 1-skeleton, searched out to the budget radius.
 
-    Raises SearchBudgetError when the budget is exhausted first; that
-    is distinct from unreachability, which cannot happen inside one
-    apartment.
+    Adjacency is wall distance one, so an adjacent pair returns 1
+    without a search.  Raises SearchBudgetError when the budget is
+    exhausted first; that is distinct from unreachability, which cannot
+    happen inside one apartment.  candidate_budget bounds the work as
+    in simplicial_distances.
     """
     require_int(budget, "search budget must be a nonnegative integer", 0)
     ax = _vertex_scaled(datum, x, check)
     ay = _vertex_scaled(datum, y, check)
-    for a, depth in _bfs(datum, ax, budget, _Budget(candidate_budget)):
+    state = _Budget(candidate_budget)
+    if budget and _wall_distance_scaled(datum, ax, ay)[0] == 1:
+        return 1
+    for a, depth in _bfs(datum, ax, budget, state):
         if a == ay:
             return depth
     raise SearchBudgetError(f"target not reached within search radius {budget}")
@@ -220,12 +307,20 @@ def simplicial_distances(
     candidate_budget: int | None = None,
     check: bool = True,
 ) -> dict[Point, int]:
-    """Graph distances to every vertex within max_depth of source."""
+    """Graph distances to every vertex within max_depth of source.
+
+    candidate_budget bounds the neighbour generation: one unit per
+    reflection image in the link of each alcove corner the search meets
+    (rank times the corner's degree), and one per offset mapped into
+    each other residue class (its degree).  EnumerationLimitError is
+    raised when that is exceeded.
+    """
     require_int(max_depth, "search depth must be a nonnegative integer", 0)
     ax = _vertex_scaled(datum, source, check)
     scale = datum.scale
+    point = cache(lambda v: Fraction(v, scale))  # one Fraction per numerator
     return {
-        tuple(Fraction(v, scale) for v in a): depth
+        tuple(map(point, a)): depth
         for a, depth in _bfs(datum, ax, max_depth, _Budget(candidate_budget))
     }
 

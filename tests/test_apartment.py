@@ -73,6 +73,12 @@ def test_as_point_validation(data):
         as_point(a2, [1, "x"])
 
 
+def test_as_point_keeps_fractions(data):
+    a2 = data("A2")
+    coords = [Fraction(1, 2), Fraction(-3, 4)]
+    assert all(p is c for p, c in zip(as_point(a2, coords), coords))
+
+
 def test_origin_and_corners(data):
     b2 = data("B2")
     assert origin(b2) == (Fraction(0), Fraction(0))

@@ -129,6 +129,19 @@ def test_zero_budget_exits_2_when_x_equals_y():
     assert json.loads(result.stderr)["error"]["kind"] == "ValidationError"
 
 
+def test_zero_budget_exits_2_for_adjacent_pair():
+    result = _run("distance", "--type", "A2", "--x", "0,0", "--y", "1,0", "--budget", "0")
+    assert result.exit_code == 2
+    assert json.loads(result.stderr)["error"]["kind"] == "ValidationError"
+
+
+def test_e7_adjacency():
+    # wall distance one is adjacency, so the search does not run
+    payload = _json("distance", "--type", "E7", "--x", "0,0,0,0,0,0,0", "--y", "0,0,0,0,0,0,1")
+    assert payload["simplicial"]["d"] == 1
+    assert payload["adjacent"] is True
+
+
 def test_small_q_eval_exits_2():
     result = _run("ball", "--type", "A2", "--radius", "1", "--q-eval", "1")
     assert result.exit_code == 2

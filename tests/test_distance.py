@@ -1,6 +1,7 @@
 """Wall-separation and edge-path metrics, balls, and their interplay."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -11,12 +12,14 @@ from alcove import (
     EnumerationLimitError,
     NotAVertexError,
     SearchBudgetError,
+    ValidationError,
     adjacent,
     alcove_vertex,
     apartment_ball,
     build_root_datum,
     eval_root,
     fold_pair,
+    fold_to_alcove,
     integers_strictly_between,
     iter_wall_ball_points,
     origin,
@@ -27,7 +30,7 @@ from alcove import (
     wall_count,
     wall_distance,
 )
-from alcove.apartment import _Budget, _maximal_denominators, _tester
+from alcove.apartment import _maximal_denominators, _tester
 from alcove.distance import _between_scaled
 
 
@@ -306,14 +309,14 @@ def test_wall_ball_work_count(data, assert_least_budget, name, least):
 def test_search_work_count(data, assert_least_budget):
     b3 = data("B3")
     o = origin(b3)
-    assert_least_budget(lambda b: simplicial_distances(b3, o, 3, candidate_budget=b), 625)
+    assert_least_budget(lambda b: simplicial_distances(b3, o, 3, candidate_budget=b), 150)
 
 
-# G2 and F4 walk two denominators, and every search but F4's at depth 1
-# spends one budget across several residue classes
+# every search but F4's at depth 1 spends one budget across several
+# residue classes
 @pytest.mark.parametrize(
     "name,corner,depth,least",
-    [("G2", 0, 2, 407), ("G2", 1, 2, 338), ("F4", 0, 1, 8962), ("C3", 1, 3, 500)],
+    [("G2", 0, 2, 58), ("G2", 1, 2, 52), ("F4", 0, 1, 960), ("C3", 1, 3, 148)],
 )
 def test_shared_budget_work_count(data, assert_least_budget, name, corner, depth, least):
     datum = data(name)
@@ -323,11 +326,10 @@ def test_shared_budget_work_count(data, assert_least_budget, name, corner, depth
     )
 
 
-def _reference_neighbors(datum, a, state):
+def _reference_neighbors(datum, a):
     """Offsets from a to its neighbours by the old coordinate-box scan:
     every candidate of the box around a on each maximal denominator's
-    grid, kept when it is a vertex that no wall separates from a.
-    Spends one unit of state per candidate."""
+    grid, kept when no wall separates it from a and it is a vertex."""
     scale = datum.scale
     pos = datum.positive_roots
     base_vals = [sum(c * v for c, v in zip(root, a)) for root in pos]
@@ -345,20 +347,19 @@ def _reference_neighbors(datum, a, state):
             hi = (av + scale) // step
             axes.append([k * step - av for k in range(lo, hi + 1)])
         for delta in product(*axes):
-            state.spend()
             if delta in tried or not any(delta):
                 continue
             tried.add(delta)
-            w = tuple(av + dv for av, dv in zip(a, delta))
-            if not tester.scaled(w, scale):
-                continue
             separated = False
             for i, root in enumerate(pos):
                 vb = base_vals[i] + sum(c * dv for c, dv in zip(root, delta))
                 if _between_scaled(base_vals[i], vb, scale):
                     separated = True
                     break
-            if not separated:
+            if separated:
+                continue
+            w = tuple(av + dv for av, dv in zip(a, delta))
+            if tester.scaled(w, scale):
                 offsets.append(delta)
     offsets.sort()
     return offsets
@@ -369,33 +370,78 @@ def _sphere(datum, v, **kwargs):
     return {y for y, depth in table.items() if depth == 1}
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "C3", "D4", "F4"])
+def _residue(datum, v):
+    return tuple(t % datum.scale for t in scaled_coords(datum, v))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "C3", "D4", "F4", "E6"])
 def test_neighbors_match_box_scan(data, assert_least_budget, name):
     datum = data(name)
     corners = [alcove_vertex(datum, i) for i in range(datum.rank + 1)]
-    others = sorted(set(iter_wall_ball_points(datum, origin(datum), 1)) - set(corners))
-    starts = corners + [others[0], others[len(others) // 2], others[-1]]
+    if name == "E6":
+        # the box scan takes about a second a start here: two vertices of
+        # the origin's sphere outside the corners' residue classes
+        classes = {_residue(datum, c) for c in corners}
+        others = [y for y in sorted(_sphere(datum, origin(datum))) if _residue(datum, y) not in classes]
+        others = [others[0], others[-1]]
+    else:
+        others = sorted(set(iter_wall_ball_points(datum, origin(datum), 1)) - set(corners))
+        others = [others[0], others[len(others) // 2], others[-1]]
     scale = datum.scale
-    for v in starts:
+    for v in corners + others:
         a = scaled_coords(datum, v)
-        state = _Budget(None)
         expected = {
             tuple(Fraction(av + dv, scale) for av, dv in zip(a, delta))
-            for delta in _reference_neighbors(datum, a, state)
+            for delta in _reference_neighbors(datum, a)
         }
         assert _sphere(datum, v) == expected
-        # the same candidates are spent: one per leaf of the box
+        # the link spends one unit per reflection image, rank per neighbour;
+        # a vertex outside its corner's residue class one more per neighbour
+        mapped = _residue(datum, v) != _residue(datum, fold_to_alcove(datum, v))
+        least = (datum.rank + mapped) * len(expected)
         assert_least_budget(
-            lambda b: simplicial_distances(datum, v, 1, candidate_budget=b), state.used
+            lambda b: simplicial_distances(datum, v, 1, candidate_budget=b), least
         )
 
 
 @pytest.mark.parametrize(
-    "name,degree", [("A2", 6), ("B3", 26), ("D4", 48), ("F4", 240), ("E6", 1278)]
+    "name,degree",
+    [("A2", 6), ("B3", 26), ("D4", 48), ("F4", 240), ("E6", 1278), ("E7", 17642)],
 )
 def test_origin_degree(data, name, degree):
     datum = data(name)
     o = origin(datum)
     assert len(_sphere(datum, o)) == degree
-    if name != "E6":  # the box scan takes seconds on E6
-        assert len(_reference_neighbors(datum, scaled_coords(datum, o), _Budget(None))) == degree
+    if name not in ("E6", "E7"):  # the box scan takes seconds on E6, hours on E7
+        assert len(_reference_neighbors(datum, scaled_coords(datum, o))) == degree
+
+
+def test_search_refuses_unchecked_non_vertex(data):
+    # on the grid but not a vertex, so it folds onto no alcove corner
+    b2 = data("B2")
+    with pytest.raises(NotAVertexError):
+        simplicial_distances(b2, (F(1, 2), F(0)), 1, check=False)
+
+
+def test_e8_link_budget_fails_fast(data):
+    # the E8 origin has 881,760 neighbours; the budget stops the orbit early
+    e8 = data("E8")
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError):
+        simplicial_distances(e8, origin(e8), 1, candidate_budget=10_000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_adjacent_pair_needs_no_search(data):
+    e7 = data("E7")
+    o, v7 = origin(e7), alcove_vertex(e7, 7)
+    assert simplicial_distance(e7, o, v7, 1, candidate_budget=1) == 1
+    with pytest.raises(SearchBudgetError):
+        simplicial_distance(e7, o, v7, 0)
+
+
+@pytest.mark.parametrize("target", [0, 7], ids=["x == y", "adjacent"])
+def test_zero_candidate_budget_refused(data, target):
+    e7 = data("E7")
+    with pytest.raises(ValidationError):
+        simplicial_distance(e7, origin(e7), alcove_vertex(e7, target), 1, candidate_budget=0)
