@@ -412,7 +412,7 @@ def test_origin_degree(data, name, degree):
     datum = data(name)
     o = origin(datum)
     assert len(_sphere(datum, o)) == degree
-    if name not in ("E6", "E7"):  # the box scan takes seconds on E6, hours on E7
+    if name not in ("E6", "E7"):  # the box scan takes seconds on E6, minutes on E7
         assert len(_reference_neighbors(datum, scaled_coords(datum, o))) == degree
 
 
