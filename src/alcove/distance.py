@@ -190,22 +190,21 @@ def _link(
 
 def _inverse(m: list[list[int]]) -> list[list[int]]:
     """Inverse of an integer matrix of determinant +-1, such as the
-    linear part of a fold, by Gauss-Jordan elimination."""
+    linear part of a fold, by fraction-free Gauss-Jordan elimination:
+    every division is exact, and the last pivot is the determinant."""
     d = len(m)
-    rows = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(d)]
-        for i, row in enumerate(m)
-    ]
+    rows = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(m)]
+    prev = 1
     for col in range(d):
         pivot = next(r for r in range(col, d) if rows[r][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]
         head = rows[col][col]
-        rows[col] = [v / head for v in rows[col]]
         for r in range(d):
             f = rows[r][col]
-            if r != col and f:
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return [[int(v) for v in row[d:]] for row in rows]
+            if r != col:
+                rows[r] = [(head * v - f * w) // prev for v, w in zip(rows[r], rows[col])]
+        prev = head
+    return [[v // prev for v in row[d:]] for row in rows]
 
 
 def _neighbor_offsets(
