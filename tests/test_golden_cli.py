@@ -58,6 +58,10 @@ GOLDEN = [
         "distance --type E6 --x 0,0,0,0,0,0 --y 0,1,0,0,0,0",
         "0bea5398ddba61a1dbe17f2932cd3be73de4db48985232f9c429b9fc9e20da46",
     ),
+    (
+        "verify --suite concavity",
+        "09eb321573d5bb9b652eeaa72adddb4a492f22edec4bf8044cfbf592f8ec56d0",
+    ),
 ]
 
 
