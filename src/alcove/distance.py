@@ -85,9 +85,7 @@ def _wall_distance_scaled(
     best = -1
     witness: Root | None = None
     for root in datum.positive_roots:
-        va = sum(c * v for c, v in zip(root, ax))
-        vb = sum(c * v for c, v in zip(root, ay))
-        k = _between_scaled(va, vb, scale)
+        k = _between_scaled(sum(map(mul, root, ax)), sum(map(mul, root, ay)), scale)
         if k > best:
             best = k
             witness = root

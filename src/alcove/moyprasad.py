@@ -5,6 +5,13 @@ to f(a) + f(b) >= f(a+b) whenever a+b is a root, f(a) + f(-a) >= f(0),
 and f(0) >= 0.  Point functions f_x(a) = -a(x) describe the filtration
 attached to a point; index exponents between nested concave functions
 are the log_q group indices driving every cardinality bound here.
+
+ConcaveFunction holds Fractions, the public edge.  The checks work on
+integer numerators over one common denominator: concavity walks a
+root-addition table (the index triples of all_roots() with
+root_i + root_j = root_k), built once per datum, and point values,
+index exponents and filtration containment come from integer root
+values.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
-from .apartment import _numerators, as_point
-from .cartan import Root, RootDatum, eval_root
+from .apartment import _numerators, _rational, as_point
+from .cartan import Root, RootDatum
 from .errors import (
     DominationError,
     EmptySetError,
@@ -41,54 +48,73 @@ class ConcaveFunction:
 
 def make_function(datum: RootDatum, at_zero, values: Mapping[Root, object]) -> ConcaveFunction:
     """Build a candidate function, checking totality but not concavity."""
-    table = {tuple(r): Fraction(v) for r, v in values.items()}
-    expected = set(datum.all_roots())
-    if set(table) != expected:
+    table = {tuple(r): _rational(v) for r, v in values.items()}
+    if table.keys() != datum.root_set:
         raise ValidationError("function must be defined on every root of both signs")
-    return ConcaveFunction(at_zero=Fraction(at_zero), values=table)
+    return ConcaveFunction(at_zero=_rational(at_zero), values=table)
 
 
 def _require_total(datum: RootDatum, f: ConcaveFunction) -> None:
-    if set(f.values) != set(datum.all_roots()):
+    if f.values.keys() != datum.root_set:
         raise ValidationError("function is not total on the roots of this system")
+
+
+def _addition_table(datum: RootDatum) -> tuple[tuple[int, int, int], ...]:
+    """Index triples (i, j, k) with i < j and root_i + root_j = root_k,
+    in all_roots() order; built once and kept in the datum's instance
+    dict, as apartment._tester keeps the vertex tester."""
+    table = datum.__dict__.get("_addition_table")
+    if table is None:
+        roots = datum.all_roots()
+        index = {root: k for k, root in enumerate(roots)}
+        table = datum.__dict__["_addition_table"] = tuple(
+            (i, j, k)
+            for i, a in enumerate(roots)
+            for j in range(i + 1, len(roots))
+            if (k := index.get(tuple(map(add, a, roots[j])))) is not None
+        )
+    return table
+
+
+def _integer_values(
+    roots: tuple[Root, ...], *functions: ConcaveFunction
+) -> tuple[list[list[int]], int]:
+    """Each function's values on roots, then its value at 0, as integer
+    numerators over one common denominator D; (rows, D)."""
+    return _numerators(tuple(
+        tuple(_rational(v) for v in (*map(f.values.__getitem__, roots), f.at_zero))
+        for f in functions
+    ))
 
 
 def is_concave(datum: RootDatum, f: ConcaveFunction) -> bool:
     """Check the three concavity inequalities."""
     _require_total(datum, f)
-    if f.at_zero < 0:
+    (v,), _ = _integer_values(datum.all_roots(), f)
+    zero = v[-1]
+    if zero < 0:
         return False
-    root_set = datum.root_set
-    values = f.values
-    for alpha, fa in values.items():
-        minus = tuple(-c for c in alpha)
-        if fa + values[minus] < f.at_zero:
-            return False
-        for beta, fb in values.items():
-            total = tuple(a + b for a, b in zip(alpha, beta))
-            if total in root_set and fa + fb < values[total]:
-                return False
-    return True
+    n = len(datum.positive_roots)
+    # the negative of root i sits at i + n
+    if any(v[i] + v[i + n] < zero for i in range(n)):
+        return False
+    return all(v[i] + v[j] >= v[k] for i, j, k in _addition_table(datum))
 
 
 def point_function(datum: RootDatum, x) -> ConcaveFunction:
     """f_x(a) = -a(x), the concave function of the point x."""
-    point = as_point(datum, x)
-    return ConcaveFunction(
-        at_zero=Fraction(0),
-        values={r: -eval_root(datum, r, point) for r in datum.all_roots()},
-    )
+    return omega_function(datum, (x,))
 
 
 def omega_function(datum: RootDatum, points: Iterable) -> ConcaveFunction:
     """Pointwise maximum of the point functions of a nonempty set."""
-    pts = [as_point(datum, p) for p in points]
+    pts, N = _numerators(tuple(as_point(datum, p) for p in points))
     if not pts:
         raise EmptySetError("omega function needs at least one point")
-    values = {
-        r: max(-eval_root(datum, r, p) for p in pts) for r in datum.all_roots()
-    }
-    return ConcaveFunction(at_zero=Fraction(0), values=values)
+    # alpha(x) * N for every positive root alpha (rows) and point x (columns)
+    rows = [[sum(map(mul, root, a)) for a in pts] for root in datum.positive_roots]
+    values = [Fraction(-min(r), N) for r in rows] + [Fraction(max(r), N) for r in rows]
+    return ConcaveFunction(at_zero=Fraction(0), values=dict(zip(datum.all_roots(), values)))
 
 
 def _optimized(v: Fraction) -> Fraction:
@@ -107,7 +133,7 @@ def optimize(datum: RootDatum, f: ConcaveFunction) -> ConcaveFunction:
 
 def shift(f: ConcaveFunction, r) -> ConcaveFunction:
     """Add the constant r everywhere, the value at 0 included."""
-    r = Fraction(r)
+    r = _rational(r)
     return ConcaveFunction(
         at_zero=f.at_zero + r,
         values={root: v + r for root, v in f.values.items()},
@@ -147,12 +173,13 @@ def index_exponent(datum: RootDatum, f: ConcaveFunction, g: ConcaveFunction) -> 
         )
     if f.at_zero <= 0:
         raise LevelMismatchError("value at zero must be positive")
+    roots = tuple(f.values)
+    (fv, gv), D = _integer_values(roots, f, g)
     contributions: dict[Root, int] = {}
-    for root, fv in f.values.items():
-        gv = g.values[root]
-        if gv < fv:
+    for root, a, b in zip(roots, fv, gv):
+        if b < a:
             raise DominationError(f"g < f at root {root}")
-        contributions[root] = ceil(gv) - ceil(fv)
+        contributions[root] = (-a // D) - (-b // D)
     return IndexExponent(
         exponent=sum(contributions.values()),
         per_root_contributions=contributions,
@@ -199,14 +226,10 @@ def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:
     require_int(r2, "levels must be integers")
     if not r1 > r2 >= 0:
         raise ValidationError("levels must satisfy r1 > r2 >= 0")
-    px = as_point(datum, x)
-    py = as_point(datum, y)
-    gap = r1 - r2
-    for root in datum.positive_roots:
-        diff = eval_root(datum, root, px) - eval_root(datum, root, py)
-        if diff > gap or -diff > gap:
-            return False
-    return True
+    (ax, ay), N = _numerators((as_point(datum, x), as_point(datum, y)))
+    diff = list(map(sub, ax, ay))
+    gap = (r1 - r2) * N
+    return all(abs(sum(map(mul, root, diff))) <= gap for root in datum.positive_roots)
 
 
 def concave_function_to_dict(f: ConcaveFunction) -> dict:

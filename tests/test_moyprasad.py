@@ -1,6 +1,8 @@
 """Concave-function calculus and filtration index exponents."""
 
+import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from alcove import (
     NotInChamberError,
     ValidationError,
     build_root_datum,
+    enumerate_scaled_alcove_vertices,
+    eval_root,
     filtration_contains,
     index_exponent,
     is_concave,
@@ -27,7 +31,7 @@ from alcove import (
     shift,
     wall_distance,
 )
-from alcove.moyprasad import concave_function_to_dict
+from alcove.moyprasad import _addition_table, concave_function_to_dict
 
 
 def F(a, b=1):
@@ -238,3 +242,118 @@ def test_index_exponent_nonnegative(name, draw):
     result = index_exponent(datum, f, g)
     assert result.exponent >= 0
     assert all(v >= 0 for v in result.per_root_contributions.values())
+
+
+def _reference_is_concave(datum, f):
+    """The O(|roots|^2) Fraction concavity check the root-addition table
+    replaced, kept verbatim (its totality check inlined) as an oracle."""
+    if set(f.values) != set(datum.all_roots()):
+        raise ValidationError("function is not total on the roots of this system")
+    if f.at_zero < 0:
+        return False
+    root_set = datum.root_set
+    values = f.values
+    for alpha, fa in values.items():
+        minus = tuple(-c for c in alpha)
+        if fa + values[minus] < f.at_zero:
+            return False
+        for beta, fb in values.items():
+            total = tuple(a + b for a, b in zip(alpha, beta))
+            if total in root_set and fa + fb < values[total]:
+                return False
+    return True
+
+
+ORACLE_TYPES = ["A2", "B2", "G2", "B3", "C3", "D4", "F4", "E6", "E7"]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_is_concave_matches_reference(data, name):
+    """Omega functions of random vertices, shifted, then perturbed at one
+    root: both answers must occur and agree with the slow check."""
+    datum = data(name)
+    rng = random.Random(name)
+    pool = enumerate_scaled_alcove_vertices(datum, 2).points
+    outcomes = set()
+    for _ in range(12):
+        points = [
+            tuple(-t for t in p) if rng.random() < 0.5 else p
+            for p in rng.sample(pool, rng.randint(1, 3))
+        ]
+        f = shift(omega_function(datum, points), F(rng.randint(0, 4), rng.choice([1, 2])))
+        assert is_concave(datum, f) and _reference_is_concave(datum, f)
+        values = dict(f.values)
+        root = rng.choice(datum.all_roots())
+        values[root] += F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+        g = ConcaveFunction(at_zero=f.at_zero, values=values)
+        expected = _reference_is_concave(datum, g)
+        assert is_concave(datum, g) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def _random_point(rng, rank):
+    return tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 6, 12])) for _ in range(rank))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES + ["E8"])
+def test_point_functions_match_eval_root(data, name):
+    datum = data(name)
+    rng = random.Random(name)
+    for _ in range(5):
+        points = [_random_point(rng, datum.rank) for _ in range(rng.randint(1, 3))]
+        f = point_function(datum, points[0])
+        assert f.at_zero == 0
+        assert f.values == {r: -eval_root(datum, r, points[0]) for r in datum.all_roots()}
+        om = omega_function(datum, points)
+        assert om.at_zero == 0
+        assert om.values == {
+            r: max(-eval_root(datum, r, p) for p in points) for r in datum.all_roots()
+        }
+        assert list(om.values) == list(datum.all_roots())
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES + ["E8"])
+def test_filtration_contains_matches_eval_root(data, name):
+    datum = data(name)
+    rng = random.Random(name)
+    outcomes = set()
+    for _ in range(20):
+        x, y = _random_point(rng, datum.rank), _random_point(rng, datum.rank)
+        widest = max(
+            abs(eval_root(datum, root, x) - eval_root(datum, root, y))
+            for root in datum.positive_roots
+        )
+        # gaps on both sides of the widest root gap
+        r2 = rng.randint(0, 3)
+        r1 = r2 + max(1, ceil(widest) + rng.choice([-1, 0, 1]))
+        expected = widest <= r1 - r2
+        assert filtration_contains(datum, x, r1, y, r2) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "name,size",
+    [("A2", 6), ("B2", 12), ("G2", 30), ("B3", 60), ("C3", 60), ("D4", 96),
+     ("F4", 408), ("E6", 720), ("E7", 2016), ("E8", 6720)],
+)
+def test_addition_table_size(data, name, size):
+    datum = data(name)
+    table = _addition_table(datum)
+    assert len(table) == size == len(set(table))
+    roots = datum.all_roots()
+    for i, j, k in table:
+        assert i < j
+        assert tuple(a + b for a, b in zip(roots[i], roots[j])) == roots[k]
+    assert _addition_table(datum) is table
+
+
+def test_float_in_built_function_refused(data):
+    a1 = data("A1")
+    f = ConcaveFunction(at_zero=F(1), values={(1,): 0.5, (-1,): F(1)})
+    with pytest.raises(ValidationError):
+        is_concave(a1, f)
+    g = shift(point_function(a1, (F(0),)), 1)
+    with pytest.raises(ValidationError):
+        index_exponent(a1, g, ConcaveFunction(at_zero=1.0, values=dict(g.values)))

@@ -14,10 +14,13 @@ from alcove import (
     in_scaled_alcove,
     iter_scaled_alcove_vertices,
     iter_wall_ball_points,
+    make_function,
     max_two_rho,
     origin,
+    point_function,
     quotient_ball_sum,
     quotient_exponents,
+    shift,
     simplicial_distance,
     simplicial_distances,
 )
@@ -54,6 +57,9 @@ CALLS = {
     "filtration_contains r2": lambda d, o, v: filtration_contains(d, o, 3, o, v),
     "as_point": lambda d, o, v: as_point(d, [v, 0]),
     "in_scaled_alcove r": lambda d, o, v: in_scaled_alcove(d, v, o),
+    "shift r": lambda d, o, v: shift(point_function(d, o), v),
+    "make_function at_zero": lambda d, o, v: make_function(d, v, dict.fromkeys(d.all_roots(), 0)),
+    "make_function value": lambda d, o, v: make_function(d, 0, dict.fromkeys(d.all_roots(), v)),
 }
 
 
