@@ -1,8 +1,8 @@
 """Golden CLI outputs: the sha256 of stdout for fixed commands.
 
 The hashes pin the exact bytes the commands print, so any change to the
-census, folding, distance search or serialization that alters an answer
-or its formatting shows up here.
+census, folding, distance search, concavity checks or serialization
+that alters an answer or its formatting shows up here.
 """
 
 import hashlib
