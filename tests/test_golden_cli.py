@@ -62,6 +62,14 @@ GOLDEN = [
         "verify --suite concavity",
         "09eb321573d5bb9b652eeaa72adddb4a492f22edec4bf8044cfbf592f8ec56d0",
     ),
+    (
+        "verify --suite polytope",
+        "7be96fa5a4ab7c1b2328b3b13b99eda08e68a0a20e7d9739d7a990f5f17377eb",
+    ),
+    (
+        "ball --type E6 --radius 4 --level 3",
+        "fc04aafc4a77a6437fdcb6b140134f8f5e27185148e2c359fd1496168233e683",
+    ),
 ]
 
 
