@@ -3,14 +3,17 @@
 A point is the tuple of exact rationals t_i = alpha_i(x).  The closed
 fundamental alcove is t_i >= 0 with alpha_0(x) <= 1 for the highest
 root alpha_0; its corners are the origin and omega_i / c_i where c_i
-are the marks.  Vertices of the simplicial structure are points where
-the integral roots span full rank; every vertex of type i sits on the
-(1/c_i)-grid, which is what the enumerators exploit.
+are the marks.  The closed alcove is a fundamental domain for the
+affine Weyl group, so a point is a vertex of the simplicial structure
+iff it folds onto a corner; every vertex of type i sits on the
+(1/c_i)-grid, which is what the enumerators exploit.  Integer shifts of
+the coordinates (coweight translations) map vertices to vertices, so
+the fold decides vertex-ness once per residue class modulo the scale.
 
 Inside the library a point is an integer tuple of numerators over one
 common denominator: datum.scale (the lcm of the marks) for vertices,
 the lcm of the input denominators for arbitrary rational points.  The
-grid walker, the rank test and the fold all work on those integers;
+grid walker, the vertex test and the fold all work on those integers;
 Fraction appears only at the public edge, where arguments come in and
 results go out.
 """
@@ -22,7 +25,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Callable, Iterable, Iterator
 
-from .cartan import Root, RootDatum
+from .cartan import RootDatum
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
@@ -42,14 +45,14 @@ def _rational(value) -> Fraction:
     """An exact rational; floats and bools are refused, not converted."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, (bool, float)):
-        raise ValidationError(
-            f"coordinates are not rational numbers: {value!r} is a {type(value).__name__}"
-        )
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as err:
-        raise ValidationError(f"coordinates are not rational numbers: {err}") from err
+    if not isinstance(value, (bool, float)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(
+        f"not an exact rational number: {value!r} is a {type(value).__name__}"
+    )
 
 
 def as_point(datum: RootDatum, values: Iterable) -> Point:
@@ -115,61 +118,37 @@ def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
     return [list(_scaled(p, N)) for p in points], N
 
 
-def _int_rank(rows: list[Root], d: int) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        head = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            v = mat[r][col]
-            if v:
-                row = mat[r]
-                ref = mat[rank]
-                mat[r] = [head * a - v * b for a, b in zip(row, ref)]
-        rank += 1
-        if rank == d or rank == len(mat):
-            break
-    return rank
-
-
 class _VertexTester:
-    """Memoized full-rank test keyed by the set of integral roots, and
-    the integer inverse Cartan matrix of the fold; one per datum."""
+    """The vertex test of one datum: a point on the (1/scale)-grid is a
+    vertex iff it folds onto an alcove corner.  The answer is memoized
+    by the residue of the coordinates modulo the scale, which coweight
+    translations preserve.  Also holds the corner set, each corner over
+    the scale mapped to its index, and the integer inverse Cartan
+    matrix of the fold."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        self.memo: dict[int, bool] = {}
+        N, d = datum.scale, datum.rank
+        self.corners = {(0,) * d: 0} | {
+            tuple(N // c if j == i else 0 for j in range(d)): i + 1
+            for i, c in enumerate(datum.highest_root_coeffs)
+        }
+        self.memo: dict[tuple[int, ...], bool] = {}
         inverse = datum.cartan_inverse
         # cartan_inverse == inverse_rows / inverse_denom
         self.inverse_denom = lcm(*(v.denominator for row in inverse for v in row))
         self.inverse_rows = [list(_scaled(row, self.inverse_denom)) for row in inverse]
 
-    def from_mask(self, mask: int) -> bool:
-        ok = self.memo.get(mask)
+    def scaled(self, a: tuple[int, ...]) -> bool:
+        """Whether a / scale is a vertex."""
+        N = self.datum.scale
+        key = tuple([v % N for v in a])
+        ok = self.memo.get(key)
         if ok is None:
-            pos = self.datum.positive_roots
-            rows = [pos[i] for i in range(len(pos)) if mask >> i & 1]
-            ok = _int_rank(rows, self.datum.rank) == self.datum.rank
-            self.memo[mask] = ok
+            p = list(key)
+            _fold(self.datum, [p], N, DEFAULT_FOLD_LIMIT)
+            ok = self.memo[key] = tuple(p) in self.corners
         return ok
-
-    def scaled(self, a: tuple[int, ...], denom: int) -> bool:
-        mask = 0
-        bit = 1
-        for root in self.datum.positive_roots:
-            if sum(c * v for c, v in zip(root, a)) % denom == 0:
-                mask |= bit
-            bit <<= 1
-        return self.from_mask(mask)
 
 
 def _tester(datum: RootDatum) -> _VertexTester:
@@ -181,10 +160,20 @@ def _tester(datum: RootDatum) -> _VertexTester:
     return tester
 
 
+def _vertex_scaled(datum: RootDatum, x, check: bool) -> tuple[int, ...]:
+    """Numerators of the vertex x over the scale; NotAVertexError when x
+    is off that grid or, with check, fails the vertex test."""
+    point = as_point(datum, x)
+    a = _grid_coords(point, datum.scale)
+    if a is None or (check and not _tester(datum).scaled(a)):
+        raise NotAVertexError(f"{point} is not a vertex")
+    return a
+
+
 def is_vertex(datum: RootDatum, x) -> bool:
-    """True iff the roots taking integer values at x span full rank."""
+    """True iff x folds onto a corner of the fundamental alcove."""
     a = scaled_coords(datum, x)
-    return a is not None and _tester(datum).scaled(a, datum.scale)
+    return a is not None and _tester(datum).scaled(a)
 
 
 def is_special(datum: RootDatum, x) -> bool:
@@ -268,24 +257,19 @@ def fold_pair(
     return _folded_points(datum, (as_point(datum, x), as_point(datum, y)), max_steps)
 
 
-def _corner_type(datum: RootDatum, a: list[int], N: int) -> int:
-    """Index of the alcove corner that a / N folds onto; folds a in place."""
+def _corner_type(datum: RootDatum, a: list[int]) -> int:
+    """Index of the alcove corner that a / scale folds onto; folds a in place."""
+    N = datum.scale
     _fold(datum, [a], N, DEFAULT_FOLD_LIMIT)
-    if not any(a):
-        return 0
-    for i, c in enumerate(datum.highest_root_coeffs):
-        if a[i] * c == N and not any(v for j, v in enumerate(a) if j != i):
-            return i + 1
-    raise NotAVertexError(f"{tuple(Fraction(v, N) for v in a)} is not an alcove corner")
+    i = _tester(datum).corners.get(tuple(a))
+    if i is None:
+        raise NotAVertexError(f"{tuple(Fraction(v, N) for v in a)} is not an alcove corner")
+    return i
 
 
 def vertex_type(datum: RootDatum, x, *, check: bool = True) -> int:
     """Index in 0..d of the alcove corner the vertex folds onto."""
-    point = as_point(datum, x)
-    if check and not is_vertex(datum, point):
-        raise NotAVertexError(f"{point} is not a vertex")
-    pts, N = _numerators((point,))
-    return _corner_type(datum, pts[0], N)
+    return _corner_type(datum, list(_vertex_scaled(datum, x, check)))
 
 
 @dataclass(frozen=True)
@@ -303,7 +287,7 @@ def _make_vertex_set(datum: RootDatum, points: Iterable[Point]) -> VertexSet:
     ordered = tuple(sorted(points))
     counts = [0] * (datum.rank + 1)
     for p in ordered:
-        counts[_corner_type(datum, list(_scaled(p, datum.scale)), datum.scale)] += 1
+        counts[_corner_type(datum, list(_scaled(p, datum.scale)))] += 1
     return VertexSet(points=ordered, per_type_counts=tuple(counts))
 
 
@@ -341,55 +325,32 @@ def _walk(
     nonnegative axes, which prunes the walk to the simplex it
     describes.  Every grid leaf spends one unit of state, before the
     dedupe; the caller owns that budget and may share it over several
-    walks, as a search does over every residue class it meets.
+    walks, as a search does over every residue class it meets.  A new
+    leaf is kept when the tester's residue memo, or a fold of its
+    residue, puts it on an alcove corner.
     """
     tester = _tester(datum)
     d = datum.rank
     scale = datum.scale
-    pos = datum.positive_roots
-    cols = [[(i, root[j]) for i, root in enumerate(pos) if root[j]] for j in range(d)]
-    partial = [0] * len(pos)
     coords = [0] * d
     seen: set[tuple[int, ...]] = set()
 
     def walk(j: int, cap_left: int) -> Iterator[tuple[int, ...]]:
         if j == d:
             state.spend()
-            mask = 0
-            bit = 1
-            for v in partial:
-                if v % denom == 0:
-                    mask |= bit
-                bit <<= 1
-            if tester.from_mask(mask):
-                a = tuple(v * step for v in coords)
-                if a not in seen:
-                    seen.add(a)
-                    yield a
+            a = tuple([v * step for v in coords])
+            if a not in seen and tester.scaled(a):
+                seen.add(a)
+                yield a
             return
         lo, hi = bounds[j]
         if cap is not None and cap[0][j] > 0:
             hi = min(hi, cap_left // cap[0][j])
-        if hi < lo:
-            return
-        coords[j] = lo
-        for idx, coeff in cols[j]:
-            partial[idx] += coeff * lo
-        while True:
-            if cap is None:
-                yield from walk(j + 1, 0)
-            else:
-                yield from walk(j + 1, cap_left - cap[0][j] * coords[j])
-            if coords[j] == hi:
-                break
-            coords[j] += 1
-            for idx, coeff in cols[j]:
-                partial[idx] += coeff
-        for idx, coeff in cols[j]:
-            partial[idx] -= coeff * coords[j]
-        coords[j] = 0
+        for v in range(lo, hi + 1):
+            coords[j] = v
+            yield from walk(j + 1, cap_left - cap[0][j] * v if cap is not None else 0)
 
-    # walk reads denom, step, bounds and cap of the grid being walked
+    # walk reads step, bounds and cap of the grid being walked
     for denom in _maximal_denominators(datum):
         step = scale // denom
         bounds, cap = region(denom)

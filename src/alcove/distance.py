@@ -29,9 +29,9 @@ from .apartment import (
     VertexSet,
     _Budget,
     _fold,
-    _grid_coords,
     _make_vertex_set,
     _tester,
+    _vertex_scaled,
     _walk,
     as_point,
 )
@@ -66,14 +66,6 @@ def _between_scaled(a: int, b: int, scale: int) -> int:
     """Multiples of scale strictly between two integers."""
     lo, hi = (a, b) if a <= b else (b, a)
     return max(0, (hi - 1) // scale - lo // scale)
-
-
-def _vertex_scaled(datum: RootDatum, x, check: bool) -> tuple[int, ...]:
-    point = as_point(datum, x)
-    a = _grid_coords(point, datum.scale)
-    if a is None or (check and not _tester(datum).scaled(a, datum.scale)):
-        raise NotAVertexError(f"{point} is not a vertex")
-    return a
 
 
 def _wall_distance_scaled(
@@ -142,15 +134,6 @@ def apartment_ball(
     )
 
 
-def _corners(datum: RootDatum) -> list[tuple[int, ...]]:
-    """The corners v_0..v_d of the fundamental alcove over datum.scale."""
-    N, d = datum.scale, datum.rank
-    return [(0,) * d] + [
-        tuple(N // c if j == i else 0 for j in range(d))
-        for i, c in enumerate(datum.highest_root_coeffs)
-    ]
-
-
 def _link(
     datum: RootDatum, corner: tuple[int, ...], state: _Budget
 ) -> list[tuple[int, ...]]:
@@ -171,7 +154,7 @@ def _link(
     ]
     walls.append((datum.highest_root_coeffs, N, datum.alpha0_coroot_row))
     through = [wall for wall in walls if sum(map(mul, wall[0], corner)) == wall[1]]
-    orbit = {c for c in _corners(datum) if c != corner}
+    orbit = {c for c in _tester(datum).corners if c != corner}
     todo = list(orbit)
     while todo:
         p = todo.pop()
@@ -230,7 +213,7 @@ def _neighbor_offsets(
         pts = [list(a)] + [[v + (j == k) for j, v in enumerate(a)] for k in range(d)]
         _fold(datum, pts, N, DEFAULT_FOLD_LIMIT)
         corner = tuple(pts[0])
-        if corner not in _corners(datum):
+        if corner not in _tester(datum).corners:
             raise NotAVertexError(f"{tuple(Fraction(v, N) for v in a)} is not a vertex")
         corner_key = tuple([v % N for v in corner])
         offsets = cache.get(corner_key)

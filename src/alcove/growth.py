@@ -102,7 +102,7 @@ def ball_sum(
     matching upper bound.
     """
     census = _census(datum, r, budget)
-    types = Counter(_corner_type(datum, list(a), datum.scale) for a, _, _ in census)
+    types = Counter(_corner_type(datum, list(a)) for a, _, _ in census)
     levels = tuple(row for _, _, row in census)
     lower = _exponent_poly(levels, None)
     gamma = gamma_polynomial(datum)

@@ -117,7 +117,8 @@ def omega_function(datum: RootDatum, points: Iterable) -> ConcaveFunction:
     return ConcaveFunction(at_zero=Fraction(0), values=dict(zip(datum.all_roots(), values)))
 
 
-def _optimized(v: Fraction) -> Fraction:
+def _optimized(v) -> Fraction:
+    v = _rational(v)
     return v + 1 if v.denominator == 1 else Fraction(ceil(v))
 
 
@@ -144,8 +145,11 @@ def pointwise_max(f: ConcaveFunction, g: ConcaveFunction) -> ConcaveFunction:
     if set(f.values) != set(g.values):
         raise ValidationError("functions live on different root systems")
     return ConcaveFunction(
-        at_zero=max(f.at_zero, g.at_zero),
-        values={root: max(v, g.values[root]) for root, v in f.values.items()},
+        at_zero=max(_rational(f.at_zero), _rational(g.at_zero)),
+        values={
+            root: max(_rational(v), _rational(g.values[root]))
+            for root, v in f.values.items()
+        },
     )
 
 

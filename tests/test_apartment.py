@@ -32,6 +32,7 @@ from alcove import (
     scaled_coords,
     vertex_type,
 )
+from alcove.apartment import _maximal_denominators
 
 
 def _fraction_rank(rows, d):
@@ -135,6 +136,26 @@ def test_is_vertex_against_elimination_oracle(data):
         for a in product(range(-scale, 2 * scale + 1), repeat=datum.rank):
             x = tuple(Fraction(v, scale) for v in a)
             assert is_vertex(datum, x) == _oracle_is_vertex(datum, x)
+
+
+@pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
+def test_is_vertex_matches_rank_reference(data, rank_is_vertex, name):
+    # random points of each maximal denominator's grid, then integer
+    # translates of them, which is_vertex answers from its residue memo
+    datum = data(name)
+    scale, d = datum.scale, datum.rank
+    rng = random.Random(f"rank {name}")
+    outcomes = set()
+    for denom in _maximal_denominators(datum):
+        step = scale // denom
+        for _ in range(1000):
+            a = [step * rng.randrange(denom) for _ in range(d)]
+            translate = [v + scale * rng.randint(-3, 3) for v in a]
+            for b in (a, translate):
+                expected = rank_is_vertex(datum, b)
+                assert is_vertex(datum, [Fraction(v, scale) for v in b]) == expected, b
+                outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_off_grid_is_not_vertex(data):

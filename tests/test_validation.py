@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from alcove import (
+    ConcaveFunction,
     ValidationError,
     apartment_ball,
     as_point,
@@ -16,14 +17,23 @@ from alcove import (
     iter_wall_ball_points,
     make_function,
     max_two_rho,
+    optimize,
     origin,
     point_function,
+    pointwise_max,
     quotient_ball_sum,
     quotient_exponents,
     shift,
     simplicial_distance,
     simplicial_distances,
 )
+
+def _holding(f, v):
+    """f with the value v at its first root, built directly so that no
+    check sees v."""
+    first = next(iter(f.values))
+    return ConcaveFunction(at_zero=f.at_zero, values={**f.values, first: v})
+
 
 # each call gets the A2 datum and its origin; the bad argument is the last
 # positional or the keyword shown
@@ -60,6 +70,10 @@ CALLS = {
     "shift r": lambda d, o, v: shift(point_function(d, o), v),
     "make_function at_zero": lambda d, o, v: make_function(d, v, dict.fromkeys(d.all_roots(), 0)),
     "make_function value": lambda d, o, v: make_function(d, 0, dict.fromkeys(d.all_roots(), v)),
+    "optimize value": lambda d, o, v: optimize(d, _holding(point_function(d, o), v)),
+    "pointwise_max value": lambda d, o, v: pointwise_max(
+        point_function(d, o), _holding(point_function(d, o), v)
+    ),
 }
 
 
@@ -89,6 +103,8 @@ def test_messages_kept(data):
         (lambda: quotient_exponents(a2, (2, 1), True), "cap level must be a positive integer"),
         (lambda: ball_sum(a2, True), "radius must be a nonnegative integer"),
         (lambda: filtration_contains(a2, o, 1.5, o, 0), "levels must be integers"),
+        (lambda: shift(point_function(a2, o), 0.1), "not an exact rational number: 0.1 is a float"),
+        (lambda: as_point(a2, [0.1, 0]), "not an exact rational number: 0.1 is a float"),
     ]
     for call, message in cases:
         with pytest.raises(ValidationError, match=f"^{message}$"):
