@@ -140,21 +140,23 @@ def test_is_vertex_against_elimination_oracle(data):
 
 @pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
 def test_is_vertex_matches_rank_reference(data, rank_is_vertex, name):
-    # random points of each maximal denominator's grid, then integer
-    # translates of them, which is_vertex answers from its residue memo
+    # the alcove corners and random points of each maximal denominator's
+    # grid, then integer translates of them, which is_vertex answers from
+    # its residue memo
     datum = data(name)
     scale, d = datum.scale, datum.rank
     rng = random.Random(f"rank {name}")
-    outcomes = set()
+    points = [scaled_coords(datum, alcove_vertex(datum, i)) for i in range(d + 1)]
     for denom in _maximal_denominators(datum):
         step = scale // denom
-        for _ in range(1000):
-            a = [step * rng.randrange(denom) for _ in range(d)]
-            translate = [v + scale * rng.randint(-3, 3) for v in a]
-            for b in (a, translate):
-                expected = rank_is_vertex(datum, b)
-                assert is_vertex(datum, [Fraction(v, scale) for v in b]) == expected, b
-                outcomes.add(expected)
+        points += [[step * rng.randrange(denom) for _ in range(d)] for _ in range(1000)]
+    outcomes = set()
+    for a in points:
+        translate = [v + scale * rng.randint(-3, 3) for v in a]
+        for b in (a, translate):
+            expected = rank_is_vertex(datum, b)
+            assert is_vertex(datum, [Fraction(v, scale) for v in b]) == expected, b
+            outcomes.add(expected)
     assert outcomes == {True, False}
 
 
