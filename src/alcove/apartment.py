@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .cartan import RootDatum
@@ -48,7 +49,7 @@ def _rational(value) -> Fraction:
     if not isinstance(value, (bool, float)):
         try:
             return Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
     raise ValidationError(
         f"not an exact rational number: {value!r} is a {type(value).__name__}"
@@ -123,8 +124,10 @@ class _VertexTester:
     vertex iff it folds onto an alcove corner.  The answer is memoized
     by the residue of the coordinates modulo the scale, which coweight
     translations preserve.  Also holds the corner set, each corner over
-    the scale mapped to its index, and the integer inverse Cartan
-    matrix of the fold."""
+    the scale mapped to its index, and what the fold needs: the integer
+    inverse Cartan matrix, and each wall's reflection as the sparse
+    column of (coordinate, coefficient) pairs it changes, the simple
+    walls in order and then the affine one."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -138,6 +141,10 @@ class _VertexTester:
         # cartan_inverse == inverse_rows / inverse_denom
         self.inverse_denom = lcm(*(v.denominator for row in inverse for v in row))
         self.inverse_rows = [list(_scaled(row, self.inverse_denom)) for row in inverse]
+        cartan = datum.cartan
+        self.reflections = [
+            [(j, cartan[j][i]) for j in range(d) if cartan[j][i]] for i in range(d)
+        ] + [[(j, c) for j, c in enumerate(datum.alpha0_coroot_row) if c]]
 
     def scaled(self, a: tuple[int, ...]) -> bool:
         """Whether a / scale is a vertex."""
@@ -199,16 +206,14 @@ def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> Non
     d = datum.rank
     cartan = datum.cartan
     marks = datum.highest_root_coeffs
-    u = datum.alpha0_coroot_row
     t = pts[0]
 
     tester = _tester(datum)
+    reflections = tester.reflections
     lattice_denom = tester.inverse_denom * N
-    units = [
-        sum(c * v for c, v in zip(row, t)) // lattice_denom for row in tester.inverse_rows
-    ]
+    units = [sum(map(mul, row, t)) // lattice_denom for row in tester.inverse_rows]
     if any(units):
-        shift = [N * sum(c * k for c, k in zip(cartan[j], units)) for j in range(d)]
+        shift = [N * sum(map(mul, row, units)) for row in cartan]
         for p in pts:
             for j in range(d):
                 p[j] -= shift[j]
@@ -223,15 +228,15 @@ def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> Non
         if wall is not None:
             for p in pts:
                 pi = p[wall]
-                for j in range(d):
-                    p[j] -= pi * cartan[j][wall]
+                for j, c in reflections[wall]:
+                    p[j] -= pi * c
         else:
-            if sum(m * v for m, v in zip(marks, t)) <= N:
+            if sum(map(mul, marks, t)) <= N:
                 break
             for p in pts:
-                g = sum(m * v for m, v in zip(marks, p)) - N
-                for j in range(d):
-                    p[j] -= g * u[j]
+                g = sum(map(mul, marks, p)) - N
+                for j, c in reflections[d]:
+                    p[j] -= g * c
         steps += 1
         if steps > max_steps:
             raise FoldLimitError(f"folding exceeded {max_steps} reflections")

@@ -1,6 +1,7 @@
 """Alcove geometry: membership, vertex tests, folding, enumeration."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import floor
@@ -72,6 +73,8 @@ def test_as_point_validation(data):
         as_point(a2, [1])
     with pytest.raises(ValidationError):
         as_point(a2, [1, "x"])
+    with pytest.raises(ValidationError):
+        as_point(a2, [Decimal("Infinity"), 0])
 
 
 def test_as_point_keeps_fractions(data):
