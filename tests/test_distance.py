@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +31,8 @@ from alcove import (
     wall_count,
     wall_distance,
 )
-from alcove.apartment import _maximal_denominators
-from alcove.distance import _between_scaled
+from alcove.apartment import _Budget, _maximal_denominators
+from alcove.distance import _between_scaled, _bfs, _neighbor_offsets
 
 
 def F(a, b=1):
@@ -416,6 +417,24 @@ def test_origin_degree(data, rank_is_vertex, name, degree):
         assert len(_reference_neighbors(datum, scaled_coords(datum, o), rank_is_vertex)) == degree
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "C3", "D4", "F4", "E6", "E7"])
+def test_neighbor_offsets_within_scale(data, name):
+    """An edge crosses no wall, so no simple-root value moves by more
+    than the scale; the search's packed keys rely on that bound.  The
+    residue classes checked are the corners' and those a depth-2
+    search from the origin expands: the origin's and its neighbours'."""
+    datum = data(name)
+    scale = datum.scale
+    cache: dict = {}
+    state = _Budget(None)
+    for i in range(datum.rank + 1):
+        _neighbor_offsets(datum, scaled_coords(datum, alcove_vertex(datum, i)), cache, state)
+    for delta in _neighbor_offsets(datum, (0,) * datum.rank, cache, state):
+        _neighbor_offsets(datum, delta, cache, state)
+    bound = max(abs(v) for offsets in cache.values() for delta in offsets for v in delta)
+    assert bound <= scale
+
+
 def test_search_refuses_unchecked_non_vertex(data):
     # on the grid but not a vertex, so it folds onto no alcove corner
     b2 = data("B2")
@@ -445,3 +464,61 @@ def test_zero_candidate_budget_refused(data, target):
     e7 = data("E7")
     with pytest.raises(ValidationError):
         simplicial_distance(e7, origin(e7), alcove_vertex(e7, target), 1, candidate_budget=0)
+
+
+def _reference_bfs(datum, start, max_depth, state):
+    """Each vertex within max_depth edges of start with its graph
+    distance, in breadth-first order, start first: the search on
+    coordinate tuples, building and hashing every candidate neighbour."""
+    cache: dict = {}
+    seen = {start}
+    frontier = [start]
+    yield start, 0
+    for depth in range(1, max_depth + 1):
+        nxt = []
+        for a in frontier:
+            for delta in _neighbor_offsets(datum, a, cache, state):
+                w = tuple(map(add, a, delta))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    yield w, depth
+        frontier = nxt
+
+
+# type -> (alcove corners the search starts from, depth)
+BFS_CASES = {
+    "A2": ((0,), 10),
+    "G2": ((0,), 8),
+    "B3": ((0, 1, 2, 3), 6),
+    "C3": ((0, 1, 2, 3), 6),
+    "D4": ((0,), 5),
+    "F4": ((0,), 1),
+    "E6": ((0,), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(BFS_CASES))
+def test_bfs_matches_reference(data, name):
+    """The search yields the reference's (vertex, depth) sequence in
+    order, from each corner and from a coroot translate of it, whose
+    coordinates reach below zero; the public table keeps that order."""
+    datum = data(name)
+    corners, depth = BFS_CASES[name]
+    d, scale = datum.rank, datum.scale
+    rng = random.Random(f"bfs {name}")
+    for i in corners:
+        corner = scaled_coords(datum, alcove_vertex(datum, i))
+        units = [rng.randint(-3, 3) for _ in range(d)]
+        moved = tuple(
+            v + scale * sum(datum.cartan[j][k] * units[k] for k in range(d))
+            for j, v in enumerate(corner)
+        )
+        for a in (corner, moved):
+            expected = list(_reference_bfs(datum, a, depth, _Budget(None)))
+            assert list(_bfs(datum, a, depth, _Budget(None))) == expected
+            x = tuple(Fraction(v, scale) for v in a)
+            table = simplicial_distances(datum, x, depth)
+            assert list(table.items()) == [
+                (tuple(Fraction(v, scale) for v in w), k) for w, k in expected
+            ]
