@@ -12,6 +12,10 @@ its alcove corner: the orbit of the other corners under the
 reflections in the walls through that corner, mapped back through the
 linear part of the fold.  Each residue class modulo the scale is
 generated once per search; E6 and E7 distances run interactively.
+The search keys a vertex by one integer, its offsets from the start
+packed as balanced digits in the radix 2 * depth * scale + 1, exact
+because an edge moves no simple-root value by more than the scale; a
+candidate neighbour costs one integer add and one set lookup.
 """
 
 from __future__ import annotations
@@ -113,12 +117,12 @@ def iter_wall_ball_points(
         return [(-((r * scale - v) // step), (v + r * scale) // step) for v in ac], None
 
     pos = datum.positive_roots
-    center_vals = [sum(c * v for c, v in zip(root, ac)) for root in pos]
+    center_vals = [sum(map(mul, root, ac)) for root in pos]
     for a in _walk(datum, region, _Budget(budget)):
         if a == ac or (
             r >= 1
             and all(
-                _between_scaled(cv, sum(c * v for c, v in zip(root, a)), scale) <= r - 1
+                _between_scaled(cv, sum(map(mul, root, a)), scale) <= r - 1
                 for cv, root in zip(center_vals, pos)
             )
         ):
@@ -141,28 +145,32 @@ def _link(
 
     The stabilizer of the corner in the affine Weyl group is generated
     by the reflections in the alcove walls through it, and the
-    neighbours are the orbit of the other corners under it.  Each wall
-    is a functional f = w.p - k and reflects p to p - f(p) col, the
-    linear step _fold applies.  Spends one unit of state per reflection
-    image: rank times the number of neighbours.
+    neighbours are the orbit of the other corners under it.  The walls
+    are the tester's: simple wall i is the functional p_i, the affine
+    one marks.p - scale, and each reflects p to p - f(p) col, the step
+    _fold applies.  Spends one unit of state per reflection image: rank
+    times the number of neighbours.
     """
     N, d = datum.scale, datum.rank
-    cartan = datum.cartan
-    walls = [
-        (tuple(int(k == j) for k in range(d)), 0, tuple(row[j] for row in cartan))
-        for j in range(d)
-    ]
-    walls.append((datum.highest_root_coeffs, N, datum.alpha0_coroot_row))
-    through = [wall for wall in walls if sum(map(mul, wall[0], corner)) == wall[1]]
-    orbit = {c for c in _tester(datum).corners if c != corner}
+    marks = datum.highest_root_coeffs
+    tester = _tester(datum)
+
+    def value(i: int, p: tuple[int, ...]) -> int:
+        return p[i] if i < d else sum(map(mul, marks, p)) - N
+
+    through = [(i, col) for i, col in enumerate(tester.reflections) if not value(i, corner)]
+    orbit = {c for c in tester.corners if c != corner}
     todo = list(orbit)
     while todo:
         p = todo.pop()
         state.spend(len(through))
-        for w, k, col in through:
-            f = sum(map(mul, w, p)) - k
+        for i, col in through:
+            f = value(i, p)
             if f:
-                q = tuple([pv - f * cv for pv, cv in zip(p, col)])
+                q = list(p)
+                for j, c in col:
+                    q[j] -= f * c
+                q = tuple(q)
                 if q not in orbit:
                     orbit.add(q)
                     todo.append(q)
@@ -233,21 +241,45 @@ def _bfs(
     datum: RootDatum, start: tuple[int, ...], max_depth: int, state: _Budget
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each vertex within max_depth edges of start with its graph
-    distance, in breadth-first order, start first."""
+    distance, in breadth-first order, start first.
+
+    The search keys each vertex a by one integer, sum_j (a_j - s_j) R^j
+    for the start s and the radix R = 2 max_depth scale + 1.  An edge
+    crosses no wall, so no simple-root value moves by more than the
+    scale along it, and within max_depth edges every a_j - s_j is a
+    balanced base-R digit: the key is exact, and a neighbour's key is
+    the vertex's key plus its packed offset.  A residue class's offsets
+    are fetched from _neighbor_offsets and packed once per search, on
+    the class's first vertex.  A coordinate tuple is built only for a
+    new vertex.
+    """
+    N = datum.scale
+    radix = 2 * max_depth * N + 1
+    weights = [radix**j for j in range(datum.rank)]
     cache: dict = {}
-    seen = {start}
-    frontier = [start]
+    classes: dict = {}
+    seen = {0}
+    keys, frontier = [0], [start]
     yield start, 0
     for depth in range(1, max_depth + 1):
-        nxt = []
-        for a in frontier:
-            for delta in _neighbor_offsets(datum, a, cache, state):
-                w = tuple(map(add, a, delta))
-                if w not in seen:
-                    seen.add(w)
+        nxt_keys, nxt = [], []
+        for key, a in zip(keys, frontier):
+            residue = tuple([v % N for v in a])
+            steps = classes.get(residue)
+            if steps is None:
+                offsets = _neighbor_offsets(datum, a, cache, state)
+                steps = classes[residue] = list(
+                    zip([sum(map(mul, weights, delta)) for delta in offsets], offsets)
+                )
+            for step, delta in steps:
+                k = key + step
+                if k not in seen:
+                    seen.add(k)
+                    w = tuple(map(add, a, delta))
+                    nxt_keys.append(k)
                     nxt.append(w)
                     yield w, depth
-        frontier = nxt
+        keys, frontier = nxt_keys, nxt
 
 
 def simplicial_distance(
