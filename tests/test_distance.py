@@ -501,8 +501,9 @@ BFS_CASES = {
 @pytest.mark.parametrize("name", list(BFS_CASES))
 def test_bfs_matches_reference(data, name):
     """The search yields the reference's (vertex, depth) sequence in
-    order, from each corner and from a coroot translate of it, whose
-    coordinates reach below zero; the public table keeps that order."""
+    order and spends the same budget, from each corner and from a
+    coroot translate of it, whose coordinates reach below zero; the
+    public table keeps that order."""
     datum = data(name)
     corners, depth = BFS_CASES[name]
     d, scale = datum.rank, datum.scale
@@ -515,8 +516,10 @@ def test_bfs_matches_reference(data, name):
             for j, v in enumerate(corner)
         )
         for a in (corner, moved):
-            expected = list(_reference_bfs(datum, a, depth, _Budget(None)))
-            assert list(_bfs(datum, a, depth, _Budget(None))) == expected
+            ref_state, state = _Budget(None), _Budget(None)
+            expected = list(_reference_bfs(datum, a, depth, ref_state))
+            assert list(_bfs(datum, a, depth, state)) == expected
+            assert state.used == ref_state.used
             x = tuple(Fraction(v, scale) for v in a)
             table = simplicial_distances(datum, x, depth)
             assert list(table.items()) == [
