@@ -300,11 +300,14 @@ def test_fold_pair_preserves_simplicial_distance(data):
         assert direct == folded
 
 
-@pytest.mark.parametrize("name,least", [("A3", 125), ("B3", 729)])
-def test_wall_ball_work_count(data, assert_least_budget, name, least):
+@pytest.mark.parametrize(
+    "name,center,least",
+    [("A3", None, 125), ("B3", None, 729), ("B2", (0, F(1, 2)), 81)],
+)
+def test_wall_ball_work_count(data, assert_least_budget, name, center, least):
     datum = data(name)
-    o = origin(datum)
-    assert_least_budget(lambda b: list(iter_wall_ball_points(datum, o, 2, budget=b)), least)
+    c = center or origin(datum)
+    assert_least_budget(lambda b: list(iter_wall_ball_points(datum, c, 2, budget=b)), least)
 
 
 def test_search_work_count(data, assert_least_budget):
