@@ -24,15 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .cartan import RootDatum
+from .cartan import RootDatum, _inverse
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
     FoldLimitError,
     NotAVertexError,
     ValidationError,
+    _rational,
     require_int,
 )
 
@@ -40,20 +41,6 @@ Point = tuple[Fraction, ...]
 
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_FOLD_LIMIT = 1_000_000
-
-
-def _rational(value) -> Fraction:
-    """An exact rational; floats and bools are refused, not converted."""
-    if type(value) is Fraction:
-        return value
-    if not isinstance(value, (bool, float)):
-        try:
-            return Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-            pass
-    raise ValidationError(
-        f"not an exact rational number: {value!r} is a {type(value).__name__}"
-    )
 
 
 def as_point(datum: RootDatum, values: Iterable) -> Point:
@@ -71,8 +58,9 @@ def origin(datum: RootDatum) -> Point:
 
 def alcove_vertex(datum: RootDatum, i: int) -> Point:
     """Corner v_i of the fundamental alcove; v_0 is the origin."""
-    if not 0 <= i <= datum.rank:
-        raise ValidationError(f"alcove corner index must lie in 0..{datum.rank}")
+    message = f"alcove corner index must lie in 0..{datum.rank}"
+    if require_int(i, message, 0) > datum.rank:
+        raise ValidationError(message)
     if i == 0:
         return origin(datum)
     c = datum.highest_root_coeffs[i - 1]
@@ -137,10 +125,7 @@ class _VertexTester:
             for i, c in enumerate(datum.highest_root_coeffs)
         }
         self.memo: dict[tuple[int, ...], bool] = {}
-        inverse = datum.cartan_inverse
-        # cartan_inverse == inverse_rows / inverse_denom
-        self.inverse_denom = lcm(*(v.denominator for row in inverse for v in row))
-        self.inverse_rows = [list(_scaled(row, self.inverse_denom)) for row in inverse]
+        self.inverse_rows, self.inverse_denom = _inverse(datum.cartan)
         cartan = datum.cartan
         self.reflections = [
             [(j, cartan[j][i]) for j in range(d) if cartan[j][i]] for i in range(d)
@@ -245,6 +230,7 @@ def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> Non
 def _folded_points(
     datum: RootDatum, points: tuple[Point, ...], max_steps: int
 ) -> tuple[Point, ...]:
+    require_int(max_steps, "fold limit must be a nonnegative integer", 0)
     pts, N = _numerators(points)
     _fold(datum, pts, N, max_steps)
     return tuple(tuple(Fraction(v, N) for v in p) for p in pts)
@@ -272,9 +258,9 @@ def _corner_type(datum: RootDatum, a: list[int]) -> int:
     return i
 
 
-def vertex_type(datum: RootDatum, x, *, check: bool = True) -> int:
+def vertex_type(datum: RootDatum, x) -> int:
     """Index in 0..d of the alcove corner the vertex folds onto."""
-    return _corner_type(datum, list(_vertex_scaled(datum, x, check)))
+    return _corner_type(datum, list(_vertex_scaled(datum, x, True)))
 
 
 @dataclass(frozen=True)
@@ -318,29 +304,30 @@ class _Budget:
 
 def _walk(
     datum: RootDatum,
-    region: Callable[[int], tuple],
+    lo: tuple[int, ...],
+    hi: tuple[int, ...],
     state: _Budget,
+    top: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Vertices on the grids of the maximal denominators, each once, as
-    integer tuples in 1/scale units.
+    """Vertices a with lo <= a <= hi, each once, as integer tuples in
+    1/scale units; with top, only those with alpha_0(a) <= top.
 
-    region(denom) returns (bounds, cap) for the (1/denom)-grid: bounds
-    are inclusive per-axis ranges in grid units; cap is None or
-    (w, limit), adding sum(w_j a_j) <= limit with positive weights and
-    nonnegative axes, which prunes the walk to the simplex it
-    describes.  Every grid leaf spends one unit of state, before the
-    dedupe; the caller owns that budget and may share it over several
-    walks, as a search does over every residue class it meets.  A new
-    leaf is kept when the tester's residue memo, or a fold of its
-    residue, puts it on an alcove corner.
+    Each maximal denominator's grid, of step scale // denom, is walked
+    within ceil(lo / step) and floor(hi / step), and top // step caps
+    marks . (a / step), pruning the walk to the simplex; the marks are
+    positive, so the cap needs lo = 0, as rC has.  Every grid leaf
+    spends one unit of state, before the dedupe; the caller owns that
+    budget and may share it over several walks, as a search does over
+    every residue class it meets.  A new leaf is kept when the tester's
+    residue memo, or a fold of its residue, puts it on an alcove corner.
     """
     tester = _tester(datum)
+    marks = datum.highest_root_coeffs
     d = datum.rank
-    scale = datum.scale
     coords = [0] * d
     seen: set[tuple[int, ...]] = set()
 
-    def walk(j: int, cap_left: int) -> Iterator[tuple[int, ...]]:
+    def walk(j: int, room: int, step: int) -> Iterator[tuple[int, ...]]:
         if j == d:
             state.spend()
             a = tuple([v * step for v in coords])
@@ -348,18 +335,16 @@ def _walk(
                 seen.add(a)
                 yield a
             return
-        lo, hi = bounds[j]
-        if cap is not None and cap[0][j] > 0:
-            hi = min(hi, cap_left // cap[0][j])
-        for v in range(lo, hi + 1):
+        high = hi[j] // step
+        if top is not None:
+            high = min(high, room // marks[j])
+        for v in range(-(-lo[j] // step), high + 1):
             coords[j] = v
-            yield from walk(j + 1, cap_left - cap[0][j] * v if cap is not None else 0)
+            yield from walk(j + 1, room - marks[j] * v, step)
 
-    # walk reads step, bounds and cap of the grid being walked
     for denom in _maximal_denominators(datum):
-        step = scale // denom
-        bounds, cap = region(denom)
-        yield from walk(0, cap[1] if cap is not None else 0)
+        step = datum.scale // denom
+        yield from walk(0, 0 if top is None else top // step, step)
 
 
 def iter_scaled_alcove_vertices(
@@ -367,13 +352,10 @@ def iter_scaled_alcove_vertices(
 ) -> Iterator[Point]:
     """Vertices of rC, deduplicated across denominators, unordered."""
     require_int(r, "scaling factor must be a nonnegative integer", 0)
-    marks = datum.highest_root_coeffs
-
-    def region(denom: int) -> tuple:
-        return [(0, (r * denom) // c) for c in marks], (marks, r * denom)
-
+    # rC lies in the cube [0, r]^d, as every mark is at least 1
     scale = datum.scale
-    for a in _walk(datum, region, _Budget(budget)):
+    top = r * scale
+    for a in _walk(datum, (0,) * datum.rank, (top,) * datum.rank, _Budget(budget), top):
         yield tuple(Fraction(v, scale) for v in a)
 
 
@@ -392,12 +374,10 @@ def iter_box_vertices(
     high = as_point(datum, hi)
     if any(a > b for a, b in zip(low, high)):
         raise ValidationError("box bounds must satisfy lo <= hi componentwise")
-
-    def region(denom: int) -> tuple:
-        return [(ceil(a * denom), floor(b * denom)) for a, b in zip(low, high)], None
-
     scale = datum.scale
-    for a in _walk(datum, region, _Budget(budget)):
+    box_lo = [ceil(t * scale) for t in low]
+    box_hi = [floor(t * scale) for t in high]
+    for a in _walk(datum, box_lo, box_hi, _Budget(budget)):
         yield tuple(Fraction(v, scale) for v in a)
 
 
@@ -405,4 +385,3 @@ def enumerate_box_vertices(
     datum: RootDatum, lo, hi, *, budget: int | None = None
 ) -> VertexSet:
     return _make_vertex_set(datum, iter_box_vertices(datum, lo, hi, budget=budget))
-

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidTypeError,
     NotARootError,
+    _rational,
 )
 
 Root = tuple[int, ...]
@@ -188,25 +189,25 @@ def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
     return scaled
 
 
-def _invert_fraction_matrix(
-    matrix: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[Fraction, ...], ...]:
-    d = len(matrix)
-    work = [[Fraction(matrix[i][j]) for j in range(d)] for i in range(d)]
-    inv = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
+def _inverse(m) -> tuple[list[list[int]], int]:
+    """(rows, D) with m^-1 = rows / D and D = |det m| > 0, for an
+    invertible integer matrix m, by fraction-free Gauss-Jordan
+    elimination: every division is exact, the left block ends as the
+    last pivot times the identity, and that pivot is +-det m."""
+    d = len(m)
+    rows = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(m)]
+    prev = 1
     for col in range(d):
-        pivot = next(r for r in range(col, d) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        inv[col] = [v / scale for v in inv[col]]
+        pivot = next(r for r in range(col, d) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
         for r in range(d):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+            f = rows[r][col]
+            if r != col:
+                rows[r] = [(head * v - f * w) // prev for v, w in zip(rows[r], rows[col])]
+        prev = head
+    sign = 1 if prev > 0 else -1
+    return [[sign * v for v in row[d:]] for row in rows], abs(prev)
 
 
 @dataclass(frozen=True)
@@ -285,6 +286,7 @@ def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) ->
 
     pos_tuple = tuple(positives)
     neg = tuple(tuple(-c for c in r) for r in pos_tuple)
+    rows, D = _inverse(cartan)
     return RootDatum(
         rstype=rstype,
         cartan=cartan,
@@ -293,7 +295,7 @@ def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) ->
         two_rho_coeffs=two_rho,
         simple_norms=norms,
         alpha0_coroot_row=tuple(alpha0_row),
-        cartan_inverse=_invert_fraction_matrix(cartan),
+        cartan_inverse=tuple(tuple(Fraction(v, D) for v in row) for row in rows),
         scale=lcm(*highest),
         positive_root_set=frozenset(pos_tuple),
         root_set=frozenset(pos_tuple + neg),
@@ -306,7 +308,7 @@ def eval_root(datum: RootDatum, root: Root, point) -> Fraction:
         raise DimensionMismatchError(
             f"expected vectors of length {datum.rank}, got {len(root)} and {len(point)}"
         )
-    return sum((Fraction(c) * t for c, t in zip(root, point)), Fraction(0))
+    return sum((Fraction(c) * _rational(t) for c, t in zip(root, point)), Fraction(0))
 
 
 def require_positive_root(datum: RootDatum, root: Root) -> Root:

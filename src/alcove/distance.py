@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, floor
 from operator import add, mul, sub
 from typing import Iterator
 
@@ -34,13 +33,14 @@ from .apartment import (
     _Budget,
     _fold,
     _make_vertex_set,
+    _numerators,
     _tester,
     _vertex_scaled,
     _walk,
     as_point,
 )
-from .cartan import Root, RootDatum, eval_root, require_positive_root
-from .errors import NotAVertexError, SearchBudgetError, require_int
+from .cartan import Root, RootDatum, _inverse, require_positive_root
+from .errors import NotAVertexError, SearchBudgetError, _rational, require_int
 
 
 @dataclass(frozen=True)
@@ -52,24 +52,22 @@ class DistanceReport:
     wall_count: int
 
 
-def integers_strictly_between(a, b) -> int:
-    a, b = Fraction(a), Fraction(b)
+def _between_scaled(a: int, b: int, scale: int) -> int:
+    """Multiples of scale strictly between two integers."""
     lo, hi = (a, b) if a <= b else (b, a)
-    return max(0, ceil(hi) - floor(lo) - 1)
+    return max(0, (hi - 1) // scale - lo // scale)
+
+
+def integers_strictly_between(a, b) -> int:
+    (pa, pb), N = _numerators(((_rational(a),), (_rational(b),)))
+    return _between_scaled(pa[0], pb[0], N)
 
 
 def wall_count(datum: RootDatum, x, y, alpha) -> int:
     """Walls of the parallel class of alpha strictly separating x and y."""
     alpha = require_positive_root(datum, alpha)
-    va = eval_root(datum, alpha, as_point(datum, x))
-    vb = eval_root(datum, alpha, as_point(datum, y))
-    return integers_strictly_between(va, vb)
-
-
-def _between_scaled(a: int, b: int, scale: int) -> int:
-    """Multiples of scale strictly between two integers."""
-    lo, hi = (a, b) if a <= b else (b, a)
-    return max(0, (hi - 1) // scale - lo // scale)
+    (px, py), N = _numerators((as_point(datum, x), as_point(datum, y)))
+    return _between_scaled(sum(map(mul, alpha, px)), sum(map(mul, alpha, py)), N)
 
 
 def _wall_distance_scaled(
@@ -111,14 +109,11 @@ def iter_wall_ball_points(
     require_int(r, "radius must be a nonnegative integer", 0)
     ac = _vertex_scaled(datum, center, check)
     scale = datum.scale
-
-    def region(denom: int) -> tuple:
-        step = scale // denom
-        return [(-((r * scale - v) // step), (v + r * scale) // step) for v in ac], None
-
+    lo = tuple(v - r * scale for v in ac)
+    hi = tuple(v + r * scale for v in ac)
     pos = datum.positive_roots
     center_vals = [sum(map(mul, root, ac)) for root in pos]
-    for a in _walk(datum, region, _Budget(budget)):
+    for a in _walk(datum, lo, hi, _Budget(budget)):
         if a == ac or (
             r >= 1
             and all(
@@ -177,25 +172,6 @@ def _link(
     return sorted(tuple(map(sub, p, corner)) for p in orbit)
 
 
-def _inverse(m: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix of determinant +-1, such as the
-    linear part of a fold, by fraction-free Gauss-Jordan elimination:
-    every division is exact, and the last pivot is the determinant."""
-    d = len(m)
-    rows = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(m)]
-    prev = 1
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        for r in range(d):
-            f = rows[r][col]
-            if r != col:
-                rows[r] = [(head * v - f * w) // prev for v, w in zip(rows[r], rows[col])]
-        prev = head
-    return [[v // prev for v in row[d:]] for row in rows]
-
-
 def _neighbor_offsets(
     datum: RootDatum,
     a: tuple[int, ...],
@@ -228,7 +204,8 @@ def _neighbor_offsets(
         if offsets is None:
             offsets = cache[corner_key] = _link(datum, corner, state)
         if corner_key != key:
-            inverse = _inverse([[p[j] - corner[j] for p in pts[1:]] for j in range(d)])
+            # the fold's linear part has determinant +-1, so its inverse is integral
+            inverse, _ = _inverse([[p[j] - corner[j] for p in pts[1:]] for j in range(d)])
             state.spend(len(offsets))
             offsets = sorted(
                 tuple([sum(map(mul, row, delta)) for row in inverse]) for delta in offsets

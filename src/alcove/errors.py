@@ -1,9 +1,11 @@
-"""Typed exceptions shared across the library, and the integer-argument check.
+"""Typed exceptions shared across the library, and the exact-argument checks.
 
 Two families matter to callers: ValidationError for bad arguments or
 domain-rule violations (CLI exit code 2), ResourceError for exceeded
 computational budgets (CLI exit code 3).
 """
+
+from fractions import Fraction
 
 
 class AlcoveError(Exception):
@@ -80,3 +82,17 @@ def require_int(value, message: str, minimum: int | None = None) -> int:
     ):
         raise ValidationError(message)
     return value
+
+
+def _rational(value) -> Fraction:
+    """An exact rational; floats and bools are refused, not converted."""
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, (bool, float)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValidationError(
+        f"not an exact rational number: {value!r} is a {type(value).__name__}"
+    )

@@ -22,7 +22,7 @@ from math import ceil
 from operator import add, mul, sub
 from typing import Iterable, Mapping
 
-from .apartment import _numerators, _rational, as_point
+from .apartment import _numerators, as_point
 from .cartan import Root, RootDatum
 from .errors import (
     DominationError,
@@ -31,6 +31,7 @@ from .errors import (
     NonConcaveError,
     NotInChamberError,
     ValidationError,
+    _rational,
     require_int,
 )
 

@@ -20,7 +20,7 @@ from alcove import (
     validate_type,
     weyl_degrees,
 )
-from alcove.cartan import require_positive_root
+from alcove.cartan import _inverse, require_positive_root
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "G2", "F4"]
 EXCEPTIONAL = ["E6", "E7", "E8", "F4", "G2"]
@@ -292,6 +292,17 @@ def test_cartan_inverse():
                     datum.cartan[i][k] * datum.cartan_inverse[k][j] for k in range(d)
                 )
                 assert entry == (1 if i == j else 0)
+
+
+def test_inverse_denominator_is_abs_det():
+    # A3's Cartan matrix has determinant 4, [[2, 1], [3, 1]] has -1
+    for m, det in [(cartan_matrix(RootSystemType("A", 3)), 4), (((2, 1), (3, 1)), -1)]:
+        rows, D = _inverse(m)
+        assert D == abs(det)
+        d = len(m)
+        for i in range(d):
+            for j in range(d):
+                assert sum(m[i][k] * rows[k][j] for k in range(d)) == (D if i == j else 0)
 
 
 def test_root_datum_to_dict_shape():

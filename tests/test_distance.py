@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,7 +337,7 @@ def _reference_neighbors(datum, a, is_vertex):
     holds."""
     scale = datum.scale
     pos = datum.positive_roots
-    base_vals = [sum(c * v for c, v in zip(root, a)) for root in pos]
+    base_vals = [sum(map(mul, root, a)) for root in pos]
     offsets = []
     tried: set[tuple[int, ...]] = set()
     for denom in _maximal_denominators(datum):
@@ -356,7 +356,7 @@ def _reference_neighbors(datum, a, is_vertex):
             tried.add(delta)
             separated = False
             for i, root in enumerate(pos):
-                vb = base_vals[i] + sum(c * dv for c, dv in zip(root, delta))
+                vb = base_vals[i] + sum(map(mul, root, delta))
                 if _between_scaled(base_vals[i], vb, scale):
                     separated = True
                     break

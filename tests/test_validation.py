@@ -7,12 +7,17 @@ import pytest
 from alcove import (
     ConcaveFunction,
     ValidationError,
+    alcove_vertex,
     apartment_ball,
     as_point,
     ball_sum,
     cind_sandwich,
+    eval_root,
     filtration_contains,
+    fold_pair,
+    fold_to_alcove,
     in_scaled_alcove,
+    integers_strictly_between,
     iter_scaled_alcove_vertices,
     iter_wall_ball_points,
     make_function,
@@ -66,6 +71,11 @@ CALLS = {
     "filtration_contains r1": lambda d, o, v: filtration_contains(d, o, v, o, 0),
     "filtration_contains r2": lambda d, o, v: filtration_contains(d, o, 3, o, v),
     "as_point": lambda d, o, v: as_point(d, [v, 0]),
+    "eval_root point": lambda d, o, v: eval_root(d, (1, 0), (v, 0)),
+    "integers_strictly_between": lambda d, o, v: integers_strictly_between(v, 3),
+    "alcove_vertex i": lambda d, o, v: alcove_vertex(d, v),
+    "fold_to_alcove max_steps": lambda d, o, v: fold_to_alcove(d, o, max_steps=v),
+    "fold_pair max_steps": lambda d, o, v: fold_pair(d, o, o, max_steps=v),
     "in_scaled_alcove r": lambda d, o, v: in_scaled_alcove(d, v, o),
     "shift r": lambda d, o, v: shift(point_function(d, o), v),
     "make_function at_zero": lambda d, o, v: make_function(d, v, dict.fromkeys(d.all_roots(), 0)),
@@ -105,6 +115,7 @@ def test_messages_kept(data):
         (lambda: filtration_contains(a2, o, 1.5, o, 0), "levels must be integers"),
         (lambda: shift(point_function(a2, o), 0.1), "not an exact rational number: 0.1 is a float"),
         (lambda: as_point(a2, [0.1, 0]), "not an exact rational number: 0.1 is a float"),
+        (lambda: fold_to_alcove(a2, o, max_steps=None), "fold limit must be a nonnegative integer"),
     ]
     for call, message in cases:
         with pytest.raises(ValidationError, match=f"^{message}$"):
