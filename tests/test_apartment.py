@@ -274,21 +274,25 @@ def test_box_vertices(data):
         enumerate_box_vertices(a2, (1, 0), (0, 1))
 
 
-@pytest.mark.parametrize(
-    "lo,hi",
-    [((-1, -1), (1, 1)), ((Fraction(-5, 6), Fraction(-1, 2)), (Fraction(2, 3), Fraction(7, 6)))],
-)
-def test_box_vertices_grid_scan(data, lo, hi):
+# (lo, hi, least budget) of G2 boxes: the second has fractional, negative bounds
+G2_BOXES = [
+    ((-1, -1), (1, 1), 74),
+    ((Fraction(-5, 6), Fraction(-1, 2)), (Fraction(2, 3), Fraction(7, 6)), 37),
+]
+
+
+def test_box_vertices_grid_scan(data):
     g2 = data("G2")
     scale = g2.scale
-    slow = set()
-    axes = [range(floor(a * scale), floor(b * scale) + 1) for a, b in zip(lo, hi)]
-    for a in product(*axes):
-        x = tuple(Fraction(v, scale) for v in a)
-        if all(l <= t <= h for l, t, h in zip(lo, x, hi)) and _oracle_is_vertex(g2, x):
-            slow.add(x)
-    fast = set(p for p in enumerate_box_vertices(g2, lo, hi).points)
-    assert fast == slow
+    for lo, hi, _ in G2_BOXES:
+        slow = set()
+        axes = [range(floor(a * scale), floor(b * scale) + 1) for a, b in zip(lo, hi)]
+        for a in product(*axes):
+            x = tuple(Fraction(v, scale) for v in a)
+            if all(l <= t <= h for l, t, h in zip(lo, x, hi)) and _oracle_is_vertex(g2, x):
+                slow.add(x)
+        fast = set(p for p in enumerate_box_vertices(g2, lo, hi).points)
+        assert fast == slow
 
 
 def test_budget_exhaustion(data):
@@ -316,16 +320,10 @@ def test_walk_work_counts(data, assert_least_budget, name, r, least):
     assert_least_budget(lambda b: list(iter_scaled_alcove_vertices(datum, r, budget=b)), least)
 
 
-@pytest.mark.parametrize(
-    "lo,hi,least",
-    [
-        ((-1, -1), (1, 1), 74),
-        ((Fraction(-5, 6), Fraction(-1, 2)), (Fraction(2, 3), Fraction(7, 6)), 37),
-    ],
-)
-def test_box_work_count(data, assert_least_budget, lo, hi, least):
+def test_box_work_count(data, assert_least_budget):
     g2 = data("G2")
-    assert_least_budget(lambda b: list(iter_box_vertices(g2, lo, hi, budget=b)), least)
+    for lo, hi, least in G2_BOXES:
+        assert_least_budget(lambda b: list(iter_box_vertices(g2, lo, hi, budget=b)), least)
 
 
 def _reference_fold(datum, main, companions):

@@ -302,7 +302,11 @@ def test_fold_pair_preserves_simplicial_distance(data):
 
 @pytest.mark.parametrize(
     "name,center,least",
-    [("A3", None, 125), ("B3", None, 729), ("B2", (0, F(1, 2)), 81)],
+    [
+        pytest.param("A3", None, 125, id="A3-125"),
+        pytest.param("B3", None, 729, id="B3-729"),
+        pytest.param("B2", (0, F(1, 2)), 81, id="B2-v2-81"),
+    ],
 )
 def test_wall_ball_work_count(data, assert_least_budget, name, center, least):
     datum = data(name)
