@@ -352,9 +352,9 @@ def iter_scaled_alcove_vertices(
 ) -> Iterator[Point]:
     """Vertices of rC, deduplicated across denominators, unordered."""
     require_int(r, "scaling factor must be a nonnegative integer", 0)
-    # rC lies in the cube [0, r]^d, as every mark is at least 1
     scale = datum.scale
     top = r * scale
+    # rC lies in the cube [0, r]^d, as every mark is at least 1
     for a in _walk(datum, (0,) * datum.rank, (top,) * datum.rank, _Budget(budget), top):
         yield tuple(Fraction(v, scale) for v in a)
 
