@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alcove import (
+    DimensionMismatchError,
     EnumerationLimitError,
     NotAVertexError,
     SearchBudgetError,
@@ -232,6 +233,38 @@ def test_simplicial_candidate_budget(data):
 def test_simplicial_identity(data):
     a2 = data("A2")
     assert simplicial_distance(a2, origin(a2), origin(a2), 0) == 0
+
+
+@pytest.mark.parametrize("name", ["A2", "B3"])
+def test_table_lookup(data, name):
+    """A distance table finds a vertex from any exact spelling of it,
+    has no entry for an off-grid point or a vertex past max_depth, and
+    is a read-only mapping with one entry per vertex the search yields."""
+    datum = data(name)
+    d, depth = datum.rank, 2
+    o = origin(datum)
+    table = simplicial_distances(datum, o, depth)
+    assert table[(0,) * d] == 0
+    for p, k in table.items():
+        mixed = tuple(int(t) if t.denominator == 1 else t for t in p)
+        assert table[p] == table[mixed] == table.get(mixed) == k
+        assert p in table and mixed in table
+    beyond = next(
+        p for p, k in simplicial_distances(datum, o, depth + 1).items() if k == depth + 1
+    )
+    for missing in ((F(1, 3),) + (0,) * (d - 1), beyond):
+        assert table.get(missing) is None
+        assert missing not in table
+        with pytest.raises(KeyError):
+            table[missing]
+    for lookup in (table.get, table.__contains__, table.__getitem__):
+        with pytest.raises(DimensionMismatchError):
+            lookup((0,) * (d + 1))
+    with pytest.raises(TypeError):
+        table[o] = 0
+    assert table == dict(table.items())
+    start = scaled_coords(datum, o)
+    assert len(table) == len(list(_bfs(datum, start, depth, _Budget(None))))
 
 
 @settings(max_examples=120, deadline=None)

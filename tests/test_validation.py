@@ -61,6 +61,7 @@ CALLS = {
     "simplicial_distances candidate_budget": lambda d, o, v: simplicial_distances(
         d, o, 1, candidate_budget=v
     ),
+    "simplicial_distances lookup": lambda d, o, v: simplicial_distances(d, o, 1).get((v, 0)),
     "ball_sum r": lambda d, o, v: ball_sum(d, v),
     "quotient_ball_sum r": lambda d, o, v: quotient_ball_sum(d, v, 1),
     "quotient_ball_sum r_prime": lambda d, o, v: quotient_ball_sum(d, 1, v),
@@ -72,6 +73,7 @@ CALLS = {
     "filtration_contains r2": lambda d, o, v: filtration_contains(d, o, 3, o, v),
     "as_point": lambda d, o, v: as_point(d, [v, 0]),
     "eval_root point": lambda d, o, v: eval_root(d, (1, 0), (v, 0)),
+    "eval_root root": lambda d, o, v: eval_root(d, (v, 0), (1, 0)),
     "integers_strictly_between": lambda d, o, v: integers_strictly_between(v, 3),
     "alcove_vertex i": lambda d, o, v: alcove_vertex(d, v),
     "fold_to_alcove max_steps": lambda d, o, v: fold_to_alcove(d, o, max_steps=v),
