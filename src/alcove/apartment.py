@@ -26,7 +26,7 @@ from math import ceil, floor, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
-from .cartan import RootDatum, _inverse
+from .cartan import RootDatum
 from .errors import (
     DimensionMismatchError,
     EnumerationLimitError,
@@ -112,8 +112,9 @@ class _VertexTester:
     vertex iff it folds onto an alcove corner.  The answer is memoized
     by the residue of the coordinates modulo the scale, which coweight
     translations preserve.  Also holds the corner set, each corner over
-    the scale mapped to its index, and what the fold needs: the integer
-    inverse Cartan matrix, and each wall's reflection as the sparse
+    the scale mapped to its index, and what the fold needs: the datum's
+    inverse Cartan matrix as integer rows over the lcm of its
+    denominators, and each wall's reflection as the sparse
     column of (coordinate, coefficient) pairs it changes, the simple
     walls in order and then the affine one."""
 
@@ -125,7 +126,7 @@ class _VertexTester:
             for i, c in enumerate(datum.highest_root_coeffs)
         }
         self.memo: dict[tuple[int, ...], bool] = {}
-        self.inverse_rows, self.inverse_denom = _inverse(datum.cartan)
+        self.inverse_rows, self.inverse_denom = _numerators(datum.cartan_inverse)
         cartan = datum.cartan
         self.reflections = [
             [(j, cartan[j][i]) for j in range(d) if cartan[j][i]] for i in range(d)

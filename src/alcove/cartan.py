@@ -20,6 +20,7 @@ from .errors import (
     InvalidTypeError,
     NotARootError,
     _rational,
+    require_int,
 )
 
 Root = tuple[int, ...]
@@ -308,7 +309,13 @@ def eval_root(datum: RootDatum, root: Root, point) -> Fraction:
         raise DimensionMismatchError(
             f"expected vectors of length {datum.rank}, got {len(root)} and {len(point)}"
         )
-    return sum((Fraction(c) * _rational(t) for c, t in zip(root, point)), Fraction(0))
+    return sum(
+        (
+            require_int(c, "root coefficients must be integers") * _rational(t)
+            for c, t in zip(root, point)
+        ),
+        Fraction(0),
+    )
 
 
 def require_positive_root(datum: RootDatum, root: Root) -> Root:

@@ -15,11 +15,14 @@ generated once per search; E6 and E7 distances run interactively.
 The search keys a vertex by one integer, its offsets from the start
 packed as balanced digits in the radix 2 * depth * scale + 1, exact
 because an edge moves no simple-root value by more than the scale; a
-candidate neighbour costs one integer add and one set lookup.
+candidate neighbour costs one integer add and one set lookup.  A
+distance table stays on the search's integer tuples: a lookup converts
+its point, and Fraction keys are built only when the table is iterated.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -32,6 +35,7 @@ from .apartment import (
     VertexSet,
     _Budget,
     _fold,
+    _grid_coords,
     _make_vertex_set,
     _numerators,
     _tester,
@@ -288,6 +292,46 @@ def simplicial_distance(
     raise SearchBudgetError(f"target not reached within search radius {budget}")
 
 
+class _DistanceTable(Mapping):
+    """Read-only graph distances of one search: the vertices as integer
+    tuples in 1/scale units, mapped to their depths in breadth-first
+    order.  A lookup converts its point as every point argument is
+    converted; iteration builds the Fraction keys, and the values and
+    items views read the depths in order rather than looking each key
+    up again."""
+
+    def __init__(self, datum: RootDatum, depths: dict[tuple[int, ...], int]):
+        self._datum = datum
+        self._depths = depths
+        scale = datum.scale
+        self._point = cache(lambda v: Fraction(v, scale))  # one Fraction per numerator
+
+    def __getitem__(self, x) -> int:
+        a = _grid_coords(as_point(self._datum, x), self._datum.scale)
+        depth = self._depths.get(a)
+        if depth is None:
+            raise KeyError(x)
+        return depth
+
+    def __iter__(self) -> Iterator[Point]:
+        point = self._point
+        return (tuple(map(point, a)) for a in self._depths)
+
+    def __len__(self) -> int:
+        return len(self._depths)
+
+    def values(self) -> ValuesView[int]:
+        return self._depths.values()
+
+    def items(self) -> ItemsView[Point, int]:
+        return _TableItems(self)
+
+
+class _TableItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[Point, int]]:
+        return zip(self._mapping, self._mapping.values())
+
+
 def simplicial_distances(
     datum: RootDatum,
     source,
@@ -295,8 +339,15 @@ def simplicial_distances(
     *,
     candidate_budget: int | None = None,
     check: bool = True,
-) -> dict[Point, int]:
-    """Graph distances to every vertex within max_depth of source.
+) -> Mapping[Point, int]:
+    """Graph distances to every vertex within max_depth of source, as a
+    read-only mapping in breadth-first order, source first.
+
+    A lookup takes any exact spelling of a point (Fraction, int or
+    mixed).  An exact point the search did not reach, off the vertex
+    grid or beyond max_depth, is a missing key: [] raises KeyError and
+    get gives None.  Float and bool coordinates raise ValidationError,
+    and a wrong length DimensionMismatchError.
 
     candidate_budget bounds the neighbour generation: one unit per
     reflection image in the link of each alcove corner the search meets
@@ -306,12 +357,9 @@ def simplicial_distances(
     """
     require_int(max_depth, "search depth must be a nonnegative integer", 0)
     ax = _vertex_scaled(datum, source, check)
-    scale = datum.scale
-    point = cache(lambda v: Fraction(v, scale))  # one Fraction per numerator
-    return {
-        tuple(map(point, a)): depth
-        for a, depth in _bfs(datum, ax, max_depth, _Budget(candidate_budget))
-    }
+    return _DistanceTable(
+        datum, dict(_bfs(datum, ax, max_depth, _Budget(candidate_budget)))
+    )
 
 
 def distance_report_to_dict(report: DistanceReport) -> dict:

@@ -263,6 +263,8 @@ def test_table_lookup(data, name):
     with pytest.raises(TypeError):
         table[o] = 0
     assert table == dict(table.items())
+    assert list(table.items()) == [(p, table[p]) for p in table]
+    assert list(table.values()) == [table[p] for p in table]
     start = scaled_coords(datum, o)
     assert len(table) == len(list(_bfs(datum, start, depth, _Budget(None))))
 
