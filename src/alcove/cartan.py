@@ -309,13 +309,8 @@ def eval_root(datum: RootDatum, root: Root, point) -> Fraction:
         raise DimensionMismatchError(
             f"expected vectors of length {datum.rank}, got {len(root)} and {len(point)}"
         )
-    return sum(
-        (
-            require_int(c, "root coefficients must be integers") * _rational(t)
-            for c, t in zip(root, point)
-        ),
-        Fraction(0),
-    )
+    coeffs = [require_int(c, "root coefficients must be integers") for c in root]
+    return sum((c * _rational(t) for c, t in zip(coeffs, point)), Fraction(0))
 
 
 def require_positive_root(datum: RootDatum, root: Root) -> Root:

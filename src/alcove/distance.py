@@ -293,12 +293,9 @@ def simplicial_distance(
 
 
 class _DistanceTable(Mapping):
-    """Read-only graph distances of one search: the vertices as integer
-    tuples in 1/scale units, mapped to their depths in breadth-first
-    order.  A lookup converts its point as every point argument is
-    converted; iteration builds the Fraction keys, and the values and
-    items views read the depths in order rather than looking each key
-    up again."""
+    """A search's vertices as integer tuples in 1/scale units, mapped to
+    their depths in breadth-first order.  The values and items views
+    read the depths in order instead of looking each key up again."""
 
     def __init__(self, datum: RootDatum, depths: dict[tuple[int, ...], int]):
         self._datum = datum
