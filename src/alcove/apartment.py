@@ -9,6 +9,10 @@ iff it folds onto a corner; every vertex of type i sits on the
 (1/c_i)-grid, which is what the enumerators exploit.  Integer shifts of
 the coordinates (coweight translations) map vertices to vertices, so
 the fold decides vertex-ness once per residue class modulo the scale.
+The affine Weyl group and those shifts keep the number of positive
+roots integral at a point, so only a residue with a corner's count is
+folded.  Root values come from a height chain: past the simple roots,
+each positive root is an earlier one plus a simple root, one add each.
 
 Inside the library a point is an integer tuple of numerators over one
 common denominator: datum.scale (the lcm of the marks) for vertices,
@@ -44,7 +48,7 @@ DEFAULT_FOLD_LIMIT = 1_000_000
 
 
 def as_point(datum: RootDatum, values: Iterable) -> Point:
-    point = tuple(_rational(v) for v in values)
+    point = tuple(map(_rational, values))
     if len(point) != datum.rank:
         raise DimensionMismatchError(
             f"expected {datum.rank} coordinates, got {len(point)}"
@@ -91,14 +95,15 @@ def scaled_coords(datum: RootDatum, x) -> tuple[int, ...] | None:
 
 def _grid_coords(point: Point, scale: int) -> tuple[int, ...] | None:
     """Numerators of point over scale, or None when off that grid."""
-    if any(scale % t.denominator for t in point):
-        return None
+    for t in point:
+        if scale % t.denominator:
+            return None
     return _scaled(point, scale)
 
 
 def _scaled(point: Point, scale: int) -> tuple[int, ...]:
     """Numerators of point over scale, which its denominators divide."""
-    return tuple(t.numerator * (scale // t.denominator) for t in point)
+    return tuple([t.numerator * (scale // t.denominator) for t in point])
 
 
 def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
@@ -109,22 +114,35 @@ def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
 
 class _VertexTester:
     """The vertex test of one datum: a point on the (1/scale)-grid is a
-    vertex iff it folds onto an alcove corner.  The answer is memoized
-    by the residue of the coordinates modulo the scale, which coweight
-    translations preserve.  Also holds the corner set, each corner over
-    the scale mapped to its index, and what the fold needs: the datum's
-    inverse Cartan matrix as integer rows over the lcm of its
-    denominators, and each wall's reflection as the sparse
-    column of (coordinate, coefficient) pairs it changes, the simple
-    walls in order and then the affine one."""
+    vertex iff it folds onto an alcove corner, memoized by the residue
+    of its coordinates modulo the scale.  A residue whose integral-root
+    count is no corner's is memoized False unfolded; the fold decides
+    every other one.  Also holds the corners mapped to their indices;
+    the height chain (each simple root's coordinate, then for each
+    later root an earlier root's index and the simple root it adds);
+    the inverse Cartan matrix as integer rows over the lcm of its
+    denominators; and each wall's reflection as the sparse column of
+    (coordinate, coefficient) pairs it changes, simple walls first."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         N, d = datum.scale, datum.rank
+        pos = datum.positive_roots
+        index = {root: k for k, root in enumerate(pos)}
+        self.simple = [root.index(1) for root in pos[:d]]
+        self.chain = [
+            next(
+                (index[lower], i)
+                for i, c in enumerate(root)
+                if c and (lower := root[:i] + (c - 1,) + root[i + 1 :]) in index
+            )
+            for root in pos[d:]
+        ]
         self.corners = {(0,) * d: 0} | {
             tuple(N // c if j == i else 0 for j in range(d)): i + 1
             for i, c in enumerate(datum.highest_root_coeffs)
         }
+        self.corner_counts = {self.integral_count(c) for c in self.corners}
         self.memo: dict[tuple[int, ...], bool] = {}
         self.inverse_rows, self.inverse_denom = _numerators(datum.cartan_inverse)
         cartan = datum.cartan
@@ -132,15 +150,30 @@ class _VertexTester:
             [(j, cartan[j][i]) for j in range(d) if cartan[j][i]] for i in range(d)
         ] + [[(j, c) for j, c in enumerate(datum.alpha0_coroot_row) if c]]
 
+    def root_values(self, a) -> list[int]:
+        """alpha . a for every positive root alpha, in datum order."""
+        v = [a[i] for i in self.simple]
+        for p, i in self.chain:
+            v.append(v[p] + a[i])
+        return v
+
+    def integral_count(self, a) -> int:
+        """Positive roots taking integer values at a / scale."""
+        N = self.datum.scale
+        return [v % N for v in self.root_values(a)].count(0)
+
     def scaled(self, a: tuple[int, ...]) -> bool:
         """Whether a / scale is a vertex."""
         N = self.datum.scale
         key = tuple([v % N for v in a])
         ok = self.memo.get(key)
         if ok is None:
-            p = list(key)
-            _fold(self.datum, [p], N, DEFAULT_FOLD_LIMIT)
-            ok = self.memo[key] = tuple(p) in self.corners
+            ok = False
+            if self.integral_count(key) in self.corner_counts:
+                p = list(key)
+                _fold(self.datum, [p], N, DEFAULT_FOLD_LIMIT)
+                ok = tuple(p) in self.corners
+            self.memo[key] = ok
         return ok
 
 
@@ -174,10 +207,7 @@ def is_special(datum: RootDatum, x) -> bool:
     a = scaled_coords(datum, x)
     if a is None:
         return False
-    N = datum.scale
-    return all(
-        sum(c * v for c, v in zip(root, a)) % N == 0 for root in datum.positive_roots
-    )
+    return _tester(datum).integral_count(a) == len(datum.positive_roots)
 
 
 def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> None:

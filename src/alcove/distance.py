@@ -80,10 +80,11 @@ def _wall_distance_scaled(
     if ax == ay:
         return 0, None, 0
     scale = datum.scale
+    values = _tester(datum).root_values
     best = -1
     witness: Root | None = None
-    for root in datum.positive_roots:
-        k = _between_scaled(sum(map(mul, root, ax)), sum(map(mul, root, ay)), scale)
+    for root, u, v in zip(datum.positive_roots, values(ax), values(ay)):
+        k = _between_scaled(u, v, scale)
         if k > best:
             best = k
             witness = root
@@ -115,14 +116,14 @@ def iter_wall_ball_points(
     scale = datum.scale
     lo = tuple(v - r * scale for v in ac)
     hi = tuple(v + r * scale for v in ac)
-    pos = datum.positive_roots
-    center_vals = [sum(map(mul, root, ac)) for root in pos]
+    values = _tester(datum).root_values
+    center_vals = values(ac)
     for a in _walk(datum, lo, hi, _Budget(budget)):
         if a == ac or (
             r >= 1
             and all(
-                _between_scaled(cv, sum(map(mul, root, a)), scale) <= r - 1
-                for cv, root in zip(center_vals, pos)
+                _between_scaled(cv, v, scale) <= r - 1
+                for cv, v in zip(center_vals, values(a))
             )
         ):
             yield tuple(Fraction(v, scale) for v in a)

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, Mapping
 
-from .apartment import _numerators, as_point
+from .apartment import _numerators, _tester, as_point
 from .cartan import Root, RootDatum
 from .errors import (
     DominationError,
@@ -113,7 +113,7 @@ def omega_function(datum: RootDatum, points: Iterable) -> ConcaveFunction:
     if not pts:
         raise EmptySetError("omega function needs at least one point")
     # alpha(x) * N for every positive root alpha (rows) and point x (columns)
-    rows = [[sum(map(mul, root, a)) for a in pts] for root in datum.positive_roots]
+    rows = list(zip(*map(_tester(datum).root_values, pts)))
     values = [Fraction(-min(r), N) for r in rows] + [Fraction(max(r), N) for r in rows]
     return ConcaveFunction(at_zero=Fraction(0), values=dict(zip(datum.all_roots(), values)))
 
@@ -211,7 +211,7 @@ def quotient_exponents(datum: RootDatum, x, r_prime: int | None = None) -> int:
 
 def _root_levels(datum: RootDatum, a, N: int) -> tuple[int, ...]:
     """ceil(alpha(x)) over the positive roots at x = a / N."""
-    return tuple([-(-sum(map(mul, root, a)) // N) for root in datum.positive_roots])
+    return tuple([-(-v // N) for v in _tester(datum).root_values(a)])
 
 
 def _capped_exponent(levels: Iterable[int], cap: int | None) -> int:
@@ -232,9 +232,8 @@ def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:
     if not r1 > r2 >= 0:
         raise ValidationError("levels must satisfy r1 > r2 >= 0")
     (ax, ay), N = _numerators((as_point(datum, x), as_point(datum, y)))
-    diff = list(map(sub, ax, ay))
     gap = (r1 - r2) * N
-    return all(abs(sum(map(mul, root, diff))) <= gap for root in datum.positive_roots)
+    return all(abs(v) <= gap for v in _tester(datum).root_values(list(map(sub, ax, ay))))
 
 
 def concave_function_to_dict(f: ConcaveFunction) -> dict:

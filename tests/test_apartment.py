@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import floor
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,10 @@ from alcove import (
     scaled_coords,
     vertex_type,
 )
-from alcove.apartment import _maximal_denominators
+from alcove.apartment import DEFAULT_FOLD_LIMIT, _fold, _maximal_denominators, _tester
+
+
+FAMILY_TYPES = ("A2", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2")
 
 
 def _fraction_rank(rows, d):
@@ -141,7 +145,7 @@ def test_is_vertex_against_elimination_oracle(data):
             assert is_vertex(datum, x) == _oracle_is_vertex(datum, x)
 
 
-@pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8"])
+@pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8", "G2", "B4", "C4", "D5", "A5"])
 def test_is_vertex_matches_rank_reference(data, rank_is_vertex, name):
     # the alcove corners and random points of each maximal denominator's
     # grid, then integer translates of them, which is_vertex answers from
@@ -160,7 +164,61 @@ def test_is_vertex_matches_rank_reference(data, rank_is_vertex, name):
             expected = rank_is_vertex(datum, b)
             assert is_vertex(datum, [Fraction(v, scale) for v in b]) == expected, b
             outcomes.add(expected)
-    assert outcomes == {True, False}
+    # on scale 1 (type A) every integer point is a vertex
+    assert outcomes == ({True} if scale == 1 else {True, False})
+
+
+CHAIN_TYPES = (
+    *(f"A{n}" for n in range(1, 9)),
+    *(f"B{n}" for n in range(2, 9)),
+    *(f"C{n}" for n in range(2, 9)),
+    *(f"D{n}" for n in range(4, 9)),
+    "E6", "E7", "E8", "F4", "G2",
+)
+
+
+@pytest.mark.parametrize("name", CHAIN_TYPES)
+def test_root_values_match_dot_products(data, name):
+    # the height chain against one dot product per positive root, at
+    # integer points of both signs, most of them off the scale's multiples
+    datum = data(name)
+    d, scale = datum.rank, datum.scale
+    rng = random.Random(f"chain {name}")
+    values = _tester(datum).root_values
+    points = [[rng.randint(-5 * scale - 3, 5 * scale + 3) for _ in range(d)] for _ in range(40)]
+    for a in [[0] * d, [-1] * d, *points]:
+        assert values(a) == [sum(map(mul, root, a)) for root in datum.positive_roots]
+
+
+def _integral_roots(datum, x):
+    """Positive roots taking integer values at the point x, by eval_root."""
+    return sum(eval_root(datum, root, x).denominator == 1 for root in datum.positive_roots)
+
+
+@pytest.mark.parametrize("name", FAMILY_TYPES)
+def test_integral_count_prefilter_is_sound(data, rank_is_vertex, name):
+    # the count the vertex tester screens residues by is the same at a
+    # grid point, its fold and its integer translates; every corner's
+    # count, and so every vertex's, is one the tester lets through
+    datum = data(name)
+    d, scale = datum.rank, datum.scale
+    tester = _tester(datum)
+    corners = [alcove_vertex(datum, i) for i in range(d + 1)]
+    assert {_integral_roots(datum, c) for c in corners} == tester.corner_counts
+    rng = random.Random(f"count {name}")
+    rejected = False
+    for _ in range(60):
+        a = [rng.randint(-3 * scale, 3 * scale) for _ in range(d)]
+        count = tester.integral_count(a)
+        assert count == _integral_roots(datum, [Fraction(v, scale) for v in a])
+        folded = list(a)
+        _fold(datum, [folded], scale, DEFAULT_FOLD_LIMIT)
+        assert tester.integral_count(folded) == count
+        assert tester.integral_count([v + scale * rng.randint(-3, 3) for v in a]) == count
+        if rank_is_vertex(datum, a):
+            assert count in tester.corner_counts
+        rejected |= count not in tester.corner_counts
+    assert rejected or scale == 1
 
 
 def test_off_grid_is_not_vertex(data):
@@ -374,9 +432,6 @@ def _reference_fold(datum, main, companions):
                     p[j] -= g * u[j]
         steps += 1
     return tuple(tuple(p) for p in pts), steps
-
-
-FAMILY_TYPES = ("A2", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2")
 
 
 def _random_rational_point(rng, d, denominators=(1, 2, 3, 5, 7, 11)):

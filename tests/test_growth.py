@@ -178,6 +178,20 @@ def test_max_two_rho_identity(data):
         max_two_rho(data("A2"), -1)
 
 
+@pytest.mark.parametrize("name, top", [("E6", 6), ("E7", 5), ("E8", 4)])
+def test_exceptional_growth_window(data, name, top):
+    # the paper's ball-growth window on the exceptional types:
+    # r gamma - |Phi+| <= deg <= r gamma, attained by max 2rho at r gamma
+    datum = data(name)
+    exponent = growth_exponent(datum)
+    num_pos = len(datum.positive_roots)
+    for r in range(1, top + 1):
+        report = ball_sum(datum, r)
+        assert r * exponent - num_pos <= report.lower_poly.degree <= r * exponent
+        assert report.max_two_rho == r * exponent
+        assert sum(report.per_type_counts) == report.vertex_count_chamber
+
+
 def _closure_count(cartan):
     return len(_generate_positive_roots(cartan))
 
