@@ -181,7 +181,7 @@ def test_max_two_rho_identity(data):
 @pytest.mark.parametrize("name, top", [("E6", 6), ("E7", 5), ("E8", 4)])
 def test_exceptional_growth_window(data, name, top):
     # the paper's ball-growth window on the exceptional types:
-    # r gamma - |Phi+| <= deg <= r gamma, attained by max 2rho at r gamma
+    # r gamma - |Phi+| <= deg <= r gamma, and max 2rho over rC is r gamma
     datum = data(name)
     exponent = growth_exponent(datum)
     num_pos = len(datum.positive_roots)
