@@ -48,6 +48,8 @@ DEFAULT_FOLD_LIMIT = 1_000_000
 
 
 def as_point(datum: RootDatum, values: Iterable) -> Point:
+    if isinstance(values, (str, bytes, bytearray)):
+        raise ValidationError(f"a {type(values).__name__} is not a point")
     point = tuple(map(_rational, values))
     if len(point) != datum.rank:
         raise DimensionMismatchError(
@@ -186,13 +188,13 @@ def _tester(datum: RootDatum) -> _VertexTester:
     return tester
 
 
-def _vertex_scaled(datum: RootDatum, x, check: bool) -> tuple[int, ...]:
+def _vertex_scaled(datum: RootDatum, x) -> tuple[int, ...]:
     """Numerators of the vertex x over the scale; NotAVertexError when x
-    is off that grid or, with check, fails the vertex test."""
+    is off that grid or fails the vertex test."""
     point = as_point(datum, x)
     a = _grid_coords(point, datum.scale)
-    if a is None or (check and not _tester(datum).scaled(a)):
-        raise NotAVertexError(f"{point} is not a vertex")
+    if a is None or not _tester(datum).scaled(a):
+        raise NotAVertexError(f"({', '.join(map(str, point))}) is not a vertex")
     return a
 
 
@@ -291,7 +293,7 @@ def _corner_type(datum: RootDatum, a: list[int]) -> int:
 
 def vertex_type(datum: RootDatum, x) -> int:
     """Index in 0..d of the alcove corner the vertex folds onto."""
-    return _corner_type(datum, list(_vertex_scaled(datum, x, True)))
+    return _corner_type(datum, list(_vertex_scaled(datum, x)))
 
 
 @dataclass(frozen=True)

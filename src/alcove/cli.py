@@ -269,9 +269,7 @@ def distance(type_text: str, x_text: str, y_text: str, budget: int | None, fmt: 
     y = _parse_point(datum, y_text)
     report = wall_distance(datum, x, y)
     depth = report.d + 8
-    simplicial = simplicial_distance(
-        datum, x, y, depth, candidate_budget=budget, check=False
-    )
+    simplicial = simplicial_distance(datum, x, y, depth, candidate_budget=budget)
     data = {
         "schema_version": SCHEMA_VERSION,
         "command": "distance",

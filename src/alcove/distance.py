@@ -5,7 +5,8 @@ number of walls from a single parallel class strictly separating them;
 for a root alpha the class contributes the number of integers strictly
 between alpha(x) and alpha(y).  The simplicial metric is the graph
 distance in the 1-skeleton, where adjacency is wall distance one, so
-a point query answers 0 and 1 without a search.
+a point query answers 0 and 1 without a search.  Every vertex argument
+is tested, with no way to skip it: a non-vertex raises NotAVertexError.
 
 The breadth-first search takes a vertex's neighbours from the link of
 its alcove corner: the orbit of the other corners under the
@@ -91,19 +92,19 @@ def _wall_distance_scaled(
     return 1 + best, witness, best
 
 
-def wall_distance(datum: RootDatum, x, y, *, check: bool = True) -> DistanceReport:
-    ax = _vertex_scaled(datum, x, check)
-    ay = _vertex_scaled(datum, y, check)
+def wall_distance(datum: RootDatum, x, y) -> DistanceReport:
+    ax = _vertex_scaled(datum, x)
+    ay = _vertex_scaled(datum, y)
     d, witness, count = _wall_distance_scaled(datum, ax, ay)
     return DistanceReport(d=d, witness_root=witness, wall_count=count)
 
 
-def adjacent(datum: RootDatum, x, y, *, check: bool = True) -> bool:
-    return wall_distance(datum, x, y, check=check).d == 1
+def adjacent(datum: RootDatum, x, y) -> bool:
+    return wall_distance(datum, x, y).d == 1
 
 
 def iter_wall_ball_points(
-    datum: RootDatum, center, r: int, *, budget: int | None = None, check: bool = True
+    datum: RootDatum, center, r: int, *, budget: int | None = None
 ) -> Iterator[Point]:
     """Vertices within wall distance r of center, unordered.
 
@@ -112,7 +113,7 @@ def iter_wall_ball_points(
     walls.
     """
     require_int(r, "radius must be a nonnegative integer", 0)
-    ac = _vertex_scaled(datum, center, check)
+    ac = _vertex_scaled(datum, center)
     scale = datum.scale
     lo = tuple(v - r * scale for v in ac)
     hi = tuple(v + r * scale for v in ac)
@@ -130,12 +131,10 @@ def iter_wall_ball_points(
 
 
 def apartment_ball(
-    datum: RootDatum, center, r: int, *, budget: int | None = None, check: bool = True
+    datum: RootDatum, center, r: int, *, budget: int | None = None
 ) -> VertexSet:
     """All vertices at wall distance at most r from center."""
-    return _make_vertex_set(
-        datum, iter_wall_ball_points(datum, center, r, budget=budget, check=check)
-    )
+    return _make_vertex_set(datum, iter_wall_ball_points(datum, center, r, budget=budget))
 
 
 def _link(
@@ -271,7 +270,6 @@ def simplicial_distance(
     budget: int,
     *,
     candidate_budget: int | None = None,
-    check: bool = True,
 ) -> int:
     """Graph distance in the 1-skeleton, searched out to the budget radius.
 
@@ -282,8 +280,8 @@ def simplicial_distance(
     in simplicial_distances.
     """
     require_int(budget, "search budget must be a nonnegative integer", 0)
-    ax = _vertex_scaled(datum, x, check)
-    ay = _vertex_scaled(datum, y, check)
+    ax = _vertex_scaled(datum, x)
+    ay = _vertex_scaled(datum, y)
     state = _Budget(candidate_budget)
     if budget and _wall_distance_scaled(datum, ax, ay)[0] == 1:
         return 1
@@ -336,7 +334,6 @@ def simplicial_distances(
     max_depth: int,
     *,
     candidate_budget: int | None = None,
-    check: bool = True,
 ) -> Mapping[Point, int]:
     """Graph distances to every vertex within max_depth of source, as a
     read-only mapping in breadth-first order, source first.
@@ -354,7 +351,7 @@ def simplicial_distances(
     raised when that is exceeded.
     """
     require_int(max_depth, "search depth must be a nonnegative integer", 0)
-    ax = _vertex_scaled(datum, source, check)
+    ax = _vertex_scaled(datum, source)
     return _DistanceTable(
         datum, dict(_bfs(datum, ax, max_depth, _Budget(candidate_budget)))
     )

@@ -58,17 +58,17 @@ def verify_metric(seed: int = 0, budget: int | None = None) -> tuple[bool, dict]
     for name in ("A2", "B2", "G2"):
         datum = build_root_datum(parse_type(name))
         ball = sorted(iter_wall_ball_points(datum, origin(datum), 2, budget=budget))
-        identity_ok = all(wall_distance(datum, x, x, check=False).d == 0 for x in ball)
+        identity_ok = all(wall_distance(datum, x, x).d == 0 for x in ball)
         symmetric_ok = True
         definite_ok = True
         triangle_ok = True
         trials = 300
         for _ in range(trials):
             x, y, z = (ball[rng.randrange(len(ball))] for _ in range(3))
-            dxy = wall_distance(datum, x, y, check=False).d
-            dyx = wall_distance(datum, y, x, check=False).d
-            dyz = wall_distance(datum, y, z, check=False).d
-            dxz = wall_distance(datum, x, z, check=False).d
+            dxy = wall_distance(datum, x, y).d
+            dyx = wall_distance(datum, y, x).d
+            dyz = wall_distance(datum, y, z).d
+            dxz = wall_distance(datum, x, z).d
             if dxy != dyx:
                 symmetric_ok = False
             if (dxy == 0) != (x == y):
@@ -268,9 +268,9 @@ def verify_g2_gap(budget: int | None = None) -> tuple[bool, dict]:
     a2_ball = sorted(iter_wall_ball_points(a2, origin(a2), 2, budget=budget))
     equal_ok = True
     for x in a2_ball:
-        dists = simplicial_distances(a2, x, 6, check=False)
+        dists = simplicial_distances(a2, x, 6)
         for y in a2_ball:
-            if dists.get(y) != wall_distance(a2, x, y, check=False).d:
+            if dists.get(y) != wall_distance(a2, x, y).d:
                 equal_ok = False
     passed = passed and equal_ok
 
@@ -280,10 +280,10 @@ def verify_g2_gap(budget: int | None = None) -> tuple[bool, dict]:
     monotone_ok = True
     pairs = 0
     for x in g2_ball:
-        dists = simplicial_distances(g2, x, 8, check=False)
+        dists = simplicial_distances(g2, x, 8)
         for y in g2_ball:
             pairs += 1
-            wall = wall_distance(g2, x, y, check=False).d
+            wall = wall_distance(g2, x, y).d
             simp = dists.get(y)
             if simp is None:
                 simp = 9

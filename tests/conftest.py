@@ -1,3 +1,4 @@
+from itertools import accumulate
 from operator import mul
 
 import pytest
@@ -79,3 +80,56 @@ def rank_is_vertex():
         return ok
 
     return test
+
+
+@pytest.fixture(scope="session")
+def residue_orbits():
+    """Residue classes modulo the scale of the vertices, one set per
+    alcove corner, in 1/scale units: corner i (scale / c_i on coordinate
+    i, reduced mod scale) closed under the simple reflections,
+    x_j -= x_k C[j][k] mod scale.  Translations move no class, so these
+    are the vertex classes of the corner's type.  The sets overlap where
+    the coweight and coroot lattices differ (on E6, v_1 is in the
+    origin's class), so the vertex classes are their union."""
+
+    def orbits(datum):
+        N, d, cartan = datum.scale, datum.rank, datum.cartan
+        marks = datum.highest_root_coeffs
+        corners = [(0,) * d] + [
+            tuple(N // marks[i] % N if j == i else 0 for j in range(d)) for i in range(d)
+        ]
+        result = []
+        for corner in corners:
+            orbit, todo = {corner}, [corner]
+            while todo:
+                x = todo.pop()
+                for k in range(d):
+                    if x[k]:
+                        y = tuple((x[j] - x[k] * cartan[j][k]) % N for j in range(d))
+                        if y not in orbit:
+                            orbit.add(y)
+                            todo.append(y)
+            result.append(orbit)
+        return result
+
+    return orbits
+
+
+@pytest.fixture(scope="session")
+def closed_form_count():
+    """Vertices of the r-fold dilated alcove in the residue classes
+    given: the sum over classes rho of P(floor((r scale - marks.rho) /
+    scale)), where P(m) = #{z in Z>=0^d : marks.z <= m} counts the
+    vertices rho / scale + z of the class."""
+
+    def count(datum, r, residues):
+        N, marks = datum.scale, datum.highest_root_coeffs
+        exact = [1] + [0] * r  # z with marks.z == m
+        for c in marks:
+            for m in range(c, r + 1):
+                exact[m] += exact[m - c]
+        at_most = list(accumulate(exact))
+        levels = ((r * N - sum(map(mul, marks, rho))) // N for rho in residues)
+        return sum(at_most[m] for m in levels if m >= 0)
+
+    return count

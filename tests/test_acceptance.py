@@ -182,7 +182,7 @@ def test_criterion_04_polytope_oracle(announce):
                 x = tuple(Fraction(n, scale) for n in nums)
                 if not _oracle_is_vertex(datum, x):
                     continue
-                if wall_distance(datum, o, x, check=False).d <= r:
+                if wall_distance(datum, o, x).d <= r:
                     expected.add(x)
             got = set(enumerate_scaled_alcove_vertices(datum, r).points)
             assert got == expected, (name, r)
@@ -267,9 +267,9 @@ def test_criterion_05_distance_comparison(announce):
         equal = name != "G2"
         ball4 = apartment_ball(datum, origin(datum), 4).points
         for x in ball4:
-            table = simplicial_distances(datum, x, 10, check=False)
+            table = simplicial_distances(datum, x, 10)
             for y in ball4:
-                wall = wall_distance(datum, x, y, check=False).d
+                wall = wall_distance(datum, x, y).d
                 compare(name, equal, x, y, wall, table.get(y))
     # Rank 3 and 4: both distances are invariant under the finite
     # reflection group fixing the origin, which also maps the radius-4
@@ -280,16 +280,14 @@ def test_criterion_05_distance_comparison(announce):
         datum = build_root_datum(parse_type(name))
         ball4 = apartment_ball(datum, origin(datum), 4).points
         corners = [alcove_vertex(datum, i) for i in range(datum.rank + 1)]
-        tables = [
-            simplicial_distances(datum, c, 9, check=False) for c in corners
-        ]
+        tables = [simplicial_distances(datum, c, 9) for c in corners]
         for x in ball_sum(datum, 4).chamber_vertices:
             folded, apply = _fold_map(datum, x)
             table = tables[corners.index(folded)]
             for y in rng.sample(ball4, 3):
                 assert apply(y) == fold_pair(datum, x, y)[1]
             for y in ball4:
-                wall = wall_distance(datum, x, y, check=False).d
+                wall = wall_distance(datum, x, y).d
                 compare(name, True, x, y, wall, table.get(apply(y)))
         # raw sources ground the reduction without any invariance
         # appeal: a direct search from x must agree with the folded
@@ -298,9 +296,9 @@ def test_criterion_05_distance_comparison(announce):
         for x in rng.sample(ball4, k):
             folded, apply = _fold_map(datum, x)
             table = tables[corners.index(folded)]
-            direct = simplicial_distances(datum, x, 9, check=False)
+            direct = simplicial_distances(datum, x, 9)
             for y in ball4:
-                wall = wall_distance(datum, x, y, check=False).d
+                wall = wall_distance(datum, x, y).d
                 simp = direct.get(y)
                 assert simp is not None and simp >= wall
                 assert (simp == 1) == (wall == 1)
@@ -349,11 +347,11 @@ def test_criterion_06_metric_properties(announce):
         pool = apartment_ball(datum, origin(datum), 3).points
         for _ in range(triples):
             x, y, z = (rng.choice(pool) for _ in range(3))
-            dxy = wall_distance(datum, x, y, check=False).d
-            assert dxy == wall_distance(datum, y, x, check=False).d
+            dxy = wall_distance(datum, x, y).d
+            assert dxy == wall_distance(datum, y, x).d
             assert (dxy == 0) == (x == y)
-            dxz = wall_distance(datum, x, z, check=False).d
-            dyz = wall_distance(datum, y, z, check=False).d
+            dxz = wall_distance(datum, x, z).d
+            dyz = wall_distance(datum, y, z).d
             assert dxz <= dxy + dyz, (name, x, y, z)
     announce(
         f"PASS criterion 6: symmetry, definiteness, triangle inequality on "
@@ -370,7 +368,7 @@ def test_criterion_07_filtration_bridge(announce):
         for _ in range(pairs):
             x = rng.choice(pool)
             y = rng.choice(pool)
-            d = wall_distance(datum, x, y, check=False).d
+            d = wall_distance(datum, x, y).d
             r2 = rng.randrange(4)
             r1 = r2 + max(1, d + rng.randrange(3))
             assert filtration_contains(datum, x, r1, y, r2), (name, x, y, r1, r2)

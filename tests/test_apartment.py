@@ -79,6 +79,11 @@ def test_as_point_validation(data):
         as_point(a2, [1, "x"])
     with pytest.raises(ValidationError):
         as_point(a2, [Decimal("Infinity"), 0])
+    # a string is not read character by character; coordinate strings are exact
+    for text in ("10", b"10", bytearray(b"10")):
+        with pytest.raises(ValidationError):
+            as_point(a2, text)
+    assert as_point(a2, ["1/2", "0"]) == (Fraction(1, 2), Fraction(0))
 
 
 def test_as_point_keeps_fractions(data):

@@ -29,6 +29,7 @@ from alcove import (
     scaled_coords,
     simplicial_distance,
     simplicial_distances,
+    vertex_type,
     wall_count,
     wall_distance,
 )
@@ -76,14 +77,27 @@ def test_wall_distance_frozen(data):
     assert (rep.d, rep.witness_root, rep.wall_count) == (3, (3, 1), 2)
 
 
-def test_wall_distance_requires_vertices(data):
-    a2 = data("A2")
-    with pytest.raises(NotAVertexError):
-        wall_distance(a2, (F(1, 2), F(0)), origin(a2))
-    b2 = data("B2")
-    # on grid but not a vertex
-    with pytest.raises(NotAVertexError):
-        wall_distance(b2, (F(1, 2), F(0)), origin(b2))
+_REFUSALS = {
+    "wall_distance x": lambda d, p: wall_distance(d, p, origin(d)),
+    "wall_distance y": lambda d, p: wall_distance(d, origin(d), p),
+    "adjacent": lambda d, p: adjacent(d, p, origin(d)),
+    "iter_wall_ball_points": lambda d, p: list(iter_wall_ball_points(d, p, 1)),
+    "apartment_ball": lambda d, p: apartment_ball(d, p, 1),
+    "simplicial_distance x": lambda d, p: simplicial_distance(d, p, origin(d), 3),
+    "simplicial_distance y": lambda d, p: simplicial_distance(d, origin(d), p, 3),
+    "simplicial_distances": lambda d, p: simplicial_distances(d, p, 1),
+    "vertex_type": vertex_type,
+}
+
+
+@pytest.mark.parametrize(
+    "name, entry",
+    # (1/2, 0) is off the A2 grid, and on the B2 grid but not a vertex
+    [("A2", "wall_distance x")] + [("B2", entry) for entry in _REFUSALS],
+)
+def test_every_entry_requires_vertices(data, name, entry):
+    with pytest.raises(NotAVertexError, match=r"^\(1/2, 0\) is not a vertex$"):
+        _REFUSALS[entry](data(name), (F(1, 2), F(0)))
 
 
 def test_adjacent(data):
@@ -176,9 +190,9 @@ def test_simplicial_equals_wall_for_a2_b2(data):
         o = origin(datum)
         ball = sorted(iter_wall_ball_points(datum, o, 2))
         for x in ball:
-            table = simplicial_distances(datum, x, 6, check=False)
+            table = simplicial_distances(datum, x, 6)
             for y in ball:
-                assert table[y] == wall_distance(datum, x, y, check=False).d
+                assert table[y] == wall_distance(datum, x, y).d
 
 
 def test_g2_gap_witness(data):
@@ -215,7 +229,7 @@ def test_simplicial_never_below_wall(data):
     o = origin(g2)
     table = simplicial_distances(g2, o, 6)
     for y, ds in table.items():
-        assert ds >= wall_distance(g2, o, y, check=False).d
+        assert ds >= wall_distance(g2, o, y).d
 
 
 def test_simplicial_depth_exhaustion(data):
@@ -276,13 +290,11 @@ def test_wall_metric_axioms(name, draw):
     ball = sorted(iter_wall_ball_points(datum, origin(datum), 2))
     pick = st.sampled_from(ball)
     x, y, z = draw.draw(pick), draw.draw(pick), draw.draw(pick)
-    dxy = wall_distance(datum, x, y, check=False).d
-    assert dxy == wall_distance(datum, y, x, check=False).d
+    dxy = wall_distance(datum, x, y).d
+    assert dxy == wall_distance(datum, y, x).d
     assert (dxy == 0) == (x == y)
-    assert wall_distance(datum, x, z, check=False).d <= dxy + wall_distance(
-        datum, y, z, check=False
-    ).d
-    assert adjacent(datum, x, y, check=False) == (dxy == 1)
+    assert wall_distance(datum, x, z).d <= dxy + wall_distance(datum, y, z).d
+    assert adjacent(datum, x, y) == (dxy == 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,10 +314,7 @@ def test_translation_invariance(name, draw):
     )
     xs = tuple(a + s for a, s in zip(x, shift))
     ys = tuple(a + s for a, s in zip(y, shift))
-    assert (
-        wall_distance(datum, x, y, check=False).d
-        == wall_distance(datum, xs, ys, check=False).d
-    )
+    assert wall_distance(datum, x, y).d == wall_distance(datum, xs, ys).d
 
 
 @settings(max_examples=80, deadline=None)
@@ -316,10 +325,7 @@ def test_fold_pair_preserves_wall_distance(name, draw):
     pick = st.sampled_from(ball)
     x, y = draw.draw(pick), draw.draw(pick)
     fx, fy = fold_pair(datum, x, y)
-    assert (
-        wall_distance(datum, x, y, check=False).d
-        == wall_distance(datum, fx, fy, check=False).d
-    )
+    assert wall_distance(datum, x, y).d == wall_distance(datum, fx, fy).d
 
 
 def test_fold_pair_preserves_simplicial_distance(data):
@@ -330,8 +336,8 @@ def test_fold_pair_preserves_simplicial_distance(data):
         x = ball[rng.randrange(len(ball))]
         y = ball[rng.randrange(len(ball))]
         fx, fy = fold_pair(g2, x, y)
-        direct = simplicial_distance(g2, x, y, 10, check=False)
-        folded = simplicial_distance(g2, fx, fy, 10, check=False)
+        direct = simplicial_distance(g2, x, y, 10)
+        folded = simplicial_distance(g2, fx, fy, 10)
         assert direct == folded
 
 
@@ -475,13 +481,6 @@ def test_neighbor_offsets_within_scale(data, name):
         _neighbor_offsets(datum, delta, cache, state)
     bound = max(abs(v) for offsets in cache.values() for delta in offsets for v in delta)
     assert bound <= scale
-
-
-def test_search_refuses_unchecked_non_vertex(data):
-    # on the grid but not a vertex, so it folds onto no alcove corner
-    b2 = data("B2")
-    with pytest.raises(NotAVertexError):
-        simplicial_distances(b2, (F(1, 2), F(0)), 1, check=False)
 
 
 def test_e8_link_budget_fails_fast(data):

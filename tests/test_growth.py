@@ -178,6 +178,37 @@ def test_max_two_rho_identity(data):
         max_two_rho(data("A2"), -1)
 
 
+CLOSED_FORM_COUNTS = {
+    "A3": {3: 20, 5: 56},
+    "A7": {4: 330, 6: 1716},
+    "B3": {2: 10, 4: 37},
+    "C4": {3: 35},
+    "D5": {3: 68},
+    "G2": {1: 3, 2: 6, 5: 21, 9: 55},
+    "F4": {1: 5, 3: 38, 5: 146},
+    "E6": {2: 32, 4: 323, 6: 1758},
+    "E7": {3: 171, 5: 1529},
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_COUNTS))
+def test_census_closed_form(data, residue_orbits, closed_form_count, name):
+    # E8 is left out: its 157,200 vertex classes take seconds to build
+    datum = data(name)
+    orbits = residue_orbits(datum)
+    classes = set().union(*orbits)
+    # G2 and F4 have coweights equal to coroots, so each corner's classes are its type's
+    by_type = name in ("G2", "F4")
+    assert not by_type or sum(map(len, orbits)) == len(classes)
+    for r, expected in CLOSED_FORM_COUNTS[name].items():
+        report = ball_sum(datum, r)
+        assert report.vertex_count_chamber == closed_form_count(datum, r, classes) == expected
+        if by_type:
+            assert report.per_type_counts == tuple(
+                closed_form_count(datum, r, orbit) for orbit in orbits
+            )
+
+
 @pytest.mark.parametrize("name, top", [("E6", 6), ("E7", 5), ("E8", 4)])
 def test_exceptional_growth_window(data, name, top):
     # the paper's ball-growth window on the exceptional types:

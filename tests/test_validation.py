@@ -118,6 +118,7 @@ def test_messages_kept(data):
         (lambda: shift(point_function(a2, o), 0.1), "not an exact rational number: 0.1 is a float"),
         (lambda: as_point(a2, [0.1, 0]), "not an exact rational number: 0.1 is a float"),
         (lambda: fold_to_alcove(a2, o, max_steps=None), "fold limit must be a nonnegative integer"),
+        (lambda: apartment_ball(data("B2"), (Fraction(1, 2), 0), 1), r"\(1/2, 0\) is not a vertex"),
     ]
     for call, message in cases:
         with pytest.raises(ValidationError, match=f"^{message}$"):
