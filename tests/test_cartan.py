@@ -266,6 +266,19 @@ def test_alpha0_coroot_row():
     assert b2.alpha0_coroot_row == (0, 1)
 
 
+def test_alpha0_coroot_row_all_types():
+    # <alpha_j, theta^vee> = 2 (alpha_j, theta) / (theta, theta) from the
+    # Gram matrix (alpha_i, alpha_j) = C[i][j] * |alpha_j|^2 / 2
+    for row in theorem_table(8).rows:
+        datum = build_root_datum(row.rstype)
+        d, c, theta = datum.rank, datum.cartan, datum.highest_root_coeffs
+        gram = [[c[i][j] * datum.simple_norms[j] / 2 for j in range(d)] for i in range(d)]
+        inner = [sum(gram[j][k] * theta[k] for k in range(d)) for j in range(d)]
+        theta_norm2 = sum(t * v for t, v in zip(theta, inner))
+        expected = tuple(2 * v / theta_norm2 for v in inner)
+        assert datum.alpha0_coroot_row == expected, row.rstype
+
+
 def test_eval_root():
     a2 = build_root_datum(parse_type("A2"))
     x = (Fraction(1, 2), Fraction(1, 3))

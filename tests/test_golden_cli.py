@@ -70,6 +70,15 @@ GOLDEN = [
         "ball --type E6 --radius 4 --level 3",
         "fc04aafc4a77a6437fdcb6b140134f8f5e27185148e2c359fd1496168233e683",
     ),
+    # info pins the positive roots in order, the marks, 2rho, norms and degrees
+    ("info --type E6", "47661e4a162520d33765ae624628c2f0530da10e60b2501f75f3cdcb312f39a3"),
+    ("info --type E7", "09da84d947ca9c543c8b9e7cbb9c7e8796e032a4f76e649c5f9252bb04916ec6"),
+    ("info --type E8", "e253105358bca8fcc7b2025913cce61dfd437ef1cd82f43b6814eba0c254485b"),
+    ("info --type F4", "c4948242fe71a4ae758c6e5d86397ee7a68bde8752bb4d0768712c3b455ba1f5"),
+    ("info --type G2", "1dd24f0964d6983039dac60552e5bda79c287ce8d042b84fc53eb622e246d56a"),
+    ("info --type B7", "3f38964f03641762cd14aee3ab65760b4c7194f869268c03c7c3a000a0c7c2a9"),
+    ("info --type C7", "638dfdacac6f4bc529f2816bcea52085b76358c9eadac961c7a8fbd0c800ba82"),
+    ("info --type D7", "1fb0e40954b19f501cefeec1c692015515766fe8646da30f736422a5471edc9f"),
 ]
 
 
