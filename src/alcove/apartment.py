@@ -24,6 +24,7 @@ results go out.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -48,7 +49,8 @@ DEFAULT_FOLD_LIMIT = 1_000_000
 
 
 def as_point(datum: RootDatum, values: Iterable) -> Point:
-    if isinstance(values, (str, bytes, bytearray)):
+    # text would be read character by character, sets and mappings in no fixed order
+    if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
         raise ValidationError(f"a {type(values).__name__} is not a point")
     point = tuple(map(_rational, values))
     if len(point) != datum.rank:
@@ -205,11 +207,9 @@ def is_vertex(datum: RootDatum, x) -> bool:
 
 
 def is_special(datum: RootDatum, x) -> bool:
-    """True iff every root takes an integer value at x."""
-    a = scaled_coords(datum, x)
-    if a is None:
-        return False
-    return _tester(datum).integral_count(a) == len(datum.positive_roots)
+    """True iff every root takes an integer value at x: roots are integer
+    combinations of the simple roots, so iff every t_i is an integer."""
+    return all(t.denominator == 1 for t in as_point(datum, x))
 
 
 def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> None:

@@ -2,10 +2,11 @@
 
 Roots are integer coefficient vectors in the simple-root basis, simple
 roots numbered in the Bourbaki convention (see the numbering table in the
-README).  Positive roots are generated by closure from the simple roots,
-never read off a table; the classical closed forms live in the tests as
-cross-checks.  All arithmetic is exact: Python integers and
-``fractions.Fraction``.
+README).  Positive roots are the closure of the simple roots under
+height-raising simple reflections, never read off a table; the classical
+closed forms live in the tests as cross-checks.  The highest root's
+coroot row is one pairing per simple root, scaled by its norm.  All
+arithmetic is exact: Python integers and ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -130,41 +131,26 @@ def cartan_matrix(rstype: RootSystemType) -> tuple[tuple[int, ...], ...]:
 
 
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
-    """Closure of the simple roots under root strings, lowest height first.
+    """Closure of the simple roots under height-raising simple
+    reflections, ordered by (height, lexicographic).
 
-    For a root b of height h and simple alpha_i, b + alpha_i is a root
-    iff q = p - <b, alpha_i^vee> >= 1 where p counts how far the string
-    extends downward; everything below height h is known by induction.
+    Every positive root other than alpha_i is s_i of a lower positive
+    root for some i (Humphreys, section 10.2); s_i raises coordinate i of
+    beta by -<beta, alpha_i^vee> when that pairing is negative.
     """
     d = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    known: set[Root] = set(simple)
-    level: list[Root] = list(simple)
-    ordered: list[Root] = list(simple)
-    while level:
-        nxt: set[Root] = set()
-        for beta in level:
-            for i in range(d):
-                pairing = sum(beta[j] * cartan[j][i] for j in range(d))
-                p = 0
-                gamma = list(beta)
-                while True:
-                    gamma[i] -= 1
-                    if tuple(gamma) in known:
-                        p += 1
-                    else:
-                        break
-                if p - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    candidate = tuple(up)
-                    if candidate not in known:
-                        nxt.add(candidate)
-        known.update(nxt)
-        level = sorted(nxt)
-        ordered.extend(level)
-    ordered.sort(key=lambda r: (sum(r), r))
-    return ordered
+    stack = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    known = set(stack)
+    while stack:
+        beta = stack.pop()
+        for i in range(d):
+            k = sum(b * row[i] for b, row in zip(beta, cartan))
+            if k < 0:
+                up = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+                if up not in known:
+                    known.add(up)
+                    stack.append(up)
+    return sorted(known, key=lambda r: (sum(r), r))
 
 
 def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
@@ -256,7 +242,7 @@ def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) ->
     cartan = cartan_matrix(rstype)
     d = rstype.rank
     positives = _generate_positive_roots(cartan)
-    expected = positive_root_count(rstype) if not (rstype.family == "D" and d == 3) else 6
+    expected = positive_root_count(rstype)  # d(d - 1) = 6 also holds for the D3 alias
     if len(positives) != expected:
         raise AssertionError(
             f"closure produced {len(positives)} positive roots for {rstype}, expected {expected}"
@@ -269,21 +255,13 @@ def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) ->
     two_rho = tuple(sum(root[i] for root in positives) for i in range(d))
     norms = _simple_norms(cartan)
 
-    # Gram matrix entries (alpha_i, alpha_j) = A[i][j] * (alpha_j,alpha_j)/2.
-    gram = [[Fraction(cartan[i][j]) * norms[j] / 2 for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if gram[i][j] != gram[j][i]:
-                raise AssertionError("Gram matrix is not symmetric")
-    highest_norm2 = sum(
-        highest[i] * highest[j] * gram[i][j] for i in range(d) for j in range(d)
-    )
-    alpha0_row = []
-    for j in range(d):
-        pairing = 2 * sum(highest[k] * gram[j][k] for k in range(d)) / highest_norm2
-        if pairing.denominator != 1:
-            raise AssertionError("coroot pairing with the highest root is not integral")
-        alpha0_row.append(int(pairing))
+    # <alpha_j, alpha_0^vee> = <alpha_0, alpha_j^vee> |alpha_j|^2 / |alpha_0|^2,
+    # and |alpha_0|^2 = 2 because the highest root is long.
+    alpha0_row = [
+        sum(h * row[j] for h, row in zip(highest, cartan)) * norms[j] / 2 for j in range(d)
+    ]
+    if any(p.denominator != 1 for p in alpha0_row):
+        raise AssertionError("coroot pairing with the highest root is not integral")
 
     pos_tuple = tuple(positives)
     neg = tuple(tuple(-c for c in r) for r in pos_tuple)
@@ -295,7 +273,7 @@ def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) ->
         highest_root_coeffs=highest,
         two_rho_coeffs=two_rho,
         simple_norms=norms,
-        alpha0_coroot_row=tuple(alpha0_row),
+        alpha0_coroot_row=tuple(map(int, alpha0_row)),
         cartan_inverse=tuple(tuple(Fraction(v, D) for v in row) for row in rows),
         scale=lcm(*highest),
         positive_root_set=frozenset(pos_tuple),

@@ -84,6 +84,10 @@ def test_as_point_validation(data):
         with pytest.raises(ValidationError):
             as_point(a2, text)
     assert as_point(a2, ["1/2", "0"]) == (Fraction(1, 2), Fraction(0))
+    # sets and mappings have no coordinate order; a mapping would be read by its keys
+    for unordered in ({2, 1}, frozenset({1, 2}), {"1": 0, "0": 0}, {0: 1, 1: 2}.keys()):
+        with pytest.raises(ValidationError, match="is not a point"):
+            as_point(a2, unordered)
 
 
 def test_as_point_keeps_fractions(data):
@@ -139,6 +143,23 @@ def test_special_iff_mark_one(data):
         for i in range(1, datum.rank + 1):
             corner = alcove_vertex(datum, i)
             assert is_special(datum, corner) == (datum.highest_root_coeffs[i - 1] == 1)
+
+
+@pytest.mark.parametrize("name", FAMILY_TYPES)
+def test_is_special_matches_all_roots_integral(data, name):
+    # special means every root, not just every simple root, is integral;
+    # points on the vertex grid (mostly non-integral), integer points and
+    # off-grid points, of both signs
+    datum = data(name)
+    rng = random.Random(f"special {name}")
+    seen = set()
+    for k in range(60):
+        grid = [(datum.scale,), (1,), (2, 3, 5, 7, 11)][k % 3]
+        x = _random_rational_point(rng, datum.rank, grid)
+        expected = _integral_roots(datum, x) == len(datum.positive_roots)
+        assert is_special(datum, x) == expected
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_is_vertex_against_elimination_oracle(data):
