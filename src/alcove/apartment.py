@@ -24,16 +24,14 @@ results go out.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
-from .cartan import RootDatum
+from .cartan import Point, RootDatum, as_point
 from .errors import (
-    DimensionMismatchError,
     EnumerationLimitError,
     FoldLimitError,
     NotAVertexError,
@@ -42,22 +40,8 @@ from .errors import (
     require_int,
 )
 
-Point = tuple[Fraction, ...]
-
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_FOLD_LIMIT = 1_000_000
-
-
-def as_point(datum: RootDatum, values: Iterable) -> Point:
-    # text would be read character by character, sets and mappings in no fixed order
-    if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
-        raise ValidationError(f"a {type(values).__name__} is not a point")
-    point = tuple(map(_rational, values))
-    if len(point) != datum.rank:
-        raise DimensionMismatchError(
-            f"expected {datum.rank} coordinates, got {len(point)}"
-        )
-    return point
 
 
 def origin(datum: RootDatum) -> Point:
@@ -190,13 +174,18 @@ def _tester(datum: RootDatum) -> _VertexTester:
     return tester
 
 
+def _not_a_vertex(point: Iterable[Fraction]) -> NotAVertexError:
+    """The error for a point that is not a vertex, written (1/2, 0)."""
+    return NotAVertexError(f"({', '.join(map(str, point))}) is not a vertex")
+
+
 def _vertex_scaled(datum: RootDatum, x) -> tuple[int, ...]:
     """Numerators of the vertex x over the scale; NotAVertexError when x
     is off that grid or fails the vertex test."""
     point = as_point(datum, x)
     a = _grid_coords(point, datum.scale)
     if a is None or not _tester(datum).scaled(a):
-        raise NotAVertexError(f"({', '.join(map(str, point))}) is not a vertex")
+        raise _not_a_vertex(point)
     return a
 
 
@@ -287,7 +276,7 @@ def _corner_type(datum: RootDatum, a: list[int]) -> int:
     _fold(datum, [a], N, DEFAULT_FOLD_LIMIT)
     i = _tester(datum).corners.get(tuple(a))
     if i is None:
-        raise NotAVertexError(f"{tuple(Fraction(v, N) for v in a)} is not an alcove corner")
+        raise _not_a_vertex(Fraction(v, N) for v in a)
     return i
 
 

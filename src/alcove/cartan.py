@@ -7,26 +7,33 @@ height-raising simple reflections, never read off a table; the classical
 closed forms live in the tests as cross-checks.  The highest root's
 coroot row is one pairing per simple root, scaled by its norm.  All
 arithmetic is exact: Python integers and ``fractions.Fraction``.
+
+The point and root checks live here too: as_point reads exact coordinates
+and _root integer coefficients, one per simple root.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
     InvalidTypeError,
     NotARootError,
+    ValidationError,
     _rational,
     require_int,
 )
 
 Root = tuple[int, ...]
+Point = tuple[Fraction, ...]
 
-FAMILIES = "ABCDEFG"
+FAMILIES = tuple("ABCDEFG")
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
@@ -54,8 +61,10 @@ def validate_type(rstype: RootSystemType, *, allow_d3_alias: bool = False) -> No
     family, rank = rstype.family, rstype.rank
     if family not in FAMILIES:
         raise InvalidTypeError(f"unknown family {family!r}")
-    if rank < 1:
-        raise InvalidTypeError(f"rank must be positive, got {rank}")
+    try:
+        require_int(rank, f"rank must be a positive integer, got {rank!r}", 1)
+    except ValidationError as err:
+        raise InvalidTypeError(str(err)) from None
     if family in _EXCEPTIONAL_RANKS:
         if rank not in _EXCEPTIONAL_RANKS[family]:
             raise InvalidTypeError(f"{family}{rank} is not a root system")
@@ -233,7 +242,26 @@ class RootDatum:
         return self.positive_roots + negatives
 
     def is_root(self, coeffs: Root) -> bool:
-        return tuple(coeffs) in self.root_set
+        return _root(self, coeffs) in self.root_set
+
+
+def as_point(datum: RootDatum, values: Iterable) -> Point:
+    """values as exact coordinates t_i = alpha_i(x), one per simple root."""
+    # text would be read character by character, sets and mappings in no fixed order
+    if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
+        raise ValidationError(f"a {type(values).__name__} is not a point")
+    point = tuple(map(_rational, values))
+    if len(point) != datum.rank:
+        raise DimensionMismatchError(f"expected {datum.rank} coordinates, got {len(point)}")
+    return point
+
+
+def _root(datum: RootDatum, coeffs: Iterable) -> Root:
+    """coeffs as integer coefficients, one per simple root; not checked to be a root."""
+    root = tuple([require_int(c, "root coefficients must be integers") for c in coeffs])
+    if len(root) != datum.rank:
+        raise DimensionMismatchError(f"expected {datum.rank} root coefficients, got {len(root)}")
+    return root
 
 
 def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) -> RootDatum:
@@ -283,16 +311,11 @@ def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) ->
 
 def eval_root(datum: RootDatum, root: Root, point) -> Fraction:
     """alpha(x) = sum of coefficients times coordinates t_i = alpha_i(x)."""
-    if len(root) != datum.rank or len(point) != datum.rank:
-        raise DimensionMismatchError(
-            f"expected vectors of length {datum.rank}, got {len(root)} and {len(point)}"
-        )
-    coeffs = [require_int(c, "root coefficients must be integers") for c in root]
-    return sum((c * _rational(t) for c, t in zip(coeffs, point)), Fraction(0))
+    return sum(map(mul, _root(datum, root), as_point(datum, point)), Fraction(0))
 
 
 def require_positive_root(datum: RootDatum, root: Root) -> Root:
-    root = tuple(root)
+    root = _root(datum, root)
     if root not in datum.positive_root_set:
         raise NotARootError(f"{root} is not a positive root of {datum.rstype}")
     return root

@@ -136,14 +136,6 @@ def _budget_option(fn):
     )(fn)
 
 
-def _parse_point(datum, text: str):
-    try:
-        values = [Fraction(token.strip()) for token in text.split(",")]
-    except (ValueError, ZeroDivisionError) as err:
-        raise ValidationError(f"cannot parse coordinates {text!r}: {err}") from err
-    return as_point(datum, values)
-
-
 def _check_q(q_eval: int | None) -> None:
     if q_eval is not None and q_eval < 2:
         raise ValidationError("--q-eval must be at least 2")
@@ -265,8 +257,8 @@ def ball(
 def distance(type_text: str, x_text: str, y_text: str, budget: int | None, fmt: str) -> None:
     """Wall-crossing and edge-path distances between two vertices."""
     datum = build_root_datum(parse_type(type_text))
-    x = _parse_point(datum, x_text)
-    y = _parse_point(datum, y_text)
+    x = as_point(datum, x_text.split(","))
+    y = as_point(datum, y_text.split(","))
     report = wall_distance(datum, x, y)
     depth = report.d + 8
     simplicial = simplicial_distance(datum, x, y, depth, candidate_budget=budget)

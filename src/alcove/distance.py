@@ -32,20 +32,19 @@ from typing import Iterator
 
 from .apartment import (
     DEFAULT_FOLD_LIMIT,
-    Point,
     VertexSet,
     _Budget,
     _fold,
-    _grid_coords,
     _make_vertex_set,
+    _not_a_vertex,
     _numerators,
     _tester,
     _vertex_scaled,
     _walk,
-    as_point,
+    scaled_coords,
 )
-from .cartan import Root, RootDatum, _inverse, require_positive_root
-from .errors import NotAVertexError, SearchBudgetError, _rational, require_int
+from .cartan import Point, Root, RootDatum, _inverse, as_point, require_positive_root
+from .errors import SearchBudgetError, _rational, require_int
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def _neighbor_offsets(
         _fold(datum, pts, N, DEFAULT_FOLD_LIMIT)
         corner = tuple(pts[0])
         if corner not in _tester(datum).corners:
-            raise NotAVertexError(f"{tuple(Fraction(v, N) for v in a)} is not a vertex")
+            raise _not_a_vertex(Fraction(v, N) for v in a)
         corner_key = tuple([v % N for v in corner])
         offsets = cache.get(corner_key)
         if offsets is None:
@@ -303,8 +302,7 @@ class _DistanceTable(Mapping):
         self._point = cache(lambda v: Fraction(v, scale))  # one Fraction per numerator
 
     def __getitem__(self, x) -> int:
-        a = _grid_coords(as_point(self._datum, x), self._datum.scale)
-        depth = self._depths.get(a)
+        depth = self._depths.get(scaled_coords(self._datum, x))
         if depth is None:
             raise KeyError(x)
         return depth

@@ -1,4 +1,4 @@
-"""Typed exceptions shared across the library, and the exact-argument checks.
+"""Typed exceptions shared across the library, and the int and rational checks.
 
 Two families matter to callers: ValidationError for bad arguments or
 domain-rule violations (CLI exit code 2), ResourceError for exceeded

@@ -22,8 +22,8 @@ from math import ceil
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .apartment import _numerators, _tester, as_point
-from .cartan import Root, RootDatum
+from .apartment import _numerators, _tester
+from .cartan import Root, RootDatum, _root, as_point
 from .errors import (
     DominationError,
     EmptySetError,
@@ -49,10 +49,10 @@ class ConcaveFunction:
 
 def make_function(datum: RootDatum, at_zero, values: Mapping[Root, object]) -> ConcaveFunction:
     """Build a candidate function, checking totality but not concavity."""
-    table = {tuple(r): _rational(v) for r, v in values.items()}
-    if table.keys() != datum.root_set:
-        raise ValidationError("function must be defined on every root of both signs")
-    return ConcaveFunction(at_zero=_rational(at_zero), values=table)
+    table = {_root(datum, r): _rational(v) for r, v in values.items()}
+    f = ConcaveFunction(at_zero=_rational(at_zero), values=table)
+    _require_total(datum, f)
+    return f
 
 
 def _require_total(datum: RootDatum, f: ConcaveFunction) -> None:

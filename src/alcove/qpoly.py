@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 NEG_INFINITY = float("-inf")
 
@@ -22,20 +22,12 @@ class QPolynomial:
 
     def __init__(self, terms=None):
         clean: dict[int, int] = {}
-        if terms:
-            for exponent, coefficient in dict(terms).items():
-                if not isinstance(exponent, int) or isinstance(exponent, bool):
-                    raise ValidationError(f"exponent {exponent!r} is not an integer")
-                if exponent < 0:
-                    raise ValidationError(f"negative exponent {exponent}")
-                if not isinstance(coefficient, int) or isinstance(coefficient, bool):
-                    raise ValidationError(
-                        f"coefficient {coefficient!r} is not an integer"
-                    )
-                if coefficient:
-                    clean[exponent] = clean.get(exponent, 0) + coefficient
-                    if not clean[exponent]:
-                        del clean[exponent]
+        for exponent, coefficient in dict(terms or ()).items():
+            require_int(exponent, f"exponent {exponent!r} is not an integer")
+            if exponent < 0:
+                raise ValidationError(f"negative exponent {exponent}")
+            if require_int(coefficient, f"coefficient {coefficient!r} is not an integer"):
+                clean[exponent] = coefficient
         object.__setattr__(self, "_terms", clean)
 
     @classmethod
@@ -67,20 +59,18 @@ class QPolynomial:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPolynomial):
-            return self._terms == other._terms
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self._terms == ({0: other} if other else {})
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "QPolynomial":
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = QPolynomial({0: other})
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         terms = dict(self._terms)
         for exponent, coefficient in other._terms.items():
             terms[exponent] = terms.get(exponent, 0) + coefficient
@@ -92,22 +82,18 @@ class QPolynomial:
         return QPolynomial({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "QPolynomial":
-        if isinstance(other, int) and not isinstance(other, bool):
-            other = QPolynomial({0: other})
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         return self + (-other)
 
     def __rsub__(self, other) -> "QPolynomial":
         return (-self) + other
 
     def __mul__(self, other) -> "QPolynomial":
-        if isinstance(other, int) and not isinstance(other, bool):
-            if not other:
-                return QPolynomial()
-            return QPolynomial({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
         terms: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -118,8 +104,7 @@ class QPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPolynomial":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValidationError("power must be a nonnegative integer")
+        require_int(n, "power must be a nonnegative integer", 0)
         result = QPolynomial.one()
         base = self
         while n:
@@ -149,8 +134,9 @@ class QPolynomial:
 
     @classmethod
     def from_serializable(cls, data) -> "QPolynomial":
+        """Inverse of to_serializable: int() reads strings, the constructor checks the rest."""
         try:
-            return cls({int(e): int(c) for e, c in data})
+            return cls(dict([int(v) if isinstance(v, str) else v for v in pair] for pair in data))
         except (TypeError, ValueError) as err:
             raise ValidationError(f"malformed polynomial data: {err}") from err
 
@@ -174,3 +160,12 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.render()})"
+
+
+def _coerce(other):
+    """other as a QPolynomial, an int as a constant; else NotImplemented."""
+    if isinstance(other, QPolynomial):
+        return other
+    if isinstance(other, int) and not isinstance(other, bool):
+        return QPolynomial({0: other})
+    return NotImplemented

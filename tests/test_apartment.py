@@ -34,7 +34,15 @@ from alcove import (
     scaled_coords,
     vertex_type,
 )
-from alcove.apartment import DEFAULT_FOLD_LIMIT, _fold, _maximal_denominators, _tester
+from alcove.apartment import (
+    DEFAULT_FOLD_LIMIT,
+    _Budget,
+    _corner_type,
+    _fold,
+    _maximal_denominators,
+    _tester,
+)
+from alcove.distance import _neighbor_offsets
 
 
 FAMILY_TYPES = ("A2", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2")
@@ -88,6 +96,15 @@ def test_as_point_validation(data):
     for unordered in ({2, 1}, frozenset({1, 2}), {"1": 0, "0": 0}, {0: 1, 1: 2}.keys()):
         with pytest.raises(ValidationError, match="is not a point"):
             as_point(a2, unordered)
+
+
+def test_non_vertex_message(data):
+    # B2 has scale 2: [3, 0] is (3/2, 0), which folds onto (1/2, 0)
+    b2 = data("B2")
+    with pytest.raises(NotAVertexError, match=r"^\(1/2, 0\) is not a vertex$"):
+        _corner_type(b2, [3, 0])
+    with pytest.raises(NotAVertexError, match=r"^\(1/2, 0\) is not a vertex$"):
+        _neighbor_offsets(b2, (1, 0), {}, _Budget(None))
 
 
 def test_as_point_keeps_fractions(data):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from alcove import (
+    DimensionMismatchError,
     InvalidTypeError,
     NotARootError,
     RootSystemType,
     build_root_datum,
     cartan_matrix,
     eval_root,
+    make_function,
     parse_type,
     positive_root_count,
     root_datum_to_dict,
@@ -35,6 +37,16 @@ def test_parse_type_roundtrip():
 def test_bad_type_rejected(bad):
     with pytest.raises(InvalidTypeError):
         parse_type(bad)
+
+
+@pytest.mark.parametrize(
+    "family, rank",
+    [("A", True), ("A", 2.0), ("A", "3"), ("AB", 2), ("BC", 2), ("", 2), (3, 2)],
+)
+def test_bad_type_fields_rejected(family, rank):
+    # "AB" in "ABCDEFG" is a substring test; True == 1 and 2.0 == 2
+    with pytest.raises(InvalidTypeError):
+        build_root_datum(RootSystemType(family, rank))
 
 
 def test_d3_alias_needs_flag():
@@ -293,6 +305,20 @@ def test_require_positive_root():
         require_positive_root(a2, (2, 0))
     with pytest.raises(NotARootError):
         require_positive_root(a2, (-1, 0))
+
+
+def test_root_length_checked():
+    # every root argument goes through one check of its length
+    a2 = build_root_datum(parse_type("A2"))
+    calls = [
+        lambda r: require_positive_root(a2, r),
+        a2.is_root,
+        lambda r: eval_root(a2, r, (0, 0)),
+        lambda r: make_function(a2, 0, {**dict.fromkeys(a2.all_roots(), 0), r: 0}),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match="^expected 2 root coefficients, got 3$"):
+            call((1, 0, 0))
 
 
 def test_cartan_inverse():

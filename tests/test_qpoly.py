@@ -94,6 +94,11 @@ def test_from_serializable_malformed():
         QPolynomial.from_serializable([["x", "1"]])
     with pytest.raises(ValidationError):
         QPolynomial.from_serializable([[1]])
+    # strings go through int(); anything else must already be an int
+    for bad in ([[1.5, "2"]], [[True, 2.9]], [[1, 2.0]], [[1, True]], [[2.0, 1]]):
+        with pytest.raises(ValidationError, match="^malformed polynomial data: "):
+            QPolynomial.from_serializable(bad)
+    assert QPolynomial.from_serializable([["2", "3"], [0, -1]]) == QPolynomial({2: 3, 0: -1})
 
 
 def test_int_mixing():

@@ -1,23 +1,30 @@
 """Exact arguments at the boundary: bools and floats are refused."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import alcove
 from alcove import (
     ConcaveFunction,
     ValidationError,
+    adjacent,
     alcove_vertex,
     apartment_ball,
     as_point,
     ball_sum,
     cind_sandwich,
+    enumerate_box_vertices,
     eval_root,
     filtration_contains,
     fold_pair,
     fold_to_alcove,
     in_scaled_alcove,
     integers_strictly_between,
+    is_special,
+    is_vertex,
+    iter_box_vertices,
     iter_scaled_alcove_vertices,
     iter_wall_ball_points,
     make_function,
@@ -28,9 +35,13 @@ from alcove import (
     pointwise_max,
     quotient_ball_sum,
     quotient_exponents,
+    scaled_coords,
     shift,
     simplicial_distance,
     simplicial_distances,
+    vertex_type,
+    wall_count,
+    wall_distance,
 )
 
 def _holding(f, v):
@@ -74,6 +85,12 @@ CALLS = {
     "as_point": lambda d, o, v: as_point(d, [v, 0]),
     "eval_root point": lambda d, o, v: eval_root(d, (1, 0), (v, 0)),
     "eval_root root": lambda d, o, v: eval_root(d, (v, 0), (1, 0)),
+    "wall_count alpha": lambda d, o, v: wall_count(d, o, (2, 0), (v, 0)),
+    # the comprehension keeps the bad key object; a dict update would keep the int key
+    "make_function key": lambda d, o, v: make_function(
+        d, 0, {((v, 0) if r == (1, 0) else r): 0 for r in d.all_roots()}
+    ),
+    "is_root": lambda d, o, v: d.is_root((v, 0)),
     "integers_strictly_between": lambda d, o, v: integers_strictly_between(v, 3),
     "alcove_vertex i": lambda d, o, v: alcove_vertex(d, v),
     "fold_to_alcove max_steps": lambda d, o, v: fold_to_alcove(d, o, max_steps=v),
@@ -95,6 +112,75 @@ def test_inexact_arguments_rejected(data, entry, value):
     a2 = data("A2")
     with pytest.raises(ValidationError):
         CALLS[entry](a2, origin(a2), value)
+
+
+# every public callable's point parameter, keyed "callable parameter"; each
+# call gets the A2 datum, its origin and the bad point p
+POINT_ARGUMENTS = {
+    "adjacent x": lambda d, o, p: adjacent(d, p, o),
+    "adjacent y": lambda d, o, p: adjacent(d, o, p),
+    "apartment_ball center": lambda d, o, p: apartment_ball(d, p, 1),
+    "as_point values": lambda d, o, p: as_point(d, p),
+    "enumerate_box_vertices lo": lambda d, o, p: enumerate_box_vertices(d, p, o),
+    "enumerate_box_vertices hi": lambda d, o, p: enumerate_box_vertices(d, o, p),
+    "eval_root point": lambda d, o, p: eval_root(d, (1, 0), p),
+    "filtration_contains x": lambda d, o, p: filtration_contains(d, p, 1, o, 0),
+    "filtration_contains y": lambda d, o, p: filtration_contains(d, o, 1, p, 0),
+    "fold_pair x": lambda d, o, p: fold_pair(d, p, o),
+    "fold_pair y": lambda d, o, p: fold_pair(d, o, p),
+    "fold_to_alcove x": lambda d, o, p: fold_to_alcove(d, p),
+    "in_scaled_alcove x": lambda d, o, p: in_scaled_alcove(d, 1, p),
+    "is_special x": lambda d, o, p: is_special(d, p),
+    "is_vertex x": lambda d, o, p: is_vertex(d, p),
+    "iter_box_vertices lo": lambda d, o, p: list(iter_box_vertices(d, p, o)),
+    "iter_box_vertices hi": lambda d, o, p: list(iter_box_vertices(d, o, p)),
+    "iter_wall_ball_points center": lambda d, o, p: list(iter_wall_ball_points(d, p, 1)),
+    "point_function x": lambda d, o, p: point_function(d, p),
+    "quotient_exponents x": lambda d, o, p: quotient_exponents(d, p),
+    "scaled_coords x": lambda d, o, p: scaled_coords(d, p),
+    "simplicial_distance x": lambda d, o, p: simplicial_distance(d, p, o, 1),
+    "simplicial_distance y": lambda d, o, p: simplicial_distance(d, o, p, 1),
+    "simplicial_distances source": lambda d, o, p: simplicial_distances(d, p, 1),
+    "vertex_type x": lambda d, o, p: vertex_type(d, p),
+    "wall_count x": lambda d, o, p: wall_count(d, p, o, (1, 0)),
+    "wall_count y": lambda d, o, p: wall_count(d, o, p, (1, 0)),
+    "wall_distance x": lambda d, o, p: wall_distance(d, p, o),
+    "wall_distance y": lambda d, o, p: wall_distance(d, o, p),
+}
+
+# public parameters with a point's name that hold something else: the
+# values of a concave function map roots to rationals
+NOT_POINTS = {"ConcaveFunction values", "make_function values"}
+
+POINT_NAMES = {"x", "y", "center", "source", "point", "lo", "hi", "values"}
+
+
+@pytest.mark.parametrize(
+    "bad", ["10", {1, 2}, {0: 1, 1: 2}], ids=["str", "set", "dict"]
+)
+@pytest.mark.parametrize("entry", sorted(POINT_ARGUMENTS))
+def test_point_arguments_refuse_unordered(data, entry, bad):
+    """A string would be read character by character, a set or mapping
+    in no fixed coordinate order."""
+    a2 = data("A2")
+    with pytest.raises(ValidationError):
+        POINT_ARGUMENTS[entry](a2, origin(a2), bad)
+
+
+def test_point_argument_table_complete():
+    """Every public parameter named like a point is in POINT_ARGUMENTS,
+    or in NOT_POINTS."""
+    named = set()
+    for name in alcove.__all__:
+        obj = getattr(alcove, name)
+        if not callable(obj):
+            continue
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # exception classes and type aliases
+            continue
+        named |= {f"{name} {p}" for p in parameters if p in POINT_NAMES}
+    assert named - NOT_POINTS - set(POINT_ARGUMENTS) == set()
 
 
 def test_exact_arguments_accepted(data):
