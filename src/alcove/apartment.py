@@ -159,7 +159,7 @@ class _VertexTester:
             ok = False
             if self.integral_count(key) in self.corner_counts:
                 p = list(key)
-                _fold(self.datum, [p], N, DEFAULT_FOLD_LIMIT)
+                _fold(self.datum, [p], N)
                 ok = tuple(p) in self.corners
             self.memo[key] = ok
         return ok
@@ -201,14 +201,16 @@ def is_special(datum: RootDatum, x) -> bool:
     return all(t.denominator == 1 for t in as_point(datum, x))
 
 
-def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> None:
-    """Fold pts[0] into the closed alcove in place, dragging the rest along.
+def _fold(datum: RootDatum, pts: list[list[int]], N: int) -> int:
+    """Fold pts[0] into the closed alcove in place, dragging the rest
+    along; returns the number of reflections applied.
 
     Points are integer numerators over the common denominator N.  The
     representative is unique, so the coroot-lattice pre-translation
-    below only shortens the reflection walk; the walk itself applies
-    the lowest-index violated wall first (simple walls in order, then
-    the affine wall of the highest root).
+    below only shortens the reflection walk, to a length bounded by the
+    type; the walk applies the lowest-index violated wall first (simple
+    walls in order, then the affine wall of the highest root), and past
+    DEFAULT_FOLD_LIMIT reflections raises FoldLimitError.
     """
     d = datum.rank
     cartan = datum.cartan
@@ -239,41 +241,36 @@ def _fold(datum: RootDatum, pts: list[list[int]], N: int, max_steps: int) -> Non
                     p[j] -= pi * c
         else:
             if sum(map(mul, marks, t)) <= N:
-                break
+                return steps
             for p in pts:
                 g = sum(map(mul, marks, p)) - N
                 for j, c in reflections[d]:
                     p[j] -= g * c
         steps += 1
-        if steps > max_steps:
-            raise FoldLimitError(f"folding exceeded {max_steps} reflections")
+        if steps > DEFAULT_FOLD_LIMIT:
+            raise FoldLimitError(f"folding exceeded {DEFAULT_FOLD_LIMIT} reflections")
 
 
-def _folded_points(
-    datum: RootDatum, points: tuple[Point, ...], max_steps: int
-) -> tuple[Point, ...]:
-    require_int(max_steps, "fold limit must be a nonnegative integer", 0)
+def _folded_points(datum: RootDatum, points: tuple[Point, ...]) -> tuple[Point, ...]:
     pts, N = _numerators(points)
-    _fold(datum, pts, N, max_steps)
+    _fold(datum, pts, N)
     return tuple(tuple(Fraction(v, N) for v in p) for p in pts)
 
 
-def fold_to_alcove(datum: RootDatum, x, *, max_steps: int = DEFAULT_FOLD_LIMIT) -> Point:
+def fold_to_alcove(datum: RootDatum, x) -> Point:
     """Unique representative of x in the closed fundamental alcove."""
-    return _folded_points(datum, (as_point(datum, x),), max_steps)[0]
+    return _folded_points(datum, (as_point(datum, x),))[0]
 
 
-def fold_pair(
-    datum: RootDatum, x, y, *, max_steps: int = DEFAULT_FOLD_LIMIT
-) -> tuple[Point, Point]:
+def fold_pair(datum: RootDatum, x, y) -> tuple[Point, Point]:
     """Fold x into the alcove and move y by the same isometry."""
-    return _folded_points(datum, (as_point(datum, x), as_point(datum, y)), max_steps)
+    return _folded_points(datum, (as_point(datum, x), as_point(datum, y)))
 
 
 def _corner_type(datum: RootDatum, a: list[int]) -> int:
     """Index of the alcove corner that a / scale folds onto; folds a in place."""
     N = datum.scale
-    _fold(datum, [a], N, DEFAULT_FOLD_LIMIT)
+    _fold(datum, [a], N)
     i = _tester(datum).corners.get(tuple(a))
     if i is None:
         raise _not_a_vertex(Fraction(v, N) for v in a)

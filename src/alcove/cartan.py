@@ -52,12 +52,9 @@ class RootSystemType:
         return f"{self.family}{self.rank}"
 
 
-def validate_type(rstype: RootSystemType, *, allow_d3_alias: bool = False) -> None:
-    """Raise InvalidTypeError unless the family/rank pair names a system.
-
-    D3 is rejected by default; it duplicates A3 under relabeling and is
-    admitted only when ``allow_d3_alias`` is set.
-    """
+def validate_type(rstype: RootSystemType) -> None:
+    """Raise InvalidTypeError unless the family/rank pair names a system;
+    D3 is refused, as it duplicates A3 under relabeling."""
     family, rank = rstype.family, rstype.rank
     if family not in FAMILIES:
         raise InvalidTypeError(f"unknown family {family!r}")
@@ -70,8 +67,6 @@ def validate_type(rstype: RootSystemType, *, allow_d3_alias: bool = False) -> No
             raise InvalidTypeError(f"{family}{rank} is not a root system")
         return
     minimum = _MIN_RANK[family]
-    if family == "D" and rank == 3 and allow_d3_alias:
-        return
     if rank < minimum:
         raise InvalidTypeError(
             f"{family}{rank} is not supported (family {family} needs rank >= {minimum})"
@@ -250,7 +245,10 @@ def as_point(datum: RootDatum, values: Iterable) -> Point:
     # text would be read character by character, sets and mappings in no fixed order
     if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
         raise ValidationError(f"a {type(values).__name__} is not a point")
-    point = tuple(map(_rational, values))
+    try:
+        point = tuple(map(_rational, values))
+    except TypeError:  # not iterable
+        raise ValidationError(f"a {type(values).__name__} is not a point") from None
     if len(point) != datum.rank:
         raise DimensionMismatchError(f"expected {datum.rank} coordinates, got {len(point)}")
     return point
@@ -258,19 +256,22 @@ def as_point(datum: RootDatum, values: Iterable) -> Point:
 
 def _root(datum: RootDatum, coeffs: Iterable) -> Root:
     """coeffs as integer coefficients, one per simple root; not checked to be a root."""
-    root = tuple([require_int(c, "root coefficients must be integers") for c in coeffs])
+    try:
+        root = tuple([require_int(c, "root coefficients must be integers") for c in coeffs])
+    except TypeError:  # not iterable
+        raise ValidationError(f"a {type(coeffs).__name__} is not a root") from None
     if len(root) != datum.rank:
         raise DimensionMismatchError(f"expected {datum.rank} root coefficients, got {len(root)}")
     return root
 
 
-def build_root_datum(rstype: RootSystemType, *, allow_d3_alias: bool = False) -> RootDatum:
+def build_root_datum(rstype: RootSystemType) -> RootDatum:
     """Generate the full datum for one type; raises InvalidTypeError first."""
-    validate_type(rstype, allow_d3_alias=allow_d3_alias)
+    validate_type(rstype)
     cartan = cartan_matrix(rstype)
     d = rstype.rank
     positives = _generate_positive_roots(cartan)
-    expected = positive_root_count(rstype)  # d(d - 1) = 6 also holds for the D3 alias
+    expected = positive_root_count(rstype)
     if len(positives) != expected:
         raise AssertionError(
             f"closure produced {len(positives)} positive roots for {rstype}, expected {expected}"

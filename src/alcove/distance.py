@@ -31,7 +31,6 @@ from operator import add, mul, sub
 from typing import Iterator
 
 from .apartment import (
-    DEFAULT_FOLD_LIMIT,
     VertexSet,
     _Budget,
     _fold,
@@ -198,7 +197,7 @@ def _neighbor_offsets(
     if offsets is None:
         d = datum.rank
         pts = [list(a)] + [[v + (j == k) for j, v in enumerate(a)] for k in range(d)]
-        _fold(datum, pts, N, DEFAULT_FOLD_LIMIT)
+        _fold(datum, pts, N)
         corner = tuple(pts[0])
         if corner not in _tester(datum).corners:
             raise _not_a_vertex(Fraction(v, N) for v in a)

@@ -135,6 +135,10 @@ def parabolic_shift(datum: RootDatum, levi: Iterable[int]) -> int:
     depth shift picked up under parabolic induction from it.
     """
     chosen: set[int] = set()
+    try:
+        levi = iter(levi)
+    except TypeError:
+        raise ValidationError(f"a {type(levi).__name__} is not a list of indices") from None
     for index in levi:
         require_int(index, f"index {index!r} is not an integer")
         if not 1 <= index <= datum.rank:
@@ -142,11 +146,9 @@ def parabolic_shift(datum: RootDatum, levi: Iterable[int]) -> int:
                 f"index {index} out of range 1..{datum.rank}"
             )
         chosen.add(index - 1)
-    count = 0
-    for root in datum.positive_roots:
-        if any(c and j not in chosen for j, c in enumerate(root)):
-            count += 1
-    return count
+    return sum(
+        any(c and j not in chosen for j, c in enumerate(root)) for root in datum.positive_roots
+    )
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,8 @@ class ConcaveFunction:
 
 def make_function(datum: RootDatum, at_zero, values: Mapping[Root, object]) -> ConcaveFunction:
     """Build a candidate function, checking totality but not concavity."""
+    if not isinstance(values, Mapping):
+        raise ValidationError(f"a {type(values).__name__} is not a mapping of roots to values")
     table = {_root(datum, r): _rational(v) for r, v in values.items()}
     f = ConcaveFunction(at_zero=_rational(at_zero), values=table)
     _require_total(datum, f)

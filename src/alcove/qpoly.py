@@ -22,7 +22,11 @@ class QPolynomial:
 
     def __init__(self, terms=None):
         clean: dict[int, int] = {}
-        for exponent, coefficient in dict(terms or ()).items():
+        try:
+            terms = dict(terms or ())
+        except (TypeError, ValueError):
+            raise ValidationError(f"a {type(terms).__name__} is not a mapping of terms") from None
+        for exponent, coefficient in terms.items():
             require_int(exponent, f"exponent {exponent!r} is not an integer")
             if exponent < 0:
                 raise ValidationError(f"negative exponent {exponent}")
@@ -134,9 +138,16 @@ class QPolynomial:
 
     @classmethod
     def from_serializable(cls, data) -> "QPolynomial":
-        """Inverse of to_serializable: int() reads strings, the constructor checks the rest."""
+        """Inverse of to_serializable: int() reads strings, the constructor
+        checks the rest; an exponent given twice is refused."""
         try:
-            return cls(dict([int(v) if isinstance(v, str) else v for v in pair] for pair in data))
+            terms = {}
+            for pair in data:
+                exponent, coefficient = [int(v) if isinstance(v, str) else v for v in pair]
+                if exponent in terms:
+                    raise ValueError(f"repeated exponent {exponent}")
+                terms[exponent] = coefficient
+            return cls(terms)
         except (TypeError, ValueError) as err:
             raise ValidationError(f"malformed polynomial data: {err}") from err
 

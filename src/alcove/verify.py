@@ -35,22 +35,7 @@ from .moyprasad import (
     shift,
 )
 
-SUITE_NAMES = (
-    "metric",
-    "polytope",
-    "table",
-    "growth",
-    "sandwich",
-    "concavity",
-    "g2-gap",
-)
-
-
-def _point_str(point) -> list[str]:
-    return [str(t) for t in point]
-
-
-def verify_metric(seed: int = 0, budget: int | None = None) -> tuple[bool, dict]:
+def verify_metric(seed: int, budget: int | None) -> tuple[bool, dict]:
     """Wall metric axioms on sampled vertex triples."""
     rng = random.Random(seed)
     passed = True
@@ -106,7 +91,7 @@ def _grid_vertex_oracle(datum, r: int) -> set:
     return found
 
 
-def verify_polytope(budget: int | None = None) -> tuple[bool, dict]:
+def verify_polytope(budget: int | None) -> tuple[bool, dict]:
     """Dilated-alcove vertex enumeration against a full-grid scan."""
     passed = True
     cases = []
@@ -146,8 +131,9 @@ def _expected_growth(rstype: RootSystemType) -> Fraction:
     return Fraction(10, 3)
 
 
-def verify_table(max_classical_rank: int = 12) -> tuple[bool, dict]:
+def verify_table() -> tuple[bool, dict]:
     """Growth exponent table against the closed-form family formulas."""
+    max_classical_rank = 12
     table = theorem_table(max_classical_rank)
     passed = True
     mismatches = []
@@ -169,7 +155,7 @@ def verify_table(max_classical_rank: int = 12) -> tuple[bool, dict]:
     }
 
 
-def verify_growth(budget: int | None = None) -> tuple[bool, dict]:
+def verify_growth(budget: int | None) -> tuple[bool, dict]:
     """Ball census bounds: degree window, factorization, type counts."""
     passed = True
     cases = []
@@ -200,7 +186,7 @@ def verify_growth(budget: int | None = None) -> tuple[bool, dict]:
     return passed, {"cases": cases}
 
 
-def verify_sandwich(budget: int | None = None) -> tuple[bool, dict]:
+def verify_sandwich(budget: int | None) -> tuple[bool, dict]:
     """Two-sided bound reports: radius arithmetic and numeric ordering."""
     passed = True
     cases = []
@@ -227,7 +213,7 @@ def verify_sandwich(budget: int | None = None) -> tuple[bool, dict]:
     return passed, {"cases": cases}
 
 
-def verify_concavity(seed: int = 0) -> tuple[bool, dict]:
+def verify_concavity(seed: int) -> tuple[bool, dict]:
     """Closure of concavity under the function calculus."""
     rng = random.Random(seed)
     passed = True
@@ -261,7 +247,7 @@ def verify_concavity(seed: int = 0) -> tuple[bool, dict]:
     return passed, {"cases": cases}
 
 
-def verify_g2_gap(budget: int | None = None) -> tuple[bool, dict]:
+def verify_g2_gap(budget: int | None) -> tuple[bool, dict]:
     """Wall vs simplicial metric: equality spot check and the gap witness."""
     passed = True
     a2 = build_root_datum(parse_type("A2"))
@@ -291,8 +277,8 @@ def verify_g2_gap(budget: int | None = None) -> tuple[bool, dict]:
                 monotone_ok = False
             if simp > wall and witness is None:
                 witness = {
-                    "x": _point_str(x),
-                    "y": _point_str(y),
+                    "x": [str(t) for t in x],
+                    "y": [str(t) for t in y],
                     "wall": wall,
                     "simplicial": simp,
                 }
@@ -309,26 +295,25 @@ def verify_g2_gap(budget: int | None = None) -> tuple[bool, dict]:
     }
 
 
-def run_suites(
-    names, *, seed: int = 0, budget: int | None = None
-) -> tuple[bool, dict]:
+# every suite by name, in canonical order, as a callable of (seed, budget)
+SUITES = {
+    "metric": verify_metric,
+    "polytope": lambda seed, budget: verify_polytope(budget),
+    "table": lambda seed, budget: verify_table(),
+    "growth": lambda seed, budget: verify_growth(budget),
+    "sandwich": lambda seed, budget: verify_sandwich(budget),
+    "concavity": lambda seed, budget: verify_concavity(seed),
+    "g2-gap": lambda seed, budget: verify_g2_gap(budget),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
+def run_suites(names, *, seed: int, budget: int | None) -> tuple[bool, dict]:
     """Run the named suites in canonical order; (all passed, results)."""
-    chosen = list(names) if names else list(SUITE_NAMES)
-    runners = {
-        "metric": lambda: verify_metric(seed=seed, budget=budget),
-        "polytope": lambda: verify_polytope(budget=budget),
-        "table": lambda: verify_table(),
-        "growth": lambda: verify_growth(budget=budget),
-        "sandwich": lambda: verify_sandwich(budget=budget),
-        "concavity": lambda: verify_concavity(seed=seed),
-        "g2-gap": lambda: verify_g2_gap(budget=budget),
-    }
+    chosen = set(names) if names else SUITES
     results = {}
-    all_passed = True
-    for name in SUITE_NAMES:
-        if name not in chosen:
-            continue
-        passed, payload = runners[name]()
-        results[name] = {"passed": passed, **payload}
-        all_passed = all_passed and passed
-    return all_passed, results
+    for name, suite in SUITES.items():
+        if name in chosen:
+            passed, payload = suite(seed, budget)
+            results[name] = {"passed": passed, **payload}
+    return all(r["passed"] for r in results.values()), results

@@ -34,12 +34,13 @@ from alcove import (
     scaled_coords,
     vertex_type,
 )
+from alcove import apartment, theorem_table
 from alcove.apartment import (
-    DEFAULT_FOLD_LIMIT,
     _Budget,
     _corner_type,
     _fold,
     _maximal_denominators,
+    _numerators,
     _tester,
 )
 from alcove.distance import _neighbor_offsets
@@ -255,7 +256,7 @@ def test_integral_count_prefilter_is_sound(data, rank_is_vertex, name):
         count = tester.integral_count(a)
         assert count == _integral_roots(datum, [Fraction(v, scale) for v in a])
         folded = list(a)
-        _fold(datum, [folded], scale, DEFAULT_FOLD_LIMIT)
+        _fold(datum, [folded], scale)
         assert tester.integral_count(folded) == count
         assert tester.integral_count([v + scale * rng.randint(-3, 3) for v in a]) == count
         if rank_is_vertex(datum, a):
@@ -483,7 +484,7 @@ def _random_rational_point(rng, d, denominators=(1, 2, 3, 5, 7, 11)):
 
 
 @pytest.mark.parametrize("name", FAMILY_TYPES)
-def test_fold_matches_reference(data, name):
+def test_fold_matches_reference(data, name, monkeypatch):
     datum = data(name)
     rng = random.Random(f"fold {name}")
     for k in range(40):
@@ -494,10 +495,31 @@ def test_fold_matches_reference(data, name):
         y = _random_rational_point(rng, datum.rank)
         (fx, fy), steps = _reference_fold(datum, x, (y,))
         assert fold_pair(datum, x, y) == (fx, fy)
-        assert fold_to_alcove(datum, x, max_steps=steps) == fx
+        pts, N = _numerators((x,))
+        assert _fold(datum, pts, N) == steps
         if steps:
-            with pytest.raises(FoldLimitError):
-                fold_to_alcove(datum, x, max_steps=steps - 1)
+            with monkeypatch.context() as m:
+                m.setattr(apartment, "DEFAULT_FOLD_LIMIT", steps)
+                assert fold_to_alcove(datum, x) == fx
+                m.setattr(apartment, "DEFAULT_FOLD_LIMIT", steps - 1)
+                with pytest.raises(FoldLimitError):
+                    fold_to_alcove(datum, x)
+
+
+def test_fold_walk_bounded(data):
+    # after the coroot pre-translation a fold's walk is bounded by a
+    # constant of the type, however far out the point lies
+    rng = random.Random("fold walk")
+    for row in theorem_table(8).rows:
+        datum = data(str(row.rstype))
+        bound = 2 * len(datum.positive_roots) + 2
+        for _ in range(40):
+            x = tuple(
+                Fraction(rng.randint(-(10**40), 10**40), rng.choice((1, 2, 3, 7)))
+                for _ in range(datum.rank)
+            )
+            pts, N = _numerators((x,))
+            assert _fold(datum, pts, N) <= bound, (row.rstype, x)
 
 
 def _affine_weyl_image(datum, rng, point, moves):

@@ -49,15 +49,14 @@ def test_bad_type_fields_rejected(family, rank):
         build_root_datum(RootSystemType(family, rank))
 
 
-def test_d3_alias_needs_flag():
+def test_d3_refused():
+    # D3 is A3 under relabeling; no keyword admits it
     rstype = RootSystemType("D", 3)
-    with pytest.raises(InvalidTypeError):
-        validate_type(rstype)
-    validate_type(rstype, allow_d3_alias=True)
-    datum = build_root_datum(rstype, allow_d3_alias=True)
-    # D3 = A3 in disguise: 6 positive roots, simply laced
-    assert len(datum.positive_roots) == 6
-    assert all(n == 2 for n in datum.simple_norms)
+    for check in (validate_type, build_root_datum):
+        with pytest.raises(InvalidTypeError):
+            check(rstype)
+        with pytest.raises(TypeError):
+            check(rstype, allow_d3_alias=True)
 
 
 def test_cartan_matrices_frozen():

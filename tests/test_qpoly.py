@@ -99,6 +99,17 @@ def test_from_serializable_malformed():
         with pytest.raises(ValidationError, match="^malformed polynomial data: "):
             QPolynomial.from_serializable(bad)
     assert QPolynomial.from_serializable([["2", "3"], [0, -1]]) == QPolynomial({2: 3, 0: -1})
+    # two spellings of one exponent are refused, not collapsed
+    message = "^malformed polynomial data: repeated exponent 1$"
+    for bad in ([[1, "2"], ["1", "3"]], [[1, "2"], [0, "1"], [1, "2"]]):
+        with pytest.raises(ValidationError, match=message):
+            QPolynomial.from_serializable(bad)
+
+
+@pytest.mark.parametrize("bad", [5, "10", [1, 2]], ids=["int", "str", "flat list"])
+def test_constructor_refuses_non_mapping(bad):
+    with pytest.raises(ValidationError):
+        QPolynomial(bad)
 
 
 def test_int_mixing():

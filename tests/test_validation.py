@@ -31,6 +31,7 @@ from alcove import (
     max_two_rho,
     optimize,
     origin,
+    parabolic_shift,
     point_function,
     pointwise_max,
     quotient_ball_sum,
@@ -93,8 +94,6 @@ CALLS = {
     "is_root": lambda d, o, v: d.is_root((v, 0)),
     "integers_strictly_between": lambda d, o, v: integers_strictly_between(v, 3),
     "alcove_vertex i": lambda d, o, v: alcove_vertex(d, v),
-    "fold_to_alcove max_steps": lambda d, o, v: fold_to_alcove(d, o, max_steps=v),
-    "fold_pair max_steps": lambda d, o, v: fold_pair(d, o, o, max_steps=v),
     "in_scaled_alcove r": lambda d, o, v: in_scaled_alcove(d, v, o),
     "shift r": lambda d, o, v: shift(point_function(d, o), v),
     "make_function at_zero": lambda d, o, v: make_function(d, v, dict.fromkeys(d.all_roots(), 0)),
@@ -156,31 +155,85 @@ POINT_NAMES = {"x", "y", "center", "source", "point", "lo", "hi", "values"}
 
 
 @pytest.mark.parametrize(
-    "bad", ["10", {1, 2}, {0: 1, 1: 2}], ids=["str", "set", "dict"]
+    "bad", ["10", {1, 2}, {0: 1, 1: 2}, 5, None], ids=["str", "set", "dict", "int", "None"]
 )
 @pytest.mark.parametrize("entry", sorted(POINT_ARGUMENTS))
 def test_point_arguments_refuse_unordered(data, entry, bad):
     """A string would be read character by character, a set or mapping
-    in no fixed coordinate order."""
+    in no fixed coordinate order; a number or None has no coordinates."""
     a2 = data("A2")
     with pytest.raises(ValidationError):
         POINT_ARGUMENTS[entry](a2, origin(a2), bad)
 
 
-def test_point_argument_table_complete():
-    """Every public parameter named like a point is in POINT_ARGUMENTS,
-    or in NOT_POINTS."""
-    named = set()
+def _public_parameters():
+    """("callable parameter", parameter) for every public callable."""
     for name in alcove.__all__:
         obj = getattr(alcove, name)
         if not callable(obj):
             continue
         try:
-            parameters = inspect.signature(obj).parameters
+            parameters = inspect.signature(obj).parameters.values()
         except (TypeError, ValueError):  # exception classes and type aliases
             continue
-        named |= {f"{name} {p}" for p in parameters if p in POINT_NAMES}
+        for p in parameters:
+            yield f"{name} {p.name}", p
+
+
+def test_point_argument_table_complete():
+    """Every public parameter named like a point is in POINT_ARGUMENTS,
+    or in NOT_POINTS."""
+    named = {key for key, p in _public_parameters() if p.name in POINT_NAMES}
     assert named - NOT_POINTS - set(POINT_ARGUMENTS) == set()
+
+
+# every public callable's root, index-list or mapping parameter, keyed
+# "callable parameter"; each call gets the A2 datum and the bad value v
+CONTAINER_ARGUMENTS = {
+    "eval_root root": lambda d, v: eval_root(d, v, (1, 0)),
+    "wall_count alpha": lambda d, v: wall_count(d, origin(d), (2, 0), v),
+    "is_root": lambda d, v: d.is_root(v),
+    "make_function values": lambda d, v: make_function(d, 0, v),
+    "parabolic_shift levi": lambda d, v: parabolic_shift(d, v),
+}
+
+
+@pytest.mark.parametrize("bad", ["10", 5, None], ids=["str", "int", "None"])
+@pytest.mark.parametrize("entry", sorted(CONTAINER_ARGUMENTS))
+def test_container_arguments_refuse_non_containers(data, entry, bad):
+    """A number or None is no container; a string holds no integers and
+    is no mapping."""
+    with pytest.raises(ValidationError):
+        CONTAINER_ARGUMENTS[entry](data("A2"), bad)
+
+
+# every public parameter with a default, keyed "callable parameter", and who
+# sets it outside the tests.  The enumeration-budget contract: every entry
+# that enumerates vertices takes a budget bounding its work (exit 3 past it).
+OPTIONS = {
+    "QPolynomial terms": "the library: QPolynomial() is the zero polynomial",
+    "apartment_ball budget": "the enumeration-budget contract",
+    "ball_sum budget": "CLI ball --budget",
+    "cind_sandwich budget": "CLI sandwich --budget",
+    "enumerate_box_vertices budget": "the enumeration-budget contract",
+    "enumerate_scaled_alcove_vertices budget": "the enumeration-budget contract",
+    "iter_box_vertices budget": "the enumeration-budget contract",
+    "iter_scaled_alcove_vertices budget": "CLI verify --budget; census and pairs workloads",
+    "iter_wall_ball_points budget": "CLI verify --budget",
+    "max_two_rho budget": "the enumeration-budget contract",
+    "quotient_ball_sum budget": "the enumeration-budget contract",
+    "quotient_exponents r_prime": "pairs workload",
+    "simplicial_distance candidate_budget": "CLI distance --budget; search workload",
+    "simplicial_distances candidate_budget": "search workload",
+    "theorem_table max_classical_rank": "CLI table --max-rank",
+}
+
+
+def test_public_options_listed():
+    """Every public parameter with a default is in OPTIONS: a value only
+    the tests set is no option."""
+    defaulted = {key for key, p in _public_parameters() if p.default is not p.empty}
+    assert defaulted == set(OPTIONS)
 
 
 def test_exact_arguments_accepted(data):
@@ -203,7 +256,6 @@ def test_messages_kept(data):
         (lambda: filtration_contains(a2, o, 1.5, o, 0), "levels must be integers"),
         (lambda: shift(point_function(a2, o), 0.1), "not an exact rational number: 0.1 is a float"),
         (lambda: as_point(a2, [0.1, 0]), "not an exact rational number: 0.1 is a float"),
-        (lambda: fold_to_alcove(a2, o, max_steps=None), "fold limit must be a nonnegative integer"),
         (lambda: apartment_ball(data("B2"), (Fraction(1, 2), 0), 1), r"\(1/2, 0\) is not a vertex"),
     ]
     for call, message in cases:
