@@ -4,15 +4,19 @@ A point is the tuple of exact rationals t_i = alpha_i(x).  The closed
 fundamental alcove is t_i >= 0 with alpha_0(x) <= 1 for the highest
 root alpha_0; its corners are the origin and omega_i / c_i where c_i
 are the marks.  The closed alcove is a fundamental domain for the
-affine Weyl group, so a point is a vertex of the simplicial structure
-iff it folds onto a corner; every vertex of type i sits on the
-(1/c_i)-grid, which is what the enumerators exploit.  Integer shifts of
-the coordinates (coweight translations) map vertices to vertices, so
-the fold decides vertex-ness once per residue class modulo the scale.
+affine Weyl group, so a point is a vertex of type i of the simplicial
+structure iff it folds onto corner i; every vertex of type i sits on
+the (1/c_i)-grid, which is what the enumerators exploit.  Integer
+shifts of the coordinates (coweight translations) map vertices to
+vertices and permute their types by the shift's class in P^v/Q^v, so
+one fold per residue class modulo the scale gives the type of every
+vertex in the class, and one more per (class, type) gives the shift.
 The affine Weyl group and those shifts keep the number of positive
 roots integral at a point, so only a residue with a corner's count is
-folded.  Root values come from a height chain: past the simple roots,
-each positive root is an earlier one plus a simple root, one add each.
+folded; the count is read off 16-bit lanes that pack every root's
+value.  Elsewhere root values come from a height chain: past the simple
+roots, each positive root is an earlier one plus a simple root, one
+add each.
 
 Inside the library a point is an integer tuple of numerators over one
 common denominator: datum.scale (the lcm of the marks) for vertices,
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -101,14 +105,22 @@ def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
 
 
 class _VertexTester:
-    """The vertex test of one datum: a point on the (1/scale)-grid is a
-    vertex iff it folds onto an alcove corner, memoized by the residue
-    of its coordinates modulo the scale.  A residue whose integral-root
-    count is no corner's is memoized False unfolded; the fold decides
-    every other one.  Also holds the corners mapped to their indices;
-    the height chain (each simple root's coordinate, then for each
-    later root an earlier root's index and the simple root it adds);
-    the inverse Cartan matrix as integer rows over the lcm of its
+    """The vertex test and vertex type of one datum.
+
+    The memo maps a residue key (the coordinates modulo the scale) to
+    the index of the corner key / scale folds onto, or None; a residue
+    whose integral-root count is no corner's is memoized None unfolded.
+    A point a / scale is key / scale translated by the coweight
+    lam = a // scale, whose class in P^v/Q^v (inverse_rows . lam mod
+    inverse_denom) permutes the types as it acts on the extended
+    diagram.  Each (class, type) shift is one fold of the shifted
+    corner; all are trivial when inverse_denom is 1 (E8, F4, G2).
+
+    Also holds the corners mapped to their indices; the height chain
+    (each simple root's coordinate, then for each later root an earlier
+    root's index and the simple root it adds); each simple root's
+    coefficients over the positive roots packed into 16-bit lanes; the
+    inverse Cartan matrix as integer rows over the lcm of its
     denominators; and each wall's reflection as the sparse column of
     (coordinate, coefficient) pairs it changes, simple walls first."""
 
@@ -126,12 +138,18 @@ class _VertexTester:
             )
             for root in pos[d:]
         ]
+        # a lane holds alpha(b) for b in [0, scale)^d, at most height * (scale - 1)
+        assert sum(datum.highest_root_coeffs) * (N - 1) < 1 << 16
+        self.lanes = [sum(root[j] << 16 * k for k, root in enumerate(pos)) for j in range(d)]
+        self.residue_tables: dict[int, tuple[bytes, bytes]] = {}
         self.corners = {(0,) * d: 0} | {
             tuple(N // c if j == i else 0 for j in range(d)): i + 1
             for i, c in enumerate(datum.highest_root_coeffs)
         }
+        self.corner_points = list(self.corners)
         self.corner_counts = {self.integral_count(c) for c in self.corners}
-        self.memo: dict[tuple[int, ...], bool] = {}
+        self.memo: dict[tuple[int, ...], int | None] = {}
+        self.shifts: dict[tuple[tuple[int, ...], int], int] = {}
         self.inverse_rows, self.inverse_denom = _numerators(datum.cartan_inverse)
         cartan = datum.cartan
         self.reflections = [
@@ -146,23 +164,67 @@ class _VertexTester:
         return v
 
     def integral_count(self, a) -> int:
-        """Positive roots taking integer values at a / scale."""
-        N = self.datum.scale
-        return [v % N for v in self.root_values(a)].count(0)
+        """Positive roots taking integer values at a / scale.
 
-    def scaled(self, a: tuple[int, ...]) -> bool:
-        """Whether a / scale is a vertex."""
+        With key = a mod scale, g = gcd(scale, key) and c = scale / g,
+        alpha(a / scale) is an integer iff alpha(key / g) = 0 mod c.  The
+        packed lanes hold those values, each below 2^16; a lane lo + 256 hi
+        is 0 mod c iff lo = -256 hi mod c, so its two bytes map through
+        one table each and the count is that of the zero bytes of their xor.
+        """
         N = self.datum.scale
-        key = tuple([v % N for v in a])
-        ok = self.memo.get(key)
-        if ok is None:
-            ok = False
+        key = [v % N for v in a]
+        g = gcd(N, *key)
+        c = N // g
+        tables = self.residue_tables.get(c)
+        if tables is None:
+            tables = self.residue_tables[c] = (
+                bytes([x % c for x in range(256)]),
+                bytes([-256 * x % c for x in range(256)]),
+            )
+        m = len(self.datum.positive_roots)
+        packed = sum(map(mul, [v // g for v in key], self.lanes))
+        raw = packed.to_bytes(2 * m, "little")
+        low = int.from_bytes(raw[::2].translate(tables[0]), "little")
+        high = int.from_bytes(raw[1::2].translate(tables[1]), "little")
+        return (low ^ high).to_bytes(m, "little").count(0)
+
+    def residue_type(self, key: tuple[int, ...]) -> int | None:
+        """Type of the vertex key / scale for a residue key in [0, scale)^d,
+        or None when it is no vertex."""
+        i = self.memo.get(key, -1)
+        if i == -1:
+            i = None
             if self.integral_count(key) in self.corner_counts:
                 p = list(key)
-                _fold(self.datum, [p], N)
-                ok = tuple(p) in self.corners
-            self.memo[key] = ok
-        return ok
+                _fold(self.datum, [p], self.datum.scale)
+                i = self.corners.get(tuple(p))
+            self.memo[key] = i
+        return i
+
+    def scaled(self, a) -> bool:
+        """Whether a / scale is a vertex."""
+        N = self.datum.scale
+        return self.residue_type(tuple([v % N for v in a])) is not None
+
+    def type_of(self, a) -> int | None:
+        """Type of the vertex a / scale, or None when it is no vertex: the
+        memo's type of its residue, shifted by the class of a // scale."""
+        N = self.datum.scale
+        i = self.residue_type(tuple([v % N for v in a]))
+        D = self.inverse_denom
+        if i is None or D == 1:
+            return i
+        lam = [v // N for v in a]
+        cls = tuple([sum(map(mul, row, lam)) % D for row in self.inverse_rows])
+        if not any(cls):
+            return i
+        j = self.shifts.get((cls, i))
+        if j is None:
+            p = [v + N * s for v, s in zip(self.corner_points[i], lam)]
+            _fold(self.datum, [p], N)
+            j = self.shifts[cls, i] = self.corners[tuple(p)]
+        return j
 
 
 def _tester(datum: RootDatum) -> _VertexTester:
@@ -267,19 +329,20 @@ def fold_pair(datum: RootDatum, x, y) -> tuple[Point, Point]:
     return _folded_points(datum, (as_point(datum, x), as_point(datum, y)))
 
 
-def _corner_type(datum: RootDatum, a: list[int]) -> int:
-    """Index of the alcove corner that a / scale folds onto; folds a in place."""
-    N = datum.scale
-    _fold(datum, [a], N)
-    i = _tester(datum).corners.get(tuple(a))
+def _corner_type(datum: RootDatum, a) -> int:
+    """Index of the alcove corner that a / scale folds onto, from the
+    tester's memo; NotAVertexError, naming a's fold, when it is none."""
+    i = _tester(datum).type_of(a)
     if i is None:
-        raise _not_a_vertex(Fraction(v, N) for v in a)
+        p = list(a)
+        _fold(datum, [p], datum.scale)
+        raise _not_a_vertex(Fraction(v, datum.scale) for v in p)
     return i
 
 
 def vertex_type(datum: RootDatum, x) -> int:
     """Index in 0..d of the alcove corner the vertex folds onto."""
-    return _corner_type(datum, list(_vertex_scaled(datum, x)))
+    return _corner_type(datum, _vertex_scaled(datum, x))
 
 
 @dataclass(frozen=True)
@@ -297,7 +360,7 @@ def _make_vertex_set(datum: RootDatum, points: Iterable[Point]) -> VertexSet:
     ordered = tuple(sorted(points))
     counts = [0] * (datum.rank + 1)
     for p in ordered:
-        counts[_corner_type(datum, list(_scaled(p, datum.scale)))] += 1
+        counts[_corner_type(datum, _scaled(p, datum.scale))] += 1
     return VertexSet(points=ordered, per_type_counts=tuple(counts))
 
 

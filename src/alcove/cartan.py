@@ -26,6 +26,7 @@ from .errors import (
     InvalidTypeError,
     NotARootError,
     ValidationError,
+    _items,
     _rational,
     require_int,
 )
@@ -75,6 +76,8 @@ def validate_type(rstype: RootSystemType) -> None:
 
 def parse_type(text: str) -> RootSystemType:
     """Parse a label like "A7" or "G2" into a validated RootSystemType."""
+    if not isinstance(text, str):
+        raise InvalidTypeError(f"a {type(text).__name__} is not a root-system label")
     match = _TYPE_RE.match(text.strip())
     if match is None:
         raise InvalidTypeError(f"cannot parse root-system label {text!r}")
@@ -245,10 +248,7 @@ def as_point(datum: RootDatum, values: Iterable) -> Point:
     # text would be read character by character, sets and mappings in no fixed order
     if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
         raise ValidationError(f"a {type(values).__name__} is not a point")
-    try:
-        point = tuple(map(_rational, values))
-    except TypeError:  # not iterable
-        raise ValidationError(f"a {type(values).__name__} is not a point") from None
+    point = tuple(map(_rational, _items(values, "a point")))
     if len(point) != datum.rank:
         raise DimensionMismatchError(f"expected {datum.rank} coordinates, got {len(point)}")
     return point
@@ -256,10 +256,8 @@ def as_point(datum: RootDatum, values: Iterable) -> Point:
 
 def _root(datum: RootDatum, coeffs: Iterable) -> Root:
     """coeffs as integer coefficients, one per simple root; not checked to be a root."""
-    try:
-        root = tuple([require_int(c, "root coefficients must be integers") for c in coeffs])
-    except TypeError:  # not iterable
-        raise ValidationError(f"a {type(coeffs).__name__} is not a root") from None
+    message = "root coefficients must be integers"
+    root = tuple([require_int(c, message) for c in _items(coeffs, "a root")])
     if len(root) != datum.rank:
         raise DimensionMismatchError(f"expected {datum.rank} root coefficients, got {len(root)}")
     return root

@@ -1,4 +1,5 @@
-"""Typed exceptions shared across the library, and the int and rational checks.
+"""Typed exceptions shared across the library, and the int, rational and
+iterable checks.
 
 Two families matter to callers: ValidationError for bad arguments or
 domain-rule violations (CLI exit code 2), ResourceError for exceeded
@@ -82,6 +83,15 @@ def require_int(value, message: str, minimum: int | None = None) -> int:
     ):
         raise ValidationError(message)
     return value
+
+
+def _items(value, what: str):
+    """An iterator over value; ValidationError("a <type> is not <what>")
+    when value is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"a {type(value).__name__} is not {what}") from None
 
 
 def _rational(value) -> Fraction:

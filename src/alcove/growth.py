@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .apartment import Point, _corner_type, _scaled, iter_scaled_alcove_vertices
 from .cartan import RootDatum, RootSystemType, build_root_datum, weyl_degrees
-from .errors import ValidationError, require_int
+from .errors import ValidationError, _items, require_int
 from .moyprasad import _capped_exponent, _root_levels
 from .qpoly import QPolynomial
 
@@ -102,7 +102,7 @@ def ball_sum(
     matching upper bound.
     """
     census = _census(datum, r, budget)
-    types = Counter(_corner_type(datum, list(a)) for a, _, _ in census)
+    types = Counter(_corner_type(datum, a) for a, _, _ in census)
     levels = tuple(row for _, _, row in census)
     lower = _exponent_poly(levels, None)
     gamma = gamma_polynomial(datum)
@@ -135,11 +135,7 @@ def parabolic_shift(datum: RootDatum, levi: Iterable[int]) -> int:
     depth shift picked up under parabolic induction from it.
     """
     chosen: set[int] = set()
-    try:
-        levi = iter(levi)
-    except TypeError:
-        raise ValidationError(f"a {type(levi).__name__} is not a list of indices") from None
-    for index in levi:
+    for index in _items(levi, "a list of indices"):
         require_int(index, f"index {index!r} is not an integer")
         if not 1 <= index <= datum.rank:
             raise ValidationError(

@@ -31,6 +31,7 @@ from .errors import (
     NonConcaveError,
     NotInChamberError,
     ValidationError,
+    _items,
     _rational,
     require_int,
 )
@@ -111,7 +112,7 @@ def point_function(datum: RootDatum, x) -> ConcaveFunction:
 
 def omega_function(datum: RootDatum, points: Iterable) -> ConcaveFunction:
     """Pointwise maximum of the point functions of a nonempty set."""
-    pts, N = _numerators(tuple(as_point(datum, p) for p in points))
+    pts, N = _numerators(tuple(as_point(datum, p) for p in _items(points, "a list of points")))
     if not pts:
         raise EmptySetError("omega function needs at least one point")
     # alpha(x) * N for every positive root alpha (rows) and point x (columns)

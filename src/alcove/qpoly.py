@@ -8,6 +8,7 @@ Sparse dict representation, arbitrary-precision coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import ValidationError, require_int
@@ -21,15 +22,23 @@ class QPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        clean: dict[int, int] = {}
+        """terms maps exponents to coefficients, or lists (exponent,
+        coefficient) pairs; an exponent a list gives twice is refused."""
+        if terms is None:
+            terms = {}
         try:
-            terms = dict(terms or ())
+            pairs = [(e, c) for e, c in (terms.items() if isinstance(terms, Mapping) else terms)]
         except (TypeError, ValueError):
             raise ValidationError(f"a {type(terms).__name__} is not a mapping of terms") from None
-        for exponent, coefficient in terms.items():
+        seen: set[int] = set()
+        clean: dict[int, int] = {}
+        for exponent, coefficient in pairs:
             require_int(exponent, f"exponent {exponent!r} is not an integer")
             if exponent < 0:
                 raise ValidationError(f"negative exponent {exponent}")
+            if exponent in seen:
+                raise ValidationError(f"repeated exponent {exponent}")
+            seen.add(exponent)
             if require_int(coefficient, f"coefficient {coefficient!r} is not an integer"):
                 clean[exponent] = coefficient
         object.__setattr__(self, "_terms", clean)
@@ -139,15 +148,13 @@ class QPolynomial:
     @classmethod
     def from_serializable(cls, data) -> "QPolynomial":
         """Inverse of to_serializable: int() reads strings, the constructor
-        checks the rest; an exponent given twice is refused."""
+        checks the rest, and refuses an exponent given twice."""
         try:
-            terms = {}
+            pairs = []
             for pair in data:
                 exponent, coefficient = [int(v) if isinstance(v, str) else v for v in pair]
-                if exponent in terms:
-                    raise ValueError(f"repeated exponent {exponent}")
-                terms[exponent] = coefficient
-            return cls(terms)
+                pairs.append((exponent, coefficient))
+            return cls(pairs)
         except (TypeError, ValueError) as err:
             raise ValidationError(f"malformed polynomial data: {err}") from err
 

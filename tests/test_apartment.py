@@ -34,7 +34,7 @@ from alcove import (
     scaled_coords,
     vertex_type,
 )
-from alcove import apartment, theorem_table
+from alcove import apartment, ball_sum, theorem_table
 from alcove.apartment import (
     _Budget,
     _corner_type,
@@ -553,3 +553,72 @@ def test_vertex_type_of_corner_images(data, name):
         for _ in range(4):
             image = _affine_weyl_image(datum, rng, corner, 12)
             assert vertex_type(datum, image) == i
+
+
+def _reference_type(datum, x):
+    """Index of the alcove corner x folds onto by the Fraction reference
+    fold, or None when it folds onto no corner."""
+    (folded,), _ = _reference_fold(datum, x, ())
+    corners = [alcove_vertex(datum, i) for i in range(datum.rank + 1)]
+    return corners.index(folded) if folded in corners else None
+
+
+@pytest.mark.parametrize("name", [str(row.rstype) for row in theorem_table(5).rows])
+def test_type_of_matches_reference_fold(name):
+    # random integer points over the scale, and corners moved by affine
+    # Weyl elements and then by coweight translations (integer shifts of
+    # the coordinates, not only coroots), which permute the types
+    datum = build_root_datum(parse_type(name))
+    d, scale = datum.rank, datum.scale
+    tester = _tester(datum)
+    rng = random.Random(f"type {name}")
+    points = [[rng.randint(-3 * scale, 3 * scale) for _ in range(d)] for _ in range(40)]
+    for _ in range(60):
+        corner = alcove_vertex(datum, rng.randrange(d + 1))
+        image = _affine_weyl_image(datum, rng, corner, 6)
+        points.append([v + scale * rng.randint(-3, 3) for v in scaled_coords(datum, image)])
+    types = set()
+    for a in points:
+        x = tuple(Fraction(v, scale) for v in a)
+        expected = _reference_type(datum, x)
+        assert tester.type_of(a) == expected, a
+        if expected is None:
+            with pytest.raises(NotAVertexError):
+                vertex_type(datum, x)
+        else:
+            assert vertex_type(datum, x) == expected
+        types.add(expected)
+    assert types >= set(range(d + 1))
+
+
+@pytest.mark.parametrize("name, r", [("E6", 3), ("E7", 2), ("D5", 3), ("A5", 3)])
+def test_type_of_census_translates(name, r):
+    # the census vertices moved by random coweights keep their residues,
+    # so the memo's type of each must be shifted by the coweight's class
+    datum = build_root_datum(parse_type(name))
+    d, scale = datum.rank, datum.scale
+    tester = _tester(datum)
+    rng = random.Random(f"translate {name}")
+    shifted = 0
+    for x in iter_scaled_alcove_vertices(datum, r):
+        lam = [rng.randint(-3, 3) for _ in range(d)]
+        y = tuple(t + s for t, s in zip(x, lam))
+        expected = _reference_type(datum, y)
+        assert tester.type_of(scaled_coords(datum, y)) == expected
+        assert vertex_type(datum, y) == expected
+        shifted += expected != _reference_type(datum, x)
+    assert shifted
+
+
+@pytest.mark.parametrize("name, r, folds", [("E8", 3, 281), ("E6", 4, 80), ("A7", 4, 8)])
+def test_ball_sum_fold_count(monkeypatch, name, r, folds):
+    # a fresh tester folds each residue that passes the integral-root
+    # screen once, and each (class, type) shift once; the census reads its
+    # types from the memo.  E8 has no shifts; A7 has one residue (scale 1)
+    # and the seven nonzero classes of P^v/Q^v = Z/8
+    datum = build_root_datum(parse_type(name))
+    fold = apartment._fold
+    calls = []
+    monkeypatch.setattr(apartment, "_fold", lambda *args: calls.append(1) or fold(*args))
+    ball_sum(datum, r)
+    assert len(calls) == folds

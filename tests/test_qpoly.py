@@ -106,10 +106,20 @@ def test_from_serializable_malformed():
             QPolynomial.from_serializable(bad)
 
 
-@pytest.mark.parametrize("bad", [5, "10", [1, 2]], ids=["int", "str", "flat list"])
+@pytest.mark.parametrize(
+    "bad", [5, "10", [1, 2], 0.0, False], ids=["int", "str", "flat list", "float", "bool"]
+)
 def test_constructor_refuses_non_mapping(bad):
     with pytest.raises(ValidationError):
         QPolynomial(bad)
+
+
+def test_constructor_refuses_repeated_exponent():
+    # a list of pairs may name an exponent twice; it is refused, not collapsed
+    assert QPolynomial([(1, 2), (0, 3)]) == QPolynomial({1: 2, 0: 3})
+    for bad in ([(1, 2), (1, 3)], [[1, 2], [0, 1], [1, 0]]):
+        with pytest.raises(ValidationError, match="^repeated exponent 1$"):
+            QPolynomial(bad)
 
 
 def test_int_mixing():

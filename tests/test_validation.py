@@ -4,10 +4,13 @@ import inspect
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import alcove
 from alcove import (
+    AlcoveError,
     ConcaveFunction,
+    QPolynomial,
     ValidationError,
     adjacent,
     alcove_vertex,
@@ -29,9 +32,11 @@ from alcove import (
     iter_wall_ball_points,
     make_function,
     max_two_rho,
+    omega_function,
     optimize,
     origin,
     parabolic_shift,
+    parse_type,
     point_function,
     pointwise_max,
     quotient_ball_sum,
@@ -44,6 +49,7 @@ from alcove import (
     wall_count,
     wall_distance,
 )
+
 
 def _holding(f, v):
     """f with the value v at its first root, built directly so that no
@@ -102,6 +108,9 @@ CALLS = {
     "pointwise_max value": lambda d, o, v: pointwise_max(
         point_function(d, o), _holding(point_function(d, o), v)
     ),
+    "omega_function points": lambda d, o, v: omega_function(d, v),
+    "parse_type text": lambda d, o, v: parse_type(v),
+    "QPolynomial terms": lambda d, o, v: QPolynomial(v),
 }
 
 
@@ -111,6 +120,38 @@ def test_inexact_arguments_rejected(data, entry, value):
     a2 = data("A2")
     with pytest.raises(ValidationError):
         CALLS[entry](a2, origin(a2), value)
+
+
+# small integers keep every call cheap; strings stay short enough that
+# Fraction() never reads a huge exponent
+SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4)
+JUNK = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers(-3, 3) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+# a dict key must be hashable: tuples and frozensets stand in for lists and dicts
+HASHABLE_JUNK = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=st.data())
+@pytest.mark.parametrize("entry", sorted(CALLS))
+def test_junk_arguments_raise_typed_errors(data, entry, draw):
+    """Whatever a public entry makes of a junk value, every exception it
+    raises is an AlcoveError: a raw TypeError is exit code 4 in the CLI
+    and escapes a library caller's except ValidationError."""
+    junk = draw.draw(HASHABLE_JUNK if entry == "make_function key" else JUNK)
+    a2 = data("A2")
+    try:
+        CALLS[entry](a2, origin(a2), junk)
+    except AlcoveError:
+        pass
 
 
 # every public callable's point parameter, keyed "callable parameter"; each
