@@ -14,9 +14,9 @@ vertex in the class, and one more per (class, type) gives the shift.
 The affine Weyl group and those shifts keep the number of positive
 roots integral at a point, so only a residue with a corner's count is
 folded; the count is read off 16-bit lanes that pack every root's
-value.  Elsewhere root values come from a height chain: past the simple
-roots, each positive root is an earlier one plus a simple root, one
-add each.
+value at the residue, each tested modulo the scale by two byte tables.
+Elsewhere root values come from a height chain: past the simple roots,
+each positive root is an earlier one plus a simple root, one add each.
 
 Inside the library a point is an integer tuple of numerators over one
 common denominator: datum.scale (the lcm of the marks) for vertices,
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -113,16 +113,18 @@ class _VertexTester:
     A point a / scale is key / scale translated by the coweight
     lam = a // scale, whose class in P^v/Q^v (inverse_rows . lam mod
     inverse_denom) permutes the types as it acts on the extended
-    diagram.  Each (class, type) shift is one fold of the shifted
-    corner; all are trivial when inverse_denom is 1 (E8, F4, G2).
+    diagram.  Each (class, type) shift is one fold of the first vertex
+    met with that class and type; all are trivial when inverse_denom is
+    1 (E8, F4, G2).
 
     Also holds the corners mapped to their indices; the height chain
     (each simple root's coordinate, then for each later root an earlier
     root's index and the simple root it adds); each simple root's
-    coefficients over the positive roots packed into 16-bit lanes; the
-    inverse Cartan matrix as integer rows over the lcm of its
-    denominators; and each wall's reflection as the sparse column of
-    (coordinate, coefficient) pairs it changes, simple walls first."""
+    coefficients over the positive roots packed into 16-bit lanes, and
+    the two byte tables that test a lane modulo the scale; the inverse
+    Cartan matrix as integer rows over the lcm of its denominators; and
+    each wall's reflection as the sparse column of (coordinate,
+    coefficient) pairs it changes, simple walls first."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -141,12 +143,11 @@ class _VertexTester:
         # a lane holds alpha(b) for b in [0, scale)^d, at most height * (scale - 1)
         assert sum(datum.highest_root_coeffs) * (N - 1) < 1 << 16
         self.lanes = [sum(root[j] << 16 * k for k, root in enumerate(pos)) for j in range(d)]
-        self.residue_tables: dict[int, tuple[bytes, bytes]] = {}
+        self.tables = bytes([x % N for x in range(256)]), bytes([-256 * x % N for x in range(256)])
         self.corners = {(0,) * d: 0} | {
             tuple(N // c if j == i else 0 for j in range(d)): i + 1
             for i, c in enumerate(datum.highest_root_coeffs)
         }
-        self.corner_points = list(self.corners)
         self.corner_counts = {self.integral_count(c) for c in self.corners}
         self.memo: dict[tuple[int, ...], int | None] = {}
         self.shifts: dict[tuple[tuple[int, ...], int], int] = {}
@@ -166,27 +167,18 @@ class _VertexTester:
     def integral_count(self, a) -> int:
         """Positive roots taking integer values at a / scale.
 
-        With key = a mod scale, g = gcd(scale, key) and c = scale / g,
-        alpha(a / scale) is an integer iff alpha(key / g) = 0 mod c.  The
-        packed lanes hold those values, each below 2^16; a lane lo + 256 hi
-        is 0 mod c iff lo = -256 hi mod c, so its two bytes map through
-        one table each and the count is that of the zero bytes of their xor.
+        alpha(a / scale) is an integer iff alpha(a mod scale) = 0 mod scale.
+        The packed lanes hold those values, each below 2^16; a lane lo + 256
+        hi is 0 mod scale iff lo = -256 hi mod scale, so its two bytes map
+        through one table each and the count is that of the zero bytes of
+        their xor.
         """
         N = self.datum.scale
-        key = [v % N for v in a]
-        g = gcd(N, *key)
-        c = N // g
-        tables = self.residue_tables.get(c)
-        if tables is None:
-            tables = self.residue_tables[c] = (
-                bytes([x % c for x in range(256)]),
-                bytes([-256 * x % c for x in range(256)]),
-            )
         m = len(self.datum.positive_roots)
-        packed = sum(map(mul, [v // g for v in key], self.lanes))
+        packed = sum(map(mul, [v % N for v in a], self.lanes))
         raw = packed.to_bytes(2 * m, "little")
-        low = int.from_bytes(raw[::2].translate(tables[0]), "little")
-        high = int.from_bytes(raw[1::2].translate(tables[1]), "little")
+        low = int.from_bytes(raw[::2].translate(self.tables[0]), "little")
+        high = int.from_bytes(raw[1::2].translate(self.tables[1]), "little")
         return (low ^ high).to_bytes(m, "little").count(0)
 
     def residue_type(self, key: tuple[int, ...]) -> int | None:
@@ -221,7 +213,7 @@ class _VertexTester:
             return i
         j = self.shifts.get((cls, i))
         if j is None:
-            p = [v + N * s for v, s in zip(self.corner_points[i], lam)]
+            p = list(a)
             _fold(self.datum, [p], N)
             j = self.shifts[cls, i] = self.corners[tuple(p)]
         return j

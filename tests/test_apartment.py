@@ -242,17 +242,23 @@ def _integral_roots(datum, x):
 @pytest.mark.parametrize("name", FAMILY_TYPES)
 def test_integral_count_prefilter_is_sound(data, rank_is_vertex, name):
     # the count the vertex tester screens residues by is the same at a
-    # grid point, its fold and its integer translates; every corner's
-    # count, and so every vertex's, is one the tester lets through
+    # point, its fold and its integer translates; every corner's count,
+    # and so every vertex's, is one the tester lets through.  Random
+    # points rarely share a factor with the scale, so each maximal
+    # denominator's walker grid and its integer translates join them.
     datum = data(name)
     d, scale = datum.rank, datum.scale
     tester = _tester(datum)
     corners = [alcove_vertex(datum, i) for i in range(d + 1)]
     assert {_integral_roots(datum, c) for c in corners} == tester.corner_counts
     rng = random.Random(f"count {name}")
+    points = [[rng.randint(-3 * scale, 3 * scale) for _ in range(d)] for _ in range(60)]
+    for denom in _maximal_denominators(datum):
+        step = scale // denom
+        grid = [[step * rng.randrange(denom) for _ in range(d)] for _ in range(20)]
+        points += grid + [[v + scale * rng.randint(-3, 3) for v in a] for a in grid]
     rejected = False
-    for _ in range(60):
-        a = [rng.randint(-3 * scale, 3 * scale) for _ in range(d)]
+    for a in points:
         count = tester.integral_count(a)
         assert count == _integral_roots(datum, [Fraction(v, scale) for v in a])
         folded = list(a)

@@ -188,17 +188,17 @@ CLOSED_FORM_COUNTS = {
     "F4": {1: 5, 3: 38, 5: 146},
     "E6": {2: 32, 4: 323, 6: 1758},
     "E7": {3: 171, 5: 1529},
+    "E8": {3: 243},
 }
 
 
 @pytest.mark.parametrize("name", list(CLOSED_FORM_COUNTS))
 def test_census_closed_form(data, residue_orbits, closed_form_count, name):
-    # E8 is left out: its 157,200 vertex classes take seconds to build
     datum = data(name)
     orbits = residue_orbits(datum)
     classes = set().union(*orbits)
-    # G2 and F4 have coweights equal to coroots, so each corner's classes are its type's
-    by_type = name in ("G2", "F4")
+    # G2, F4 and E8 have coweights equal to coroots, so each corner's classes are its type's
+    by_type = name in ("G2", "F4", "E8")
     assert not by_type or sum(map(len, orbits)) == len(classes)
     for r, expected in CLOSED_FORM_COUNTS[name].items():
         report = ball_sum(datum, r)
