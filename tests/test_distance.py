@@ -361,6 +361,24 @@ def test_search_work_count(data, assert_least_budget):
     assert_least_budget(lambda b: simplicial_distances(b3, o, 3, candidate_budget=b), 150)
 
 
+# a point search stops when it discovers its target, and spends what the
+# links and residue classes met up to then cost
+@pytest.mark.parametrize(
+    "name,x,y,least",
+    [
+        ("G2", (0, 0), (1, 0), 58),
+        ("B3", (0, 0, F(1, 2)), (F(-3, 2), 0, F(1, 2)), 150),
+        ("E6", (0,) * 6, (0, 1, 0, 0, 0, 0), 9674),
+    ],
+    ids=["G2-gap", "B3-gap", "E6-distance-2"],
+)
+def test_point_search_work_count(data, assert_least_budget, name, x, y, least):
+    datum = data(name)
+    assert_least_budget(
+        lambda b: simplicial_distance(datum, x, y, 10, candidate_budget=b), least
+    )
+
+
 # every search but F4's at depth 1 spends one budget across several
 # residue classes
 @pytest.mark.parametrize(
