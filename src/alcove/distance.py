@@ -15,10 +15,12 @@ linear part of the fold.  Each residue class modulo the scale is
 generated once per search; E6 and E7 distances run interactively.
 The search keys a vertex by one integer, its offsets from the start
 packed as balanced digits in the radix 2 * depth * scale + 1, exact
-because an edge moves no simple-root value by more than the scale; a
-candidate neighbour costs one integer add and one set lookup.  A
-distance table stays on the search's integer tuples: a lookup converts
-its point, and Fraction keys are built only when the table is iterated.
+because an edge moves no simple-root value by more than the scale.  It
+carries each vertex's residue class as a small id beside its key, so
+a candidate neighbour costs one integer add and one dict lookup, and
+no coordinate tuple is built during the search.  A distance table
+keeps the packed keys: a lookup packs its point, and coordinates and
+Fraction keys are built only when the table is iterated.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Iterator
 
 from .apartment import (
@@ -181,7 +182,8 @@ def _neighbor_offsets(
     state: _Budget,
 ) -> list[tuple[int, ...]]:
     """Sorted offsets to all vertices adjacent to a, keyed by a's
-    residue class.
+    residue class.  The search calls it once per class, with the first
+    vertex of the class it expands, decoded from that vertex's key.
 
     Vertex membership and separating-wall counts only depend on the
     coordinates modulo the global scale, so the offset list is shared
@@ -217,48 +219,101 @@ def _neighbor_offsets(
 
 
 def _bfs(
-    datum: RootDatum, start: tuple[int, ...], max_depth: int, state: _Budget
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each vertex within max_depth edges of start with its graph
-    distance, in breadth-first order, start first.
+    datum: RootDatum,
+    start: tuple[int, ...],
+    max_depth: int,
+    state: _Budget,
+    target: int | None = None,
+) -> dict[int, int]:
+    """Graph distance from start to each vertex within max_depth edges,
+    in one dict keyed by _pack and in breadth-first order, start first.
+    With a target key, the search returns as soon as it discovers that
+    vertex, so a point query spends the budget a table search spends
+    up to that vertex.
 
-    The search keys each vertex a by one integer, sum_j (a_j - s_j) R^j
-    for the start s and the radix R = 2 max_depth scale + 1.  An edge
-    crosses no wall, so no simple-root value moves by more than the
-    scale along it, and within max_depth edges every a_j - s_j is a
-    balanced base-R digit: the key is exact, and a neighbour's key is
-    the vertex's key plus its packed offset.  A residue class's offsets
-    are fetched from _neighbor_offsets and packed once per search, on
-    the class's first vertex.  A coordinate tuple is built only for a
-    new vertex.
+    Each residue class modulo the scale gets a small integer id when
+    it is first reached.  Its link is a list of (packed offset, class
+    id of the neighbour) pairs, filled on the class's first expansion
+    in node order: that vertex is decoded from its key and handed to
+    _neighbor_offsets.  The vertex, not the residue tuple, is handed
+    over: where P^v/Q^v is not trivial the residue tuple can fold onto
+    another corner, whose link spends a different budget.  The
+    frontier carries (key, class id) pairs, so an edge costs one
+    integer add and one dict lookup, and no coordinate tuple is built.
     """
     N = datum.scale
-    radix = 2 * max_depth * N + 1
-    weights = [radix**j for j in range(datum.rank)]
+    reach = max_depth * N
+    radix = 2 * reach + 1
+    weights = [radix**j for j in reversed(range(datum.rank))]
     cache: dict = {}
-    classes: dict = {}
-    seen = {0}
-    keys, frontier = [0], [start]
-    yield start, 0
+    residues = [tuple([v % N for v in start])]
+    ids = {residues[0]: 0}
+    links: list = [None]
+
+    def link(key: int, c: int) -> list[tuple[int, int]]:
+        steps = []
+        for delta in _neighbor_offsets(datum, _unpack(key, start, reach), cache, state):
+            residue = tuple([(u + v) % N for u, v in zip(residues[c], delta)])
+            t = ids.get(residue)
+            if t is None:
+                t = ids[residue] = len(residues)
+                residues.append(residue)
+                links.append(None)
+            steps.append((sum(map(mul, weights, delta)), t))
+        links[c] = steps
+        return steps
+
+    depths = {0: 0}
+    if target == 0:
+        return depths
+    frontier = [(0, 0)]
     for depth in range(1, max_depth + 1):
-        nxt_keys, nxt = [], []
-        for key, a in zip(keys, frontier):
-            residue = tuple([v % N for v in a])
-            steps = classes.get(residue)
-            if steps is None:
-                offsets = _neighbor_offsets(datum, a, cache, state)
-                steps = classes[residue] = list(
-                    zip([sum(map(mul, weights, delta)) for delta in offsets], offsets)
-                )
-            for step, delta in steps:
+        nxt = []
+        for key, c in frontier:
+            for step, t in links[c] or link(key, c):
                 k = key + step
-                if k not in seen:
-                    seen.add(k)
-                    w = tuple(map(add, a, delta))
-                    nxt_keys.append(k)
-                    nxt.append(w)
-                    yield w, depth
-        keys, frontier = nxt_keys, nxt
+                if k not in depths:
+                    depths[k] = depth
+                    nxt.append((k, t))
+                    if k == target:
+                        return depths
+        frontier = nxt
+    return depths
+
+
+def _pack(a: tuple[int, ...], start: tuple[int, ...], reach: int) -> int | None:
+    """The search key of a: the offsets a_j - s_j from the start s as
+    the digits of one integer in the radix R = 2 reach + 1, the first
+    coordinate the most significant, or None when some |a_j - s_j|
+    exceeds the reach max_depth * scale.
+
+    An edge crosses no wall, so no simple-root value moves by more
+    than the scale along it: within max_depth edges every a_j - s_j is
+    a balanced base-R digit, the key is exact, and a neighbour's key is
+    the vertex's key plus its packed offset.  Past the reach a digit
+    would carry into the next one and could alias a vertex of the
+    search, so such a point has no key."""
+    radix = 2 * reach + 1
+    key = 0
+    for v, s in zip(a, start):
+        v -= s
+        if not -reach <= v <= reach:
+            return None
+        key = key * radix + v
+    return key
+
+
+def _unpack(key: int, start: tuple[int, ...], reach: int) -> tuple[int, ...]:
+    """The vertex whose _pack key is key: start plus the balanced digits
+    of key in the radix 2 reach + 1."""
+    radix = 2 * reach + 1
+    a = []
+    for s in reversed(start):
+        v = (key + reach) % radix - reach
+        a.append(s + v)
+        key = (key - v) // radix
+    a.reverse()
+    return tuple(a)
 
 
 def simplicial_distance(
@@ -283,32 +338,55 @@ def simplicial_distance(
     state = _Budget(candidate_budget)
     if budget and _wall_distance_scaled(datum, ax, ay)[0] == 1:
         return 1
-    for a, depth in _bfs(datum, ax, budget, state):
-        if a == ay:
-            return depth
-    raise SearchBudgetError(f"target not reached within search radius {budget}")
+    # a target beyond the reach has no key: the search runs to the radius
+    target = _pack(ay, ax, budget * datum.scale)
+    depth = _bfs(datum, ax, budget, state, target).get(target)
+    if depth is None:
+        raise SearchBudgetError(f"target not reached within search radius {budget}")
+    return depth
 
 
 class _DistanceTable(Mapping):
-    """A search's vertices as integer tuples in 1/scale units, mapped to
-    their depths in breadth-first order.  The values and items views
-    read the depths in order instead of looking each key up again."""
+    """A search's depths keyed by _pack, read as points in breadth-first
+    order.  A lookup packs its point; iteration decodes each key and
+    builds the Fraction coordinates.  The values and items views read
+    the depths in order instead of looking each key up again."""
 
-    def __init__(self, datum: RootDatum, depths: dict[tuple[int, ...], int]):
+    def __init__(
+        self, datum: RootDatum, start: tuple[int, ...], max_depth: int, depths: dict[int, int]
+    ):
         self._datum = datum
+        self._start = start
+        self._reach = max_depth * datum.scale
         self._depths = depths
-        scale = datum.scale
-        self._point = cache(lambda v: Fraction(v, scale))  # one Fraction per numerator
 
     def __getitem__(self, x) -> int:
-        depth = self._depths.get(scaled_coords(self._datum, x))
+        a = scaled_coords(self._datum, x)
+        key = None if a is None else _pack(a, self._start, self._reach)
+        depth = self._depths.get(key)
         if depth is None:
             raise KeyError(x)
         return depth
 
     def __iter__(self) -> Iterator[Point]:
-        point = self._point
-        return (tuple(map(point, a)) for a in self._depths)
+        # key + bias has the digits a_j - s_j + reach in 0 .. radix - 1,
+        # and column j maps such a digit to the coordinate a_j / scale;
+        # the digits come off the last coordinate first
+        scale, reach = self._datum.scale, self._reach
+        radix = 2 * reach + 1
+        bias = sum(reach * radix**j for j in range(len(self._start)))
+        cols = [
+            [Fraction(v, scale) for v in range(s - reach, s + reach + 1)]
+            for s in reversed(self._start)
+        ]
+        for key in self._depths:
+            q = key + bias
+            p = []
+            for col in cols:
+                p.append(col[q % radix])
+                q //= radix
+            p.reverse()
+            yield tuple(p)
 
     def __len__(self) -> int:
         return len(self._depths)
@@ -333,7 +411,9 @@ def simplicial_distances(
     candidate_budget: int | None = None,
 ) -> Mapping[Point, int]:
     """Graph distances to every vertex within max_depth of source, as a
-    read-only mapping in breadth-first order, source first.
+    read-only mapping in breadth-first order, source first.  The
+    mapping holds the search's packed integer keys: a lookup packs its
+    point, and iteration decodes each key into a point of Fractions.
 
     A lookup takes any exact spelling of a point (Fraction, int or
     mixed).  An exact point the search did not reach, off the vertex
@@ -349,9 +429,8 @@ def simplicial_distances(
     """
     require_int(max_depth, "search depth must be a nonnegative integer", 0)
     ax = _vertex_scaled(datum, source)
-    return _DistanceTable(
-        datum, dict(_bfs(datum, ax, max_depth, _Budget(candidate_budget)))
-    )
+    depths = _bfs(datum, ax, max_depth, _Budget(candidate_budget))
+    return _DistanceTable(datum, ax, max_depth, depths)
 
 
 def distance_report_to_dict(report: DistanceReport) -> dict:

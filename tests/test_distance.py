@@ -23,6 +23,7 @@ from alcove import (
     fold_pair,
     fold_to_alcove,
     integers_strictly_between,
+    is_vertex,
     iter_wall_ball_points,
     origin,
     parse_type,
@@ -34,7 +35,7 @@ from alcove import (
     wall_distance,
 )
 from alcove.apartment import _Budget, _maximal_denominators
-from alcove.distance import _between_scaled, _bfs, _neighbor_offsets
+from alcove.distance import _between_scaled, _bfs, _neighbor_offsets, _unpack
 
 
 def F(a, b=1):
@@ -280,7 +281,44 @@ def test_table_lookup(data, name):
     assert list(table.items()) == [(p, table[p]) for p in table]
     assert list(table.values()) == [table[p] for p in table]
     start = scaled_coords(datum, o)
-    assert len(table) == len(list(_bfs(datum, start, depth, _Budget(None))))
+    assert len(table) == len(_bfs(datum, start, depth, _Budget(None)))
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C3"])
+def test_table_lookup_beyond_reach(data, name):
+    """A vertex whose offset from the source exceeds depth * scale in
+    some coordinate is a missing key, even where a naive pack of its
+    offsets, sum_j (a_j - s_j) R^(d-1-j) for R = 2 * depth * scale + 1,
+    equals the key of a vertex in the table: w - e_1 + R e_2 moves the
+    scaled offsets by -N and R N, which cancel in that sum."""
+    datum = data(name)
+    d, depth, scale = datum.rank, 2, datum.scale
+    radix = 2 * depth * scale + 1
+    o = origin(datum)
+    table = simplicial_distances(datum, o, depth)
+    start = scaled_coords(datum, o)
+
+    def naive(p):
+        offsets = [v - s for v, s in zip(scaled_coords(datum, p), start)]
+        return sum(v * radix ** (d - 1 - j) for j, v in enumerate(offsets))
+
+    kept = list(table)
+    for w in (kept[0], kept[1], kept[-1]):
+        alias = (w[0] - 1, w[1] + radix) + w[2:]
+        assert is_vertex(datum, alias) and naive(alias) == naive(w)
+        assert table.get(alias) is None
+        assert alias not in table
+        with pytest.raises(KeyError):
+            table[alias]
+    # a coweight translate of the source one step past the search radius
+    far = next(
+        p
+        for p, k in simplicial_distances(datum, o, depth + 1).items()
+        if k == depth + 1 and all(t.denominator == 1 for t in p)
+    )
+    assert table.get(far) is None
+    with pytest.raises(KeyError):
+        table[far]
 
 
 @settings(max_examples=120, deadline=None)
@@ -577,7 +615,8 @@ def test_bfs_matches_reference(data, name):
         for a in (corner, moved):
             ref_state, state = _Budget(None), _Budget(None)
             expected = list(_reference_bfs(datum, a, depth, ref_state))
-            assert list(_bfs(datum, a, depth, state)) == expected
+            depths = _bfs(datum, a, depth, state)
+            assert [(_unpack(key, a, depth * scale), k) for key, k in depths.items()] == expected
             assert state.used == ref_state.used
             x = tuple(Fraction(v, scale) for v in a)
             table = simplicial_distances(datum, x, depth)
