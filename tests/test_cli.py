@@ -1,11 +1,13 @@
 """Command line interface: output shapes, determinism, exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import alcove.verify
 from alcove.cli import main
 
 
@@ -195,6 +197,73 @@ def test_verify_all_exit_0():
     payload = json.loads(result.output)
     assert payload["passed"] is True
     assert len(payload["suites"]) == 7
+
+
+def _break_polytope(monkeypatch):
+    oracle = alcove.verify._grid_vertex_oracle
+
+    def broken(datum, r):
+        return set() if (str(datum.rstype), r) == ("A2", 2) else oracle(datum, r)
+
+    monkeypatch.setattr(alcove.verify, "_grid_vertex_oracle", broken)
+
+
+def _break_growth(monkeypatch):
+    gamma = alcove.verify.gamma_polynomial
+
+    def broken(datum):
+        poly = gamma(datum)
+        return poly * poly if str(datum.rstype) == "B2" else poly
+
+    monkeypatch.setattr(alcove.verify, "gamma_polynomial", broken)
+
+
+def _break_sandwich(monkeypatch):
+    sandwich = alcove.verify.cind_sandwich
+
+    def broken(datum, R, r, **kwargs):
+        report = sandwich(datum, R, r, **kwargs)
+        if (str(datum.rstype), R, r) == ("G2", 1, 4):
+            report = dataclasses.replace(report, lower_divisor=report.lower_divisor + 1)
+        return report
+
+    monkeypatch.setattr(alcove.verify, "cind_sandwich", broken)
+
+
+def _break_concavity(monkeypatch):
+    concave = alcove.verify.is_concave
+
+    def broken(datum, f):
+        return str(datum.rstype) != "B2" and concave(datum, f)
+
+    monkeypatch.setattr(alcove.verify, "is_concave", broken)
+
+
+# suite -> (how to break one of its inputs, the case fields that break
+# picks out, the flag each case records)
+BROKEN_SUITES = {
+    "polytope": (_break_polytope, {"type": "A2", "radius": 2}, "match"),
+    "growth": (_break_growth, {"type": "B2"}, "ok"),
+    "sandwich": (_break_sandwich, {"type": "G2", "R": 1, "r": 4}, "ok"),
+    "concavity": (_break_concavity, {"type": "B2"}, "ok"),
+}
+
+
+@pytest.mark.parametrize("suite", list(BROKEN_SUITES))
+def test_verify_reports_a_failing_case(monkeypatch, suite):
+    brk, picked, flag = BROKEN_SUITES[suite]
+    brk(monkeypatch)
+    result = _run("verify")
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["passed"] is False
+    for name, res in payload["suites"].items():
+        assert res["passed"] is (name != suite), name
+    cases = payload["suites"][suite]["cases"]
+    failed = [case for case in cases if not case[flag]]
+    assert failed and all(
+        all(case[k] == v for k, v in picked.items()) == (not case[flag]) for case in cases
+    )
 
 
 def test_console_script_maps_to_main():

@@ -34,6 +34,7 @@ from alcove import (
     wall_count,
     wall_distance,
 )
+import alcove.distance
 from alcove.apartment import _Budget, _maximal_denominators
 from alcove.distance import _between_scaled, _bfs, _neighbor_offsets, _unpack
 
@@ -561,6 +562,30 @@ def test_zero_candidate_budget_refused(data, target):
     e7 = data("E7")
     with pytest.raises(ValidationError):
         simplicial_distance(e7, origin(e7), alcove_vertex(e7, target), 1, candidate_budget=0)
+
+
+@pytest.mark.parametrize(
+    "name,depth,classes",
+    [("A2", 5, 1), ("B3", 4, 5), ("C3", 4, 4), ("D4", 4, 4), ("G2", 5, 6), ("E6", 1, 1)],
+)
+def test_each_class_linked_once(data, monkeypatch, name, depth, classes):
+    """The search asks for a residue class's link once, on its first
+    expansion.  A second request would hit the offset cache and spend
+    no budget, so the budget pins cannot see it."""
+    datum = data(name)
+    scale = datum.scale
+    calls = []
+    neighbor_offsets = alcove.distance._neighbor_offsets
+
+    def counted(datum, a, cache, state):
+        calls.append(tuple(v % scale for v in a))
+        return neighbor_offsets(datum, a, cache, state)
+
+    monkeypatch.setattr(alcove.distance, "_neighbor_offsets", counted)
+    table = simplicial_distances(datum, origin(datum), depth)
+    expanded = {_residue(datum, v) for v, k in table.items() if k < depth}
+    assert sorted(calls) == sorted(expanded)
+    assert len(calls) == classes
 
 
 def _reference_bfs(datum, start, max_depth, state):

@@ -2,7 +2,9 @@
 
 The hashes pin the exact bytes the commands print, so any change to the
 census, folding, distance search, concavity checks or serialization
-that alters an answer or its formatting shows up here.
+that alters an answer or its formatting shows up here.  Error exits
+pin their exit code and the JSON payload on stderr, and one hash
+covers the help text of the group and of every command.
 """
 
 import hashlib
@@ -79,7 +81,49 @@ GOLDEN = [
     ("info --type B7", "3f38964f03641762cd14aee3ab65760b4c7194f869268c03c7c3a000a0c7c2a9"),
     ("info --type C7", "638dfdacac6f4bc529f2816bcea52085b76358c9eadac961c7a8fbd0c800ba82"),
     ("info --type D7", "1fb0e40954b19f501cefeec1c692015515766fe8646da30f736422a5471edc9f"),
+    # the tabular and flat csv/markdown writers, and every other verify suite
+    ("table", "93caed6014f8545dc8742a3ba79e02180bf063a45f6de66e8109f44155928df9"),
+    ("table --format csv", "2490a762f94f5ab31a2f801b29b6980c7d630ee28dcaa5a59ffe289ce20b1bc3"),
+    ("table --format markdown", "50719dbfe177066aa2f29b103a2772eecdca66abfd5c720ae90e3b49f0f3fe82"),
+    ("info --type G2 --format csv", "00f44d455c74550211a79de78979182f714c53e6c2eb4298c03eafa445454aff"),
+    (
+        "info --type F4 --format markdown",
+        "d29d99867dff208ad3cff7161156893c92b6a1dd398f8ce816e2e3ba338edd3a",
+    ),
+    (
+        "distance --type G2 --x 0,0 --y 1,0 --format csv",
+        "d2ad973a7c50cd693bcb5452b94f5d39259807f2e6d8bbed027b27649bd12cb9",
+    ),
+    ("verify --suite metric", "4f276c788dc971e7254275620276047ca713c1c4ac6fe1058f8cdb5529a52170"),
+    ("verify --suite table", "d39b6d371addd2faae4ad767b5532f972f8f32af21965e06ae627d6628ed987e"),
+    ("verify --suite growth", "162f71028e3117b23da16c5499d164da7fb138467893bffe84fed9a12680d3fd"),
+    ("verify --suite sandwich", "3ea634d4c4ae510cba5c718cb8c02d39680286d52ee1cf2630aa7824513c1420"),
+    ("verify --suite g2-gap", "aa5bfb274be5b331d1a270f8796e14312e4d0bf363b7fdf195ba774819c1911c"),
 ]
+
+# (command, exit code, sha256 of the JSON error payload on stderr)
+GOLDEN_ERRORS = [
+    (
+        "ball --type A2 --radius 2 --level 0",
+        2,
+        "ec6b95f2c3595768604155e1b4b5d3f9a1b03dfc6f01234499ff79f1b19a33e1",
+    ),
+    (
+        "ball --type C3 --radius 3 --budget 3",
+        3,
+        "721ca17a058e628ab38776ff2f66c0a4af252ccdde4df425d5c9adf96159def1",
+    ),
+    (
+        "distance --type B2 --x 0,0 --y 1/3,0",
+        2,
+        "bc6d95e8a35f1a44805817a5d54491c7017c8957ad21aab7e9acd531950bf750",
+    ),
+    ("info --type Q2", 2, "a98dd29280a9b446c22d19c38a6505517ad5a3d6bdc0223f3fdeddd0e754dc52"),
+]
+
+# the group's --help and each command's, concatenated at 80 columns
+HELP_COMMANDS = ["", "info", "table", "ball", "distance", "sandwich", "verify"]
+HELP_DIGEST = "004667ed4085b2e5d72e5f4258d81f38d70c1b9a8b32876c65737d77c601fa6b"
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
@@ -87,3 +131,24 @@ def test_golden_stdout(command, digest):
     result = CliRunner().invoke(main, command.split(), catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command,code,digest", GOLDEN_ERRORS, ids=[c for c, _, _ in GOLDEN_ERRORS]
+)
+def test_golden_errors(command, code, digest):
+    result = CliRunner().invoke(main, command.split(), catch_exceptions=False)
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert hashlib.sha256(result.stderr.encode()).hexdigest() == digest
+
+
+def test_golden_help():
+    digest = hashlib.sha256()
+    for command in HELP_COMMANDS:
+        result = CliRunner().invoke(
+            main, command.split() + ["--help"], catch_exceptions=False, terminal_width=80
+        )
+        assert result.exit_code == 0, result.output
+        digest.update(result.stdout.encode())
+    assert digest.hexdigest() == HELP_DIGEST
