@@ -390,10 +390,10 @@ def _walk(
     within ceil(lo / step) and floor(hi / step), and top // step caps
     marks . (a / step), pruning the walk to the simplex; the marks are
     positive, so the cap needs lo = 0, as rC has.  Every grid leaf
-    spends one unit of state, before the dedupe; the caller owns that
-    budget and may share it over several walks, as a search does over
-    every residue class it meets.  A new leaf is kept when the tester's
-    residue memo, or a fold of its residue, puts it on an alcove corner.
+    spends one unit of state, before the dedupe; each public walker
+    hands the walk a budget of its own.  A new leaf is kept when the
+    tester's residue memo, or a fold of its residue, puts it on an
+    alcove corner.
     """
     tester = _tester(datum)
     marks = datum.highest_root_coeffs

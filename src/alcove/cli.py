@@ -1,5 +1,8 @@
 """Command line interface with deterministic json, csv, and markdown output.
 
+Every command hands its payload to _output, which adds the envelope
+(schema_version and command) and prints it in the chosen format.
+
 Exit codes: 0 success, 1 failed verification, 2 invalid input,
 3 resource budget exhausted, 4 unexpected internal error.  Every error
 exit prints a JSON payload with the exception kind and message on stderr.
@@ -61,14 +64,18 @@ def _flat_rows(data) -> list[list[str]]:
     return rows
 
 
-def _output(data: dict, fmt: str, tabular=None) -> None:
+def _output(command: str, data: dict, fmt: str, tabular: list[dict] | None = None) -> None:
+    """Print data in the envelope every command shares, schema_version
+    and command.  Csv and markdown print tabular, rows keyed alike,
+    when given, and otherwise the envelope's key.path/value pairs."""
+    data = {"schema_version": SCHEMA_VERSION, "command": command, **data}
     if fmt == "json":
         click.echo(_canonical_json(data), nl=False)
         return
     if tabular is None:
         headers, rows = ["key", "value"], _flat_rows(data)
     else:
-        headers, rows = tabular
+        headers, rows = list(tabular[0]), [list(row.values()) for row in tabular]
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -107,33 +114,23 @@ def _guarded(fn):
     return wrapper
 
 
-def _format_option(fn):
-    return click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(FORMATS),
-        default="json",
-        show_default=True,
-        help="Output format.",
-    )(fn)
-
-
-def _type_option(fn):
-    return click.option(
-        "--type",
-        "type_text",
-        required=True,
-        help="Root system type, e.g. A2, C3, G2.",
-    )(fn)
-
-
-def _budget_option(fn):
-    return click.option(
-        "--budget",
-        type=int,
-        default=None,
-        help="Candidate budget for enumeration and search (default 10^8).",
-    )(fn)
+_format_option = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(FORMATS),
+    default="json",
+    show_default=True,
+    help="Output format.",
+)
+_type_option = click.option(
+    "--type", "type_text", required=True, help="Root system type, e.g. A2, C3, G2."
+)
+_budget_option = click.option(
+    "--budget",
+    type=int,
+    default=None,
+    help="Candidate budget for enumeration and search (default 10^8).",
+)
 
 
 def _check_q(q_eval: int | None) -> None:
@@ -156,8 +153,6 @@ def info(type_text: str, fmt: str) -> None:
     datum = build_root_datum(parse_type(type_text))
     degrees = weyl_degrees(datum)
     data = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "info",
         "type": str(datum.rstype),
         **root_datum_to_dict(datum),
         "weyl_order": prod(degrees),
@@ -165,7 +160,7 @@ def info(type_text: str, fmt: str) -> None:
         "growth_exponent": str(growth_exponent(datum)),
         "simple_root_norms": [str(v) for v in datum.simple_norms],
     }
-    _output(data, fmt)
+    _output("info", data, fmt)
 
 
 @main.command()
@@ -180,22 +175,8 @@ def info(type_text: str, fmt: str) -> None:
 @_guarded
 def table(max_rank: int, fmt: str) -> None:
     """Growth exponents and dimension bounds for every irreducible type."""
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "table",
-        "max_classical_rank": max_rank,
-        **bounds_table_to_dict(theorem_table(max_rank)),
-    }
-    headers = [
-        "type",
-        "rank",
-        "num_positive_roots",
-        "growth_exponent",
-        "cdim_lower",
-        "cdim_upper",
-    ]
-    rows = [[row[h] for h in headers] for row in data["rows"]]
-    _output(data, fmt, tabular=(headers, rows))
+    data = {"max_classical_rank": max_rank, **bounds_table_to_dict(theorem_table(max_rank))}
+    _output("table", data, fmt, tabular=data["rows"])
 
 
 @main.command()
@@ -225,11 +206,7 @@ def ball(
         raise ValidationError("cap level must be a positive integer")
     datum = build_root_datum(parse_type(type_text))
     report = ball_sum(datum, radius, budget=budget)
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "ball",
-        **ball_report_to_dict(report),
-    }
+    data = ball_report_to_dict(report)
     quotient = None
     if level is not None:
         quotient = report.quotient_poly(level)
@@ -244,7 +221,7 @@ def ball(
         if quotient is not None:
             evals["quotient"] = str(quotient.evaluate(q_eval))
         data["q_eval"] = evals
-    _output(data, fmt)
+    _output("ball", data, fmt)
 
 
 @main.command()
@@ -263,8 +240,6 @@ def distance(type_text: str, x_text: str, y_text: str, budget: int | None, fmt: 
     depth = report.d + 8
     simplicial = simplicial_distance(datum, x, y, depth, candidate_budget=budget)
     data = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "distance",
         "type": str(datum.rstype),
         "x": [str(t) for t in x],
         "y": [str(t) for t in y],
@@ -272,7 +247,7 @@ def distance(type_text: str, x_text: str, y_text: str, budget: int | None, fmt: 
         "simplicial": {"d": simplicial, "max_depth": depth},
         "adjacent": report.d == 1,
     }
-    _output(data, fmt)
+    _output("distance", data, fmt)
 
 
 @main.command()
@@ -295,11 +270,7 @@ def sandwich(
     _check_q(q_eval)
     datum = build_root_datum(parse_type(type_text))
     report = cind_sandwich(datum, big_radius, level, budget=budget)
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sandwich",
-        **sandwich_report_to_dict(report),
-    }
+    data = sandwich_report_to_dict(report)
     if q_eval is not None:
         lower = None
         if report.lower_poly is not None:
@@ -311,7 +282,7 @@ def sandwich(
             "lower_over_divisor": lower,
             "upper": str(report.upper_poly.evaluate(q_eval)),
         }
-    _output(data, fmt)
+    _output("sandwich", data, fmt)
 
 
 @main.command()
@@ -329,16 +300,11 @@ def sandwich(
 def verify(suites, seed: int, budget: int | None, fmt: str) -> None:
     """Run the self-check suites; exit 0 only if every check passes."""
     all_passed, results = run_suites(suites or None, seed=seed, budget=budget)
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "seed": seed,
-        "passed": all_passed,
-        "suites": results,
-    }
-    headers = ["suite", "passed"]
-    rows = [[name, "true" if res["passed"] else "false"] for name, res in results.items()]
-    _output(data, fmt, tabular=(headers, rows))
+    rows = [
+        {"suite": name, "passed": "true" if res["passed"] else "false"}
+        for name, res in results.items()
+    ]
+    _output("verify", {"seed": seed, "passed": all_passed, "suites": results}, fmt, tabular=rows)
     if not all_passed:
         raise SystemExit(1)
 

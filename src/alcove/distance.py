@@ -16,8 +16,8 @@ generated once per search; E6 and E7 distances run interactively.
 The search keys a vertex by one integer, its offsets from the start
 packed as balanced digits in the radix 2 * depth * scale + 1, exact
 because an edge moves no simple-root value by more than the scale.  It
-carries each vertex's residue class as a small id beside its key, so
-a candidate neighbour costs one integer add and one dict lookup, and
+carries each vertex's residue class record beside its key, so a
+candidate neighbour costs one integer add and one dict lookup, and
 no coordinate tuple is built during the search.  A distance table
 keeps the packed keys: a lookup packs its point, and coordinates and
 Fraction keys are built only when the table is iterated.
@@ -231,46 +231,38 @@ def _bfs(
     vertex, so a point query spends the budget a table search spends
     up to that vertex.
 
-    Each residue class modulo the scale gets a small integer id when
-    it is first reached.  Its link is a list of (packed offset, class
-    id of the neighbour) pairs, filled on the class's first expansion
-    in node order: that vertex is decoded from its key and handed to
+    Each residue class modulo the scale has one record, [residue,
+    steps], where steps lists (packed offset, the neighbour's record)
+    pairs and is filled on the class's first expansion in node order:
+    that vertex is decoded from its key and handed to
     _neighbor_offsets.  The vertex, not the residue tuple, is handed
     over: where P^v/Q^v is not trivial the residue tuple can fold onto
     another corner, whose link spends a different budget.  The
-    frontier carries (key, class id) pairs, so an edge costs one
-    integer add and one dict lookup, and no coordinate tuple is built.
+    frontier carries (key, record) pairs, so an edge costs one integer
+    add and one dict lookup, and no coordinate tuple is built.
     """
     N = datum.scale
     reach = max_depth * N
-    radix = 2 * reach + 1
-    weights = [radix**j for j in reversed(range(datum.rank))]
+    zero = (0,) * datum.rank
     cache: dict = {}
-    residues = [tuple([v % N for v in start])]
-    ids = {residues[0]: 0}
-    links: list = [None]
+    residue = tuple([v % N for v in start])
+    records = {residue: [residue, None]}
 
-    def link(key: int, c: int) -> list[tuple[int, int]]:
-        steps = []
+    def link(key: int, record: list) -> list:
+        steps = record[1] = []
         for delta in _neighbor_offsets(datum, _unpack(key, start, reach), cache, state):
-            residue = tuple([(u + v) % N for u, v in zip(residues[c], delta)])
-            t = ids.get(residue)
-            if t is None:
-                t = ids[residue] = len(residues)
-                residues.append(residue)
-                links.append(None)
-            steps.append((sum(map(mul, weights, delta)), t))
-        links[c] = steps
+            r = tuple([(u + v) % N for u, v in zip(record[0], delta)])
+            steps.append((_pack(delta, zero, reach), records.setdefault(r, [r, None])))
         return steps
 
     depths = {0: 0}
     if target == 0:
         return depths
-    frontier = [(0, 0)]
+    frontier = [(0, records[residue])]
     for depth in range(1, max_depth + 1):
         nxt = []
-        for key, c in frontier:
-            for step, t in links[c] or link(key, c):
+        for key, record in frontier:
+            for step, t in record[1] or link(key, record):
                 k = key + step
                 if k not in depths:
                     depths[k] = depth

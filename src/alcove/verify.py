@@ -1,7 +1,8 @@
 """Self-check suites for the command line.
 
 Each suite returns (passed, payload).  The payload is JSON-ready and
-records what was checked; suites are deterministic for a fixed seed.
+records what was checked, and passed is read off the flags it records,
+so the two cannot disagree; suites are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .moyprasad import (
 def verify_metric(seed: int, budget: int | None) -> tuple[bool, dict]:
     """Wall metric axioms on sampled vertex triples."""
     rng = random.Random(seed)
-    passed = True
     per_type = []
     for name in ("A2", "B2", "G2"):
         datum = build_root_datum(parse_type(name))
@@ -60,8 +60,6 @@ def verify_metric(seed: int, budget: int | None) -> tuple[bool, dict]:
                 definite_ok = False
             if dxz > dxy + dyz:
                 triangle_ok = False
-        ok = identity_ok and symmetric_ok and definite_ok and triangle_ok
-        passed = passed and ok
         per_type.append(
             {
                 "type": name,
@@ -73,7 +71,8 @@ def verify_metric(seed: int, budget: int | None) -> tuple[bool, dict]:
                 "triangle": triangle_ok,
             }
         )
-    return passed, {"checks": per_type}
+    axioms = ("identity", "symmetry", "definiteness", "triangle")
+    return all(check[a] for check in per_type for a in axioms), {"checks": per_type}
 
 
 def _grid_vertex_oracle(datum, r: int) -> set:
@@ -93,20 +92,15 @@ def _grid_vertex_oracle(datum, r: int) -> set:
 
 def verify_polytope(budget: int | None) -> tuple[bool, dict]:
     """Dilated-alcove vertex enumeration against a full-grid scan."""
-    passed = True
     cases = []
     for name, radii in (("A1", (0, 1, 2, 3)), ("A2", (1, 2, 3)), ("B2", (1, 2, 3)), ("G2", (1, 2))):
         datum = build_root_datum(parse_type(name))
         for r in radii:
             fast = set(iter_scaled_alcove_vertices(datum, r, budget=budget))
             slow = _grid_vertex_oracle(datum, r)
-            inside = all(in_scaled_alcove(datum, r, p) for p in fast)
-            ok = fast == slow and inside
-            passed = passed and ok
-            cases.append(
-                {"type": name, "radius": r, "count": len(slow), "match": ok}
-            )
-    return passed, {"cases": cases}
+            match = fast == slow and all(in_scaled_alcove(datum, r, p) for p in fast)
+            cases.append({"type": name, "radius": r, "count": len(slow), "match": match})
+    return all(case["match"] for case in cases), {"cases": cases}
 
 
 def _expected_growth(rstype: RootSystemType) -> Fraction:
@@ -135,7 +129,6 @@ def verify_table() -> tuple[bool, dict]:
     """Growth exponent table against the closed-form family formulas."""
     max_classical_rank = 12
     table = theorem_table(max_classical_rank)
-    passed = True
     mismatches = []
     for row in table.rows:
         expected = _expected_growth(row.rstype)
@@ -146,9 +139,8 @@ def verify_table() -> tuple[bool, dict]:
             or row.cdim_lower != lower
             or row.cdim_upper != upper
         ):
-            passed = False
             mismatches.append(str(row.rstype))
-    return passed, {
+    return not mismatches, {
         "rows": len(table.rows),
         "max_classical_rank": max_classical_rank,
         "mismatches": mismatches,
@@ -157,7 +149,6 @@ def verify_table() -> tuple[bool, dict]:
 
 def verify_growth(budget: int | None) -> tuple[bool, dict]:
     """Ball census bounds: degree window, factorization, type counts."""
-    passed = True
     cases = []
     for name, radii in (("A2", (1, 2, 3)), ("B2", (1, 2, 3)), ("C3", (1, 2)), ("G2", (1, 2))):
         datum = build_root_datum(parse_type(name))
@@ -173,7 +164,6 @@ def verify_growth(budget: int | None) -> tuple[bool, dict]:
             ok = ok and r * exponent - num_pos <= degree <= r * exponent
             if r == 1:
                 ok = ok and report.per_type_counts == (1,) * (datum.rank + 1)
-            passed = passed and ok
             cases.append(
                 {
                     "type": name,
@@ -183,12 +173,11 @@ def verify_growth(budget: int | None) -> tuple[bool, dict]:
                     "ok": ok,
                 }
             )
-    return passed, {"cases": cases}
+    return all(case["ok"] for case in cases), {"cases": cases}
 
 
 def verify_sandwich(budget: int | None) -> tuple[bool, dict]:
     """Two-sided bound reports: radius arithmetic and numeric ordering."""
-    passed = True
     cases = []
     for name in ("A2", "B2", "G2"):
         datum = build_root_datum(parse_type(name))
@@ -208,15 +197,13 @@ def verify_sandwich(budget: int | None) -> tuple[bool, dict]:
                     )
                     if low > report.upper_poly.evaluate(q0):
                         ok = False
-            passed = passed and ok
             cases.append({"type": name, "R": R, "r": r, "ok": ok})
-    return passed, {"cases": cases}
+    return all(case["ok"] for case in cases), {"cases": cases}
 
 
 def verify_concavity(seed: int) -> tuple[bool, dict]:
     """Closure of concavity under the function calculus."""
     rng = random.Random(seed)
-    passed = True
     cases = []
     for name in ("A2", "B2", "G2"):
         datum = build_root_datum(parse_type(name))
@@ -242,14 +229,12 @@ def verify_concavity(seed: int) -> tuple[bool, dict]:
             ok = ok and pointwise_max(fx, fy).values == omega.values
             result = index_exponent(datum, shift(fx, 1), shift(omega, 1))
             ok = ok and result.exponent >= 0
-        passed = passed and ok
         cases.append({"type": name, "trials": trials, "ok": ok})
-    return passed, {"cases": cases}
+    return all(case["ok"] for case in cases), {"cases": cases}
 
 
 def verify_g2_gap(budget: int | None) -> tuple[bool, dict]:
     """Wall vs simplicial metric: equality spot check and the gap witness."""
-    passed = True
     a2 = build_root_datum(parse_type("A2"))
     a2_ball = sorted(iter_wall_ball_points(a2, origin(a2), 2, budget=budget))
     equal_ok = True
@@ -258,7 +243,6 @@ def verify_g2_gap(budget: int | None) -> tuple[bool, dict]:
         for y in a2_ball:
             if dists.get(y) != wall_distance(a2, x, y).d:
                 equal_ok = False
-    passed = passed and equal_ok
 
     g2 = build_root_datum(parse_type("G2"))
     g2_ball = sorted(iter_wall_ball_points(g2, origin(g2), 4, budget=budget))
@@ -284,8 +268,7 @@ def verify_g2_gap(budget: int | None) -> tuple[bool, dict]:
                 }
         if witness is not None:
             break
-    passed = passed and monotone_ok and witness is not None
-    return passed, {
+    return equal_ok and monotone_ok and witness is not None, {
         "a2_equality": equal_ok,
         "a2_ball_size": len(a2_ball),
         "g2_ball_size": len(g2_ball),
