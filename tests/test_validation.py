@@ -1,5 +1,6 @@
 """Exact arguments at the boundary: bools and floats are refused."""
 
+import hashlib
 import inspect
 from fractions import Fraction
 
@@ -275,6 +276,23 @@ def test_public_options_listed():
     the tests set is no option."""
     defaulted = {key for key, p in _public_parameters() if p.default is not p.empty}
     assert defaulted == set(OPTIONS)
+
+
+def test_public_surface_pinned():
+    """alcove.__all__ names each export once, is the 82 names pinned by
+    its digest, and holds every public attribute of the package: the
+    tables above iterate __all__, so a name reachable as alcove.X but
+    missing from it would escape them."""
+    names = alcove.__all__
+    assert len(names) == len(set(names))
+    digest = hashlib.sha256("\n".join(sorted(names)).encode()).hexdigest()
+    assert digest == "b96f529fc5b1bc6116ed69e91b4d9f201b2208e43dc7b191b8c5199b41007ff7"
+    public = {
+        name
+        for name, value in vars(alcove).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public <= set(names)
 
 
 def test_exact_arguments_accepted(data):
