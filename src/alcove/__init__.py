@@ -3,184 +3,22 @@ vertex enumeration, wall and edge-path metrics, concave-function
 filtration indices, and polynomial cardinality bounds in a formal q.
 """
 
-from .apartment import (
-    DEFAULT_ENUMERATION_BUDGET,
-    Point,
-    VertexSet,
-    alcove_vertex,
-    as_point,
-    enumerate_box_vertices,
-    enumerate_scaled_alcove_vertices,
-    fold_pair,
-    fold_to_alcove,
-    in_scaled_alcove,
-    is_special,
-    is_vertex,
-    iter_box_vertices,
-    iter_scaled_alcove_vertices,
-    origin,
-    scaled_coords,
-    vertex_type,
-)
-from .cartan import (
-    Root,
-    RootDatum,
-    RootSystemType,
-    build_root_datum,
-    cartan_matrix,
-    eval_root,
-    parse_type,
-    positive_root_count,
-    root_datum_to_dict,
-    validate_type,
-    weyl_degrees,
-)
-from .distance import (
-    DistanceReport,
-    adjacent,
-    apartment_ball,
-    distance_report_to_dict,
-    integers_strictly_between,
-    iter_wall_ball_points,
-    simplicial_distance,
-    simplicial_distances,
-    wall_count,
-    wall_distance,
-)
-from .errors import (
-    AlcoveError,
-    DimensionMismatchError,
-    DominationError,
-    EmptySetError,
-    EnumerationLimitError,
-    FoldLimitError,
-    InvalidTypeError,
-    LevelMismatchError,
-    NonConcaveError,
-    NotARootError,
-    NotAVertexError,
-    NotInChamberError,
-    ResourceError,
-    SearchBudgetError,
-    ValidationError,
-)
-from .growth import (
-    BallReport,
-    BoundsRow,
-    BoundsTable,
-    SandwichReport,
-    ball_report_to_dict,
-    ball_sum,
-    bounds_table_to_dict,
-    cind_sandwich,
-    gamma_polynomial,
-    growth_exponent,
-    max_two_rho,
-    parabolic_shift,
-    quotient_ball_sum,
-    sandwich_report_to_dict,
-    theorem_table,
-)
-from .moyprasad import (
-    ConcaveFunction,
-    IndexExponent,
-    concave_function_to_dict,
-    filtration_contains,
-    index_exponent,
-    is_concave,
-    make_function,
-    omega_function,
-    optimize,
-    point_function,
-    pointwise_max,
-    quotient_exponents,
-    shift,
-)
-from .qpoly import QPolynomial
+from . import apartment, cartan, distance, errors, growth, moyprasad, qpoly
+from .apartment import *
+from .cartan import *
+from .distance import *
+from .errors import *
+from .growth import *
+from .moyprasad import *
+from .qpoly import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlcoveError",
-    "BallReport",
-    "BoundsRow",
-    "BoundsTable",
-    "ConcaveFunction",
-    "DEFAULT_ENUMERATION_BUDGET",
-    "DimensionMismatchError",
-    "DistanceReport",
-    "DominationError",
-    "EmptySetError",
-    "EnumerationLimitError",
-    "FoldLimitError",
-    "IndexExponent",
-    "InvalidTypeError",
-    "LevelMismatchError",
-    "NonConcaveError",
-    "NotARootError",
-    "NotAVertexError",
-    "NotInChamberError",
-    "Point",
-    "QPolynomial",
-    "ResourceError",
-    "Root",
-    "RootDatum",
-    "RootSystemType",
-    "SandwichReport",
-    "SearchBudgetError",
-    "ValidationError",
-    "VertexSet",
-    "adjacent",
-    "alcove_vertex",
-    "apartment_ball",
-    "as_point",
-    "ball_report_to_dict",
-    "ball_sum",
-    "bounds_table_to_dict",
-    "build_root_datum",
-    "cartan_matrix",
-    "cind_sandwich",
-    "concave_function_to_dict",
-    "distance_report_to_dict",
-    "enumerate_box_vertices",
-    "enumerate_scaled_alcove_vertices",
-    "eval_root",
-    "filtration_contains",
-    "fold_pair",
-    "fold_to_alcove",
-    "gamma_polynomial",
-    "growth_exponent",
-    "in_scaled_alcove",
-    "index_exponent",
-    "integers_strictly_between",
-    "is_concave",
-    "is_special",
-    "is_vertex",
-    "iter_box_vertices",
-    "iter_scaled_alcove_vertices",
-    "iter_wall_ball_points",
-    "make_function",
-    "max_two_rho",
-    "omega_function",
-    "optimize",
-    "origin",
-    "parabolic_shift",
-    "parse_type",
-    "point_function",
-    "pointwise_max",
-    "positive_root_count",
-    "quotient_ball_sum",
-    "quotient_exponents",
-    "root_datum_to_dict",
-    "sandwich_report_to_dict",
-    "scaled_coords",
-    "shift",
-    "simplicial_distance",
-    "simplicial_distances",
-    "theorem_table",
-    "validate_type",
-    "vertex_type",
-    "wall_count",
-    "wall_distance",
-    "weyl_degrees",
-]
+__all__: list[str] = []
+__all__ += apartment.__all__
+__all__ += cartan.__all__
+__all__ += distance.__all__
+__all__ += errors.__all__
+__all__ += growth.__all__
+__all__ += moyprasad.__all__
+__all__ += qpoly.__all__

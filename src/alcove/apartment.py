@@ -44,6 +44,24 @@ from .errors import (
     require_int,
 )
 
+__all__ = [
+    "DEFAULT_ENUMERATION_BUDGET",
+    "VertexSet",
+    "alcove_vertex",
+    "enumerate_box_vertices",
+    "enumerate_scaled_alcove_vertices",
+    "fold_pair",
+    "fold_to_alcove",
+    "in_scaled_alcove",
+    "is_special",
+    "is_vertex",
+    "iter_box_vertices",
+    "iter_scaled_alcove_vertices",
+    "origin",
+    "scaled_coords",
+    "vertex_type",
+]
+
 DEFAULT_ENUMERATION_BUDGET = 100_000_000
 DEFAULT_FOLD_LIMIT = 1_000_000
 

@@ -31,6 +31,22 @@ from .errors import (
     require_int,
 )
 
+__all__ = [
+    "Point",
+    "Root",
+    "RootDatum",
+    "RootSystemType",
+    "as_point",
+    "build_root_datum",
+    "cartan_matrix",
+    "eval_root",
+    "parse_type",
+    "positive_root_count",
+    "root_datum_to_dict",
+    "validate_type",
+    "weyl_degrees",
+]
+
 Root = tuple[int, ...]
 Point = tuple[Fraction, ...]
 
@@ -254,10 +270,16 @@ def as_point(datum: RootDatum, values: Iterable) -> Point:
     return point
 
 
+def _coefficients(coeffs: Iterable) -> Root:
+    """coeffs as integer root coefficients; neither their number nor
+    their being a root is checked."""
+    message = "root coefficients must be integers"
+    return tuple([require_int(c, message) for c in _items(coeffs, "a root")])
+
+
 def _root(datum: RootDatum, coeffs: Iterable) -> Root:
     """coeffs as integer coefficients, one per simple root; not checked to be a root."""
-    message = "root coefficients must be integers"
-    root = tuple([require_int(c, message) for c in _items(coeffs, "a root")])
+    root = _coefficients(coeffs)
     if len(root) != datum.rank:
         raise DimensionMismatchError(f"expected {datum.rank} root coefficients, got {len(root)}")
     return root

@@ -19,8 +19,7 @@ from math import prod
 
 import click
 
-from .apartment import as_point
-from .cartan import build_root_datum, parse_type, root_datum_to_dict, weyl_degrees
+from .cartan import as_point, build_root_datum, parse_type, root_datum_to_dict, weyl_degrees
 from .distance import distance_report_to_dict, simplicial_distance, wall_distance
 from .errors import ResourceError, ValidationError
 from .growth import (

@@ -46,6 +46,19 @@ from .apartment import (
 from .cartan import Point, Root, RootDatum, _inverse, as_point, require_positive_root
 from .errors import SearchBudgetError, _rational, require_int
 
+__all__ = [
+    "DistanceReport",
+    "adjacent",
+    "apartment_ball",
+    "distance_report_to_dict",
+    "integers_strictly_between",
+    "iter_wall_ball_points",
+    "simplicial_distance",
+    "simplicial_distances",
+    "wall_count",
+    "wall_distance",
+]
+
 
 @dataclass(frozen=True)
 class DistanceReport:

@@ -8,6 +8,24 @@ computational budgets (CLI exit code 3).
 
 from fractions import Fraction
 
+__all__ = [
+    "AlcoveError",
+    "DimensionMismatchError",
+    "DominationError",
+    "EmptySetError",
+    "EnumerationLimitError",
+    "FoldLimitError",
+    "InvalidTypeError",
+    "LevelMismatchError",
+    "NonConcaveError",
+    "NotARootError",
+    "NotAVertexError",
+    "NotInChamberError",
+    "ResourceError",
+    "SearchBudgetError",
+    "ValidationError",
+]
+
 
 class AlcoveError(Exception):
     """Base class for every error raised by this package."""

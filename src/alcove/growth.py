@@ -16,10 +16,35 @@ from operator import mul
 from typing import Iterable
 
 from .apartment import Point, _corner_type, _scaled, iter_scaled_alcove_vertices
-from .cartan import RootDatum, RootSystemType, build_root_datum, weyl_degrees
+from .cartan import (
+    _EXCEPTIONAL_RANKS,
+    _MIN_RANK,
+    RootDatum,
+    RootSystemType,
+    build_root_datum,
+    weyl_degrees,
+)
 from .errors import ValidationError, _items, require_int
 from .moyprasad import _capped_exponent, _root_levels
 from .qpoly import QPolynomial
+
+__all__ = [
+    "BallReport",
+    "BoundsRow",
+    "BoundsTable",
+    "SandwichReport",
+    "ball_report_to_dict",
+    "ball_sum",
+    "bounds_table_to_dict",
+    "cind_sandwich",
+    "gamma_polynomial",
+    "growth_exponent",
+    "max_two_rho",
+    "parabolic_shift",
+    "quotient_ball_sum",
+    "sandwich_report_to_dict",
+    "theorem_table",
+]
 
 
 def gamma_polynomial(datum: RootDatum) -> QPolynomial:
@@ -182,14 +207,9 @@ def theorem_table(max_classical_rank: int = 8) -> BoundsTable:
     """One row per irreducible type: classical families up to the given
     rank, then the five exceptional types."""
     require_int(max_classical_rank, "classical rank bound must be an integer >= 2", 2)
-    types: list[RootSystemType] = []
-    types += [RootSystemType("A", d) for d in range(1, max_classical_rank + 1)]
-    types += [RootSystemType("B", d) for d in range(2, max_classical_rank + 1)]
-    types += [RootSystemType("C", d) for d in range(2, max_classical_rank + 1)]
-    types += [RootSystemType("D", d) for d in range(4, max_classical_rank + 1)]
-    types += [RootSystemType("E", d) for d in (6, 7, 8)]
-    types.append(RootSystemType("F", 4))
-    types.append(RootSystemType("G", 2))
+    ranks = {f: range(least, max_classical_rank + 1) for f, least in _MIN_RANK.items()}
+    ranks |= _EXCEPTIONAL_RANKS
+    types = [RootSystemType(family, d) for family, rs in ranks.items() for d in rs]
     return BoundsTable(rows=tuple(_table_row(t) for t in types))
 
 

@@ -23,18 +23,35 @@ from operator import add, sub
 from typing import Iterable, Mapping
 
 from .apartment import _numerators, _tester
-from .cartan import Root, RootDatum, _root, as_point
+from .cartan import Root, RootDatum, _coefficients, _root, as_point
 from .errors import (
     DominationError,
     EmptySetError,
     LevelMismatchError,
     NonConcaveError,
+    NotARootError,
     NotInChamberError,
     ValidationError,
     _items,
     _rational,
     require_int,
 )
+
+__all__ = [
+    "ConcaveFunction",
+    "IndexExponent",
+    "concave_function_to_dict",
+    "filtration_contains",
+    "index_exponent",
+    "is_concave",
+    "make_function",
+    "omega_function",
+    "optimize",
+    "point_function",
+    "pointwise_max",
+    "quotient_exponents",
+    "shift",
+]
 
 
 @dataclass(frozen=True)
@@ -45,7 +62,12 @@ class ConcaveFunction:
     values: dict[Root, Fraction]
 
     def __call__(self, root: Root) -> Fraction:
-        return self.values[tuple(root)]
+        """The value at root; NotARootError when root is not one of the
+        function's roots."""
+        key = _coefficients(root)
+        if key not in self.values:
+            raise NotARootError(f"{key} is not a root of this function")
+        return self.values[key]
 
 
 def make_function(datum: RootDatum, at_zero, values: Mapping[Root, object]) -> ConcaveFunction:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .errors import ValidationError, require_int
 
+__all__ = ["QPolynomial"]
+
 NEG_INFINITY = float("-inf")
 
 
@@ -78,7 +80,8 @@ class QPolynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        """A constant hashes as its int, which it equals."""
+        return hash(self.coefficient(0) if self.degree <= 0 else frozenset(self._terms.items()))
 
     def __add__(self, other) -> "QPolynomial":
         other = _coerce(other)
@@ -101,7 +104,10 @@ class QPolynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> "QPolynomial":
-        return (-self) + other
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
+        return other - self
 
     def __mul__(self, other) -> "QPolynomial":
         other = _coerce(other)

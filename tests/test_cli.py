@@ -199,6 +199,20 @@ def test_verify_all_exit_0():
     assert len(payload["suites"]) == 7
 
 
+def _break_metric(monkeypatch):
+    wall = alcove.verify.wall_distance
+
+    def broken(datum, x, y):
+        report = wall(datum, x, y)
+        if str(datum.rstype) == "B2":
+            # zero one way and squared the other: neither symmetric, nor
+            # definite, nor subadditive
+            report = dataclasses.replace(report, d=0 if x < y else report.d**2)
+        return report
+
+    monkeypatch.setattr(alcove.verify, "wall_distance", broken)
+
+
 def _break_polytope(monkeypatch):
     oracle = alcove.verify._grid_vertex_oracle
 
@@ -206,6 +220,15 @@ def _break_polytope(monkeypatch):
         return set() if (str(datum.rstype), r) == ("A2", 2) else oracle(datum, r)
 
     monkeypatch.setattr(alcove.verify, "_grid_vertex_oracle", broken)
+
+
+def _break_table(monkeypatch):
+    count = alcove.verify.positive_root_count
+
+    def broken(rstype):
+        return count(rstype) + (str(rstype) == "B5")
+
+    monkeypatch.setattr(alcove.verify, "positive_root_count", broken)
 
 
 def _break_growth(monkeypatch):
@@ -239,19 +262,58 @@ def _break_concavity(monkeypatch):
     monkeypatch.setattr(alcove.verify, "is_concave", broken)
 
 
-# suite -> (how to break one of its inputs, the case fields that break
-# picks out, the flag each case records)
+def _break_g2_gap(monkeypatch):
+    wall = alcove.verify.wall_distance
+
+    def broken(datum, x, y):
+        # still a metric, so the metric suite passes; but no longer the
+        # A2 simplicial distance, and above the G2 one on most pairs
+        report = wall(datum, x, y)
+        return dataclasses.replace(report, d=report.d + (x != y))
+
+    monkeypatch.setattr(alcove.verify, "wall_distance", broken)
+
+
+def _cases_failing(key, fields, *flags):
+    """A check that the rows under key record each flag false where
+    they match fields and true elsewhere."""
+
+    def check(result):
+        for row in result[key]:
+            picked = all(row[k] == v for k, v in fields.items())
+            assert all(row[flag] is not picked for flag in flags), row
+
+    return check
+
+
+def _recording(**expected):
+    """A check that the suite records the expected top-level values."""
+
+    def check(result):
+        assert {k: result[k] for k in expected} == expected
+
+    return check
+
+
+# suite -> (how to break one of its inputs, a check of what the suite
+# then records)
 BROKEN_SUITES = {
-    "polytope": (_break_polytope, {"type": "A2", "radius": 2}, "match"),
-    "growth": (_break_growth, {"type": "B2"}, "ok"),
-    "sandwich": (_break_sandwich, {"type": "G2", "R": 1, "r": 4}, "ok"),
-    "concavity": (_break_concavity, {"type": "B2"}, "ok"),
+    "metric": (
+        _break_metric,
+        _cases_failing("checks", {"type": "B2"}, "symmetry", "definiteness", "triangle"),
+    ),
+    "polytope": (_break_polytope, _cases_failing("cases", {"type": "A2", "radius": 2}, "match")),
+    "table": (_break_table, _recording(mismatches=["B5"])),
+    "growth": (_break_growth, _cases_failing("cases", {"type": "B2"}, "ok")),
+    "sandwich": (_break_sandwich, _cases_failing("cases", {"type": "G2", "R": 1, "r": 4}, "ok")),
+    "concavity": (_break_concavity, _cases_failing("cases", {"type": "B2"}, "ok")),
+    "g2-gap": (_break_g2_gap, _recording(a2_equality=False, g2_monotone=False)),
 }
 
 
 @pytest.mark.parametrize("suite", list(BROKEN_SUITES))
 def test_verify_reports_a_failing_case(monkeypatch, suite):
-    brk, fields, flag = BROKEN_SUITES[suite]
+    brk, check = BROKEN_SUITES[suite]
     brk(monkeypatch)
     result = _run("verify")
     assert result.exit_code == 1
@@ -259,9 +321,7 @@ def test_verify_reports_a_failing_case(monkeypatch, suite):
     assert payload["passed"] is False
     for name, res in payload["suites"].items():
         assert res["passed"] is (name != suite), name
-    for case in payload["suites"][suite]["cases"]:
-        picked = all(case[k] == v for k, v in fields.items())
-        assert case[flag] is not picked, case
+    check(payload["suites"][suite])
 
 
 def test_console_script_maps_to_main():

@@ -94,6 +94,11 @@ GOLDEN = [
         "distance --type G2 --x 0,0 --y 1,0 --format csv",
         "d2ad973a7c50cd693bcb5452b94f5d39259807f2e6d8bbed027b27649bd12cb9",
     ),
+    (
+        # the lower bound is empty: its polynomial is the empty csv cell
+        "sandwich --type A2 --R 0 --r 1 --format csv",
+        "0052667f658a758711a8f4188f400a24d3dfc6841f14bda2c136dfeebbb59a06",
+    ),
     ("verify --suite metric", "4f276c788dc971e7254275620276047ca713c1c4ac6fe1058f8cdb5529a52170"),
     ("verify --suite table", "d39b6d371addd2faae4ad767b5532f972f8f32af21965e06ae627d6628ed987e"),
     ("verify --suite growth", "162f71028e3117b23da16c5499d164da7fb138467893bffe84fed9a12680d3fd"),

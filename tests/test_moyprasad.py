@@ -13,6 +13,7 @@ from alcove import (
     EmptySetError,
     LevelMismatchError,
     NonConcaveError,
+    NotARootError,
     NotInChamberError,
     ValidationError,
     build_root_datum,
@@ -46,6 +47,20 @@ def test_point_function_values(data):
     assert f((0, 1)) == -2
     assert f((1, 1)) == -3
     assert f((-1, -1)) == 3
+
+
+def test_call_raises_typed_errors(data):
+    """Only a root of the function's system has a value; any other
+    argument is an AlcoveError, never a raw KeyError or TypeError."""
+    f = point_function(data("A2"), (F(1), F(2)))
+    for not_a_root in [(5, 5), (0, 0), (1, 0, 0), []]:
+        with pytest.raises(NotARootError, match=r"is not a root of this function$"):
+            f(not_a_root)
+    # non-iterables, and coefficients that are no integers: text, nested
+    # (unhashable) lists, bools and floats that would hash as a root's ints
+    for bad in [5, None, "ab", [[1], 0], [[1, 0]], (True, 0), (1.0, 0)]:
+        with pytest.raises(ValidationError):
+            f(bad)
 
 
 def test_point_function_concave(data):
@@ -121,6 +136,9 @@ def test_shift_and_pointwise_max(data):
     om = omega_function(a2, [(F(1), F(0)), (F(0), F(1))])
     assert h.values == om.values
     assert h.at_zero == om.at_zero
+    for other in ("B2", "A1"):
+        with pytest.raises(ValidationError, match="^functions live on different root systems$"):
+            pointwise_max(f, point_function(data(other), (F(0),) * data(other).rank))
 
 
 def test_index_exponent_a1(data):
@@ -147,8 +165,10 @@ def test_index_exponent_errors(data):
     o = (F(0),)
     f = shift(point_function(a1, o), 1)
     bad = ConcaveFunction(at_zero=F(1), values={(1,): F(0), (-1,): F(0)})
-    with pytest.raises(NonConcaveError):
+    with pytest.raises(NonConcaveError, match="^lower function is not concave$"):
         index_exponent(a1, bad, f)
+    with pytest.raises(NonConcaveError, match="^upper function is not concave$"):
+        index_exponent(a1, f, bad)
     with pytest.raises(LevelMismatchError):
         index_exponent(a1, f, shift(f, 1))
     zero_level = point_function(a1, o)

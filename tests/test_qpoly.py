@@ -145,6 +145,33 @@ def test_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # a constant equals its int, so it hashes as that int
+    for constant in (0, 3, -7, 10**30):
+        assert QPolynomial({0: constant}) == constant
+        assert hash(QPolynomial({0: constant})) == hash(constant)
+        assert len({QPolynomial({0: constant}), constant}) == 1
+    assert hash(QPolynomial()) == hash(0)
+
+
+@pytest.mark.parametrize(
+    "other", [Fraction(1, 2), 1.5, 1j, None], ids=["Fraction", "float", "complex", "None"]
+)
+def test_non_integer_operands_refused(other):
+    """Each operator hands a non-integer operand back to Python, whose
+    TypeError names that operator; equality falls back to identity."""
+    p = QPolynomial.monomial(2)
+    assert p != other
+    assert not (p == other)
+    for symbol, call in [
+        ("+", lambda: p + other),
+        ("+", lambda: other + p),
+        ("-", lambda: p - other),
+        ("-", lambda: other - p),
+        ("*", lambda: p * other),
+        ("*", lambda: other * p),
+    ]:
+        with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{symbol}"):
+            call()
 
 
 @given(polys, polys)

@@ -112,6 +112,7 @@ CALLS = {
     "omega_function points": lambda d, o, v: omega_function(d, v),
     "parse_type text": lambda d, o, v: parse_type(v),
     "QPolynomial terms": lambda d, o, v: QPolynomial(v),
+    "ConcaveFunction root": lambda d, o, v: point_function(d, o)(v),
 }
 
 
