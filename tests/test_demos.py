@@ -1,5 +1,7 @@
-"""Every demo script runs to completion from a fresh interpreter."""
+"""Every demo script runs to completion from a fresh interpreter, and
+prints exactly the bytes pinned for it."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,3 +27,27 @@ def test_demo_runs(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+# sha256 of each demo's stdout; the demos print exact library results,
+# so any change in them is a change in what the library computes
+DEMO_STDOUT = {
+    "alcove_vertex_census.py": "cd66945d75d5fc7050bbb56dd00f4c058463e0c6c2f0eeda87dce85ca1c222f4",
+    "counting_polynomials.py": "d6c52007c50bcaec6223e96b840dcd0cc9bd871d5479685da356346c8f4a2352",
+    "filtration_functions.py": "2b70f283e58ff06ea8c2da332ee656f89826dd60f3c133add9c358c36f163473",
+    "root_data_tour.py": "17285984a45f206ba0979f179044647cfca15d4937aea1107ee500850b29e0ad",
+    "two_metrics.py": "59a182761c5624ba6a0562fd229f062431e416d7314007fa8c19198f4601537e",
+}
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_stdout_pinned(script):
+    package_root = str(Path(alcove.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
+    result = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == DEMO_STDOUT[script.name]
