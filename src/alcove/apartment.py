@@ -28,13 +28,14 @@ results go out.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import mul
 from typing import Iterable, Iterator
 
-from .cartan import Point, RootDatum, as_point
+from .cartan import Point, RootDatum, _per_datum, as_point
 from .errors import (
     EnumerationLimitError,
     FoldLimitError,
@@ -237,18 +238,17 @@ class _VertexTester:
         return j
 
 
-def _tester(datum: RootDatum) -> _VertexTester:
-    """The datum's one vertex tester, kept in its instance dict as
-    functools.cached_property would, outside the dataclass fields."""
-    tester = datum.__dict__.get("_vertex_tester")
-    if tester is None:
-        tester = datum.__dict__["_vertex_tester"] = _VertexTester(datum)
-    return tester
+# the datum's one vertex tester
+_tester = _per_datum(_VertexTester)
+
+
+def _point_text(point: Iterable[Fraction]) -> str:
+    """A point as error messages write it: (1/2, 0)."""
+    return f"({', '.join(map(str, point))})"
 
 
 def _not_a_vertex(point: Iterable[Fraction]) -> NotAVertexError:
-    """The error for a point that is not a vertex, written (1/2, 0)."""
-    return NotAVertexError(f"({', '.join(map(str, point))}) is not a vertex")
+    return NotAVertexError(f"{_point_text(point)} is not a vertex")
 
 
 def _vertex_scaled(datum: RootDatum, x) -> tuple[int, ...]:
@@ -339,20 +339,16 @@ def fold_pair(datum: RootDatum, x, y) -> tuple[Point, Point]:
     return _folded_points(datum, (as_point(datum, x), as_point(datum, y)))
 
 
-def _corner_type(datum: RootDatum, a) -> int:
-    """Index of the alcove corner that a / scale folds onto, from the
-    tester's memo; NotAVertexError, naming a's fold, when it is none."""
-    i = _tester(datum).type_of(a)
-    if i is None:
-        p = list(a)
-        _fold(datum, [p], datum.scale)
-        raise _not_a_vertex(Fraction(v, datum.scale) for v in p)
-    return i
-
-
 def vertex_type(datum: RootDatum, x) -> int:
     """Index in 0..d of the alcove corner the vertex folds onto."""
-    return _corner_type(datum, _vertex_scaled(datum, x))
+    return _tester(datum).type_of(_vertex_scaled(datum, x))
+
+
+def _type_counts(datum: RootDatum, vertices: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """How many of the vertices, integer tuples over the scale, have each
+    type 0..d."""
+    counts = Counter(map(_tester(datum).type_of, vertices))
+    return tuple(counts[i] for i in range(datum.rank + 1))
 
 
 @dataclass(frozen=True)
@@ -368,10 +364,8 @@ class VertexSet:
 
 def _make_vertex_set(datum: RootDatum, points: Iterable[Point]) -> VertexSet:
     ordered = tuple(sorted(points))
-    counts = [0] * (datum.rank + 1)
-    for p in ordered:
-        counts[_corner_type(datum, _scaled(p, datum.scale))] += 1
-    return VertexSet(points=ordered, per_type_counts=tuple(counts))
+    counts = _type_counts(datum, (_scaled(p, datum.scale) for p in ordered))
+    return VertexSet(points=ordered, per_type_counts=counts)
 
 
 def _maximal_denominators(datum: RootDatum) -> list[int]:

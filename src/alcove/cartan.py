@@ -15,11 +15,12 @@ and _root integer coefficients, one per simple root.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Set
+from collections.abc import Callable, Iterable, Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import TypeVar
 
 from .errors import (
     DimensionMismatchError,
@@ -49,6 +50,7 @@ __all__ = [
 
 Root = tuple[int, ...]
 Point = tuple[Fraction, ...]
+_T = TypeVar("_T")
 
 FAMILIES = tuple("ABCDEFG")
 
@@ -70,8 +72,11 @@ class RootSystemType:
 
 
 def validate_type(rstype: RootSystemType) -> None:
-    """Raise InvalidTypeError unless the family/rank pair names a system;
-    D3 is refused, as it duplicates A3 under relabeling."""
+    """Raise InvalidTypeError unless rstype is a RootSystemType whose
+    family/rank pair names a system; D3 is refused, as it duplicates A3
+    under relabeling."""
+    if not isinstance(rstype, RootSystemType):
+        raise InvalidTypeError(f"a {type(rstype).__name__} is not a RootSystemType")
     family, rank = rstype.family, rstype.rank
     if family not in FAMILIES:
         raise InvalidTypeError(f"unknown family {family!r}")
@@ -104,6 +109,7 @@ def parse_type(text: str) -> RootSystemType:
 
 def positive_root_count(rstype: RootSystemType) -> int:
     """Closed-form count of positive roots, used as a generation check."""
+    validate_type(rstype)
     d = rstype.rank
     if rstype.family == "A":
         return d * (d + 1) // 2
@@ -118,6 +124,7 @@ def positive_root_count(rstype: RootSystemType) -> int:
 
 def cartan_matrix(rstype: RootSystemType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix A with A[i][j] = <alpha_i, alpha_j^vee>, 0-indexed."""
+    validate_type(rstype)
     d = rstype.rank
     a = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
 
@@ -129,10 +136,10 @@ def cartan_matrix(rstype: RootSystemType) -> tuple[tuple[int, ...], ...]:
     if family in ("A", "B", "C"):
         for i in range(d - 1):
             edge(i, i + 1)
-        if family == "B" and d >= 2:
+        if family == "B":
             # alpha_d short: <alpha_{d-1}, alpha_d^vee> = -2
             edge(d - 2, d - 1, forward=-2, backward=-1)
-        if family == "C" and d >= 2:
+        if family == "C":
             # alpha_d long: <alpha_d, alpha_{d-1}^vee> = -2
             edge(d - 2, d - 1, forward=-1, backward=-2)
     elif family == "D":
@@ -259,6 +266,21 @@ class RootDatum:
         return _root(self, coeffs) in self.root_set
 
 
+def _per_datum(build: Callable[[RootDatum], _T]) -> Callable[[RootDatum], _T]:
+    """build made to run once per datum: its result is kept in the
+    datum's instance dict under build's name, as functools.cached_property
+    would, outside the dataclass fields."""
+    name = build.__name__
+
+    def cached(datum: RootDatum) -> _T:
+        value = datum.__dict__.get(name)
+        if value is None:
+            value = datum.__dict__[name] = build(datum)
+        return value
+
+    return cached
+
+
 def as_point(datum: RootDatum, values: Iterable) -> Point:
     """values as exact coordinates t_i = alpha_i(x), one per simple root."""
     # text would be read character by character, sets and mappings in no fixed order
@@ -286,8 +308,8 @@ def _root(datum: RootDatum, coeffs: Iterable) -> Root:
 
 
 def build_root_datum(rstype: RootSystemType) -> RootDatum:
-    """Generate the full datum for one type; raises InvalidTypeError first."""
-    validate_type(rstype)
+    """Generate the full datum for one type; raises InvalidTypeError first,
+    from cartan_matrix."""
     cartan = cartan_matrix(rstype)
     d = rstype.rank
     positives = _generate_positive_roots(cartan)

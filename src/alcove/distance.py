@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul, sub
 from typing import Iterator
 
@@ -92,16 +93,10 @@ def _wall_distance_scaled(
 ) -> tuple[int, Root | None, int]:
     if ax == ay:
         return 0, None, 0
-    scale = datum.scale
     values = _tester(datum).root_values
-    best = -1
-    witness: Root | None = None
-    for root, u, v in zip(datum.positive_roots, values(ax), values(ay)):
-        k = _between_scaled(u, v, scale)
-        if k > best:
-            best = k
-            witness = root
-    return 1 + best, witness, best
+    counts = list(map(_between_scaled, values(ax), values(ay), repeat(datum.scale)))
+    best = max(counts)
+    return 1 + best, datum.positive_roots[counts.index(best)], best
 
 
 def wall_distance(datum: RootDatum, x, y) -> DistanceReport:
@@ -129,16 +124,8 @@ def iter_wall_ball_points(
     scale = datum.scale
     lo = tuple(v - r * scale for v in ac)
     hi = tuple(v + r * scale for v in ac)
-    values = _tester(datum).root_values
-    center_vals = values(ac)
     for a in _walk(datum, lo, hi, _Budget(budget)):
-        if a == ac or (
-            r >= 1
-            and all(
-                _between_scaled(cv, v, scale) <= r - 1
-                for cv, v in zip(center_vals, values(a))
-            )
-        ):
+        if _wall_distance_scaled(datum, ac, a)[0] <= r:
             yield tuple(Fraction(v, scale) for v in a)
 
 
@@ -236,13 +223,13 @@ def _bfs(
     start: tuple[int, ...],
     max_depth: int,
     state: _Budget,
-    target: int | None = None,
-) -> dict[int, int]:
+    target: tuple[int, ...] | None = None,
+) -> _DistanceTable:
     """Graph distance from start to each vertex within max_depth edges,
-    in one dict keyed by _pack and in breadth-first order, start first.
-    With a target key, the search returns as soon as it discovers that
-    vertex, so a point query spends the budget a table search spends
-    up to that vertex.
+    as a table keyed by _pack in breadth-first order, start first.
+    With a target vertex, the search returns as soon as it discovers
+    it, so a point query spends the budget a table search spends up to
+    that vertex.
 
     Each residue class modulo the scale has one record, [residue,
     steps], where steps lists (packed offset, the neighbour's record)
@@ -256,6 +243,9 @@ def _bfs(
     """
     N = datum.scale
     reach = max_depth * N
+    # a target beyond the reach has no key: the search runs to the radius
+    goal = None if target is None else _pack(target, start, reach)
+    cols = [range(s - reach, s + reach + 1) for s in start]
     zero = (0,) * datum.rank
     cache: dict = {}
     residue = tuple([v % N for v in start])
@@ -263,14 +253,15 @@ def _bfs(
 
     def link(key: int, record: list) -> list:
         steps = record[1] = []
-        for delta in _neighbor_offsets(datum, _unpack(key, start, reach), cache, state):
+        for delta in _neighbor_offsets(datum, _unpack(key, cols, reach), cache, state):
             r = tuple([(u + v) % N for u, v in zip(record[0], delta)])
             steps.append((_pack(delta, zero, reach), records.setdefault(r, [r, None])))
         return steps
 
     depths = {0: 0}
-    if target == 0:
-        return depths
+    table = _DistanceTable(datum, start, reach, depths)
+    if goal == 0:
+        return table
     frontier = [(0, records[residue])]
     for depth in range(1, max_depth + 1):
         nxt = []
@@ -280,10 +271,10 @@ def _bfs(
                 if k not in depths:
                     depths[k] = depth
                     nxt.append((k, t))
-                    if k == target:
-                        return depths
+                    if k == goal:
+                        return table
         frontier = nxt
-    return depths
+    return table
 
 
 def _pack(a: tuple[int, ...], start: tuple[int, ...], reach: int) -> int | None:
@@ -308,17 +299,22 @@ def _pack(a: tuple[int, ...], start: tuple[int, ...], reach: int) -> int | None:
     return key
 
 
-def _unpack(key: int, start: tuple[int, ...], reach: int) -> tuple[int, ...]:
-    """The vertex whose _pack key is key: start plus the balanced digits
-    of key in the radix 2 reach + 1."""
+def _unpack(key: int, cols: list, reach: int) -> tuple:
+    """The point whose _pack key is key, coordinate j read off cols[j],
+    which lists s_j - reach .. s_j + reach in ascending order, as ints
+    or as the Fractions they stand for.
+
+    Digit j of the key is a_j - s_j in -reach .. reach; adding reach
+    before each division by the radix 2 reach + 1 makes the remainder
+    that digit plus reach, cols[j]'s index, and leaves the higher
+    digits' key as the quotient."""
     radix = 2 * reach + 1
-    a = []
-    for s in reversed(start):
-        v = (key + reach) % radix - reach
-        a.append(s + v)
-        key = (key - v) // radix
-    a.reverse()
-    return tuple(a)
+    p = []
+    for col in reversed(cols):
+        key, i = divmod(key + reach, radix)
+        p.append(col[i])
+    p.reverse()
+    return tuple(p)
 
 
 def simplicial_distance(
@@ -343,9 +339,7 @@ def simplicial_distance(
     state = _Budget(candidate_budget)
     if budget and _wall_distance_scaled(datum, ax, ay)[0] == 1:
         return 1
-    # a target beyond the reach has no key: the search runs to the radius
-    target = _pack(ay, ax, budget * datum.scale)
-    depth = _bfs(datum, ax, budget, state, target).get(target)
+    depth = _bfs(datum, ax, budget, state, ay)._depth(ay)
     if depth is None:
         raise SearchBudgetError(f"target not reached within search radius {budget}")
     return depth
@@ -358,40 +352,29 @@ class _DistanceTable(Mapping):
     the depths in order instead of looking each key up again."""
 
     def __init__(
-        self, datum: RootDatum, start: tuple[int, ...], max_depth: int, depths: dict[int, int]
+        self, datum: RootDatum, start: tuple[int, ...], reach: int, depths: dict[int, int]
     ):
         self._datum = datum
         self._start = start
-        self._reach = max_depth * datum.scale
+        self._reach = reach
         self._depths = depths
 
+    def _depth(self, a: tuple[int, ...] | None) -> int | None:
+        """The depth of the vertex a / scale, or None when a is None or
+        the search did not reach it."""
+        return self._depths.get(None if a is None else _pack(a, self._start, self._reach))
+
     def __getitem__(self, x) -> int:
-        a = scaled_coords(self._datum, x)
-        key = None if a is None else _pack(a, self._start, self._reach)
-        depth = self._depths.get(key)
+        depth = self._depth(scaled_coords(self._datum, x))
         if depth is None:
             raise KeyError(x)
         return depth
 
     def __iter__(self) -> Iterator[Point]:
-        # key + bias has the digits a_j - s_j + reach in 0 .. radix - 1,
-        # and column j maps such a digit to the coordinate a_j / scale;
-        # the digits come off the last coordinate first
         scale, reach = self._datum.scale, self._reach
-        radix = 2 * reach + 1
-        bias = sum(reach * radix**j for j in range(len(self._start)))
-        cols = [
-            [Fraction(v, scale) for v in range(s - reach, s + reach + 1)]
-            for s in reversed(self._start)
-        ]
+        cols = [[Fraction(v, scale) for v in range(s - reach, s + reach + 1)] for s in self._start]
         for key in self._depths:
-            q = key + bias
-            p = []
-            for col in cols:
-                p.append(col[q % radix])
-                q //= radix
-            p.reverse()
-            yield tuple(p)
+            yield _unpack(key, cols, reach)
 
     def __len__(self) -> int:
         return len(self._depths)
@@ -433,9 +416,7 @@ def simplicial_distances(
     raised when that is exceeded.
     """
     require_int(max_depth, "search depth must be a nonnegative integer", 0)
-    ax = _vertex_scaled(datum, source)
-    depths = _bfs(datum, ax, max_depth, _Budget(candidate_budget))
-    return _DistanceTable(datum, ax, max_depth, depths)
+    return _bfs(datum, _vertex_scaled(datum, source), max_depth, _Budget(candidate_budget))
 
 
 def distance_report_to_dict(report: DistanceReport) -> dict:

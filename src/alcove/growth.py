@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .apartment import Point, _corner_type, _scaled, iter_scaled_alcove_vertices
+from .apartment import Point, _scaled, _type_counts, iter_scaled_alcove_vertices
 from .cartan import (
     _EXCEPTIONAL_RANKS,
     _MIN_RANK,
@@ -127,7 +127,6 @@ def ball_sum(
     matching upper bound.
     """
     census = _census(datum, r, budget)
-    types = Counter(_corner_type(datum, a) for a, _, _ in census)
     levels = tuple(row for _, _, row in census)
     lower = _exponent_poly(levels, None)
     gamma = gamma_polynomial(datum)
@@ -135,7 +134,7 @@ def ball_sum(
         rstype=datum.rstype,
         radius=r,
         vertex_count_chamber=len(census),
-        per_type_counts=tuple(types[i] for i in range(datum.rank + 1)),
+        per_type_counts=_type_counts(datum, (a for a, _, _ in census)),
         lower_poly=lower,
         upper_poly=gamma * lower,
         gamma_poly=gamma,

@@ -22,8 +22,8 @@ from math import ceil
 from operator import add, sub
 from typing import Iterable, Mapping
 
-from .apartment import _numerators, _tester
-from .cartan import Root, RootDatum, _coefficients, _root, as_point
+from .apartment import _numerators, _point_text, _tester
+from .cartan import Root, RootDatum, _coefficients, _per_datum, _root, as_point
 from .errors import (
     DominationError,
     EmptySetError,
@@ -56,10 +56,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConcaveFunction:
-    """Total assignment on the roots of both signs plus the value at 0."""
+    """Total assignment on the roots of both signs plus the value at 0.
+
+    The value at 0 and every value are checked exact when the function
+    is built and kept as Fractions; the roots are checked against a
+    datum where one is known."""
 
     at_zero: Fraction
     values: dict[Root, Fraction]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "at_zero", _rational(self.at_zero))
+        object.__setattr__(self, "values", {r: _rational(v) for r, v in self.values.items()})
 
     def __call__(self, root: Root) -> Fraction:
         """The value at root; NotARootError when root is not one of the
@@ -74,8 +82,7 @@ def make_function(datum: RootDatum, at_zero, values: Mapping[Root, object]) -> C
     """Build a candidate function, checking totality but not concavity."""
     if not isinstance(values, Mapping):
         raise ValidationError(f"a {type(values).__name__} is not a mapping of roots to values")
-    table = {_root(datum, r): _rational(v) for r, v in values.items()}
-    f = ConcaveFunction(at_zero=_rational(at_zero), values=table)
+    f = ConcaveFunction(at_zero=at_zero, values={_root(datum, r): v for r, v in values.items()})
     _require_total(datum, f)
     return f
 
@@ -85,21 +92,18 @@ def _require_total(datum: RootDatum, f: ConcaveFunction) -> None:
         raise ValidationError("function is not total on the roots of this system")
 
 
+@_per_datum
 def _addition_table(datum: RootDatum) -> tuple[tuple[int, int, int], ...]:
     """Index triples (i, j, k) with i < j and root_i + root_j = root_k,
-    in all_roots() order; built once and kept in the datum's instance
-    dict, as apartment._tester keeps the vertex tester."""
-    table = datum.__dict__.get("_addition_table")
-    if table is None:
-        roots = datum.all_roots()
-        index = {root: k for k, root in enumerate(roots)}
-        table = datum.__dict__["_addition_table"] = tuple(
-            (i, j, k)
-            for i, a in enumerate(roots)
-            for j in range(i + 1, len(roots))
-            if (k := index.get(tuple(map(add, a, roots[j])))) is not None
-        )
-    return table
+    in all_roots() order; built once per datum."""
+    roots = datum.all_roots()
+    index = {root: k for k, root in enumerate(roots)}
+    return tuple(
+        (i, j, k)
+        for i, a in enumerate(roots)
+        for j in range(i + 1, len(roots))
+        if (k := index.get(tuple(map(add, a, roots[j])))) is not None
+    )
 
 
 def _integer_values(
@@ -107,10 +111,7 @@ def _integer_values(
 ) -> tuple[list[list[int]], int]:
     """Each function's values on roots, then its value at 0, as integer
     numerators over one common denominator D; (rows, D)."""
-    return _numerators(tuple(
-        tuple(_rational(v) for v in (*map(f.values.__getitem__, roots), f.at_zero))
-        for f in functions
-    ))
+    return _numerators(tuple((*map(f.values.__getitem__, roots), f.at_zero) for f in functions))
 
 
 def is_concave(datum: RootDatum, f: ConcaveFunction) -> bool:
@@ -143,8 +144,7 @@ def omega_function(datum: RootDatum, points: Iterable) -> ConcaveFunction:
     return ConcaveFunction(at_zero=Fraction(0), values=dict(zip(datum.all_roots(), values)))
 
 
-def _optimized(v) -> Fraction:
-    v = _rational(v)
+def _optimized(v: Fraction) -> Fraction:
     return v + 1 if v.denominator == 1 else Fraction(ceil(v))
 
 
@@ -171,11 +171,8 @@ def pointwise_max(f: ConcaveFunction, g: ConcaveFunction) -> ConcaveFunction:
     if set(f.values) != set(g.values):
         raise ValidationError("functions live on different root systems")
     return ConcaveFunction(
-        at_zero=max(_rational(f.at_zero), _rational(g.at_zero)),
-        values={
-            root: max(_rational(v), _rational(g.values[root]))
-            for root, v in f.values.items()
-        },
+        at_zero=max(f.at_zero, g.at_zero),
+        values={root: max(v, g.values[root]) for root, v in f.values.items()},
     )
 
 
@@ -226,7 +223,7 @@ def quotient_exponents(datum: RootDatum, x, r_prime: int | None = None) -> int:
     point = as_point(datum, x)
     if any(t < 0 for t in point):
         raise NotInChamberError(
-            f"{point} is outside the closed chamber; fold it before calling"
+            f"{_point_text(point)} is outside the closed chamber; fold it before calling"
         )
     if r_prime is not None:
         require_int(r_prime, "cap level must be a positive integer", 1)

@@ -37,7 +37,6 @@ from alcove import (
 from alcove import apartment, ball_sum, theorem_table
 from alcove.apartment import (
     _Budget,
-    _corner_type,
     _fold,
     _maximal_denominators,
     _numerators,
@@ -100,10 +99,8 @@ def test_as_point_validation(data):
 
 
 def test_non_vertex_message(data):
-    # B2 has scale 2: [3, 0] is (3/2, 0), which folds onto (1/2, 0)
+    # B2 has scale 2: (1, 0) is (1/2, 0)
     b2 = data("B2")
-    with pytest.raises(NotAVertexError, match=r"^\(1/2, 0\) is not a vertex$"):
-        _corner_type(b2, [3, 0])
     with pytest.raises(NotAVertexError, match=r"^\(1/2, 0\) is not a vertex$"):
         _neighbor_offsets(b2, (1, 0), {}, _Budget(None))
 

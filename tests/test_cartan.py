@@ -49,6 +49,20 @@ def test_bad_type_fields_rejected(family, rank):
         build_root_datum(RootSystemType(family, rank))
 
 
+@pytest.mark.parametrize(
+    "rstype",
+    [RootSystemType("Q", 2), RootSystemType("E", 5), RootSystemType("D", 3), RootSystemType("A", -1), "A2"],
+    ids=["Q2", "E5", "D3", "A-1", "text"],
+)
+@pytest.mark.parametrize("entry", [validate_type, build_root_datum, cartan_matrix, positive_root_count])
+def test_type_level_entries_check_their_type(entry, rstype):
+    # unchecked, cartan_matrix answers Q2 with G2's matrix and E5 with a
+    # 5x5 one, positive_root_count raises KeyError on E5 and gives 0 for
+    # A-1, and a label string fails on rstype.family with AttributeError
+    with pytest.raises(InvalidTypeError):
+        entry(rstype)
+
+
 def test_d3_refused():
     # D3 is A3 under relabeling; no keyword admits it
     rstype = RootSystemType("D", 3)

@@ -311,6 +311,25 @@ BROKEN_SUITES = {
 }
 
 
+def test_verify_sandwich_ordering(monkeypatch):
+    """The sandwich suite fails a case whose lower bound over its divisor
+    exceeds the upper bound at q = 2, 3, every radius field kept."""
+    sandwich = alcove.verify.cind_sandwich
+
+    def inflated(datum, R, r, **kwargs):
+        report = sandwich(datum, R, r, **kwargs)
+        if (str(datum.rstype), R, r) == ("B2", 0, 3):
+            lower = report.upper_poly * (2 * report.lower_divisor)
+            report = dataclasses.replace(report, lower_poly=lower)
+        return report
+
+    monkeypatch.setattr(alcove.verify, "cind_sandwich", inflated)
+    result = _run("verify", "--suite", "sandwich")
+    assert result.exit_code == 1
+    payload = json.loads(result.output)["suites"]["sandwich"]
+    _cases_failing("cases", {"type": "B2", "R": 0, "r": 3}, "ok")(payload)
+
+
 @pytest.mark.parametrize("suite", list(BROKEN_SUITES))
 def test_verify_reports_a_failing_case(monkeypatch, suite):
     brk, check = BROKEN_SUITES[suite]

@@ -640,8 +640,10 @@ def test_bfs_matches_reference(data, name):
         for a in (corner, moved):
             ref_state, state = _Budget(None), _Budget(None)
             expected = list(_reference_bfs(datum, a, depth, ref_state))
-            depths = _bfs(datum, a, depth, state)
-            assert [(_unpack(key, a, depth * scale), k) for key, k in depths.items()] == expected
+            reach = depth * scale
+            depths = _bfs(datum, a, depth, state)._depths
+            coords = [range(v - reach, v + reach + 1) for v in a]
+            assert [(_unpack(key, coords, reach), k) for key, k in depths.items()] == expected
             assert state.used == ref_state.used
             x = tuple(Fraction(v, scale) for v in a)
             table = simplicial_distances(datum, x, depth)

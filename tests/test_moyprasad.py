@@ -369,11 +369,24 @@ def test_addition_table_size(data, name, size):
     assert _addition_table(datum) is table
 
 
+def test_function_checked_when_built():
+    # unchecked, shift would turn at_zero 0.5 into the float 1.5 and
+    # the value True into Fraction(2)
+    with pytest.raises(ValidationError, match="^not an exact rational number: 0.5 is a float$"):
+        ConcaveFunction(at_zero=0.5, values={(1,): F(1, 2), (-1,): F(1, 2)})
+    with pytest.raises(ValidationError, match="^not an exact rational number: True is a bool$"):
+        ConcaveFunction(at_zero=F(1, 2), values={(1,): F(1, 2), (-1,): True})
+    f = ConcaveFunction(at_zero=1, values={(1,): "1/2", (-1,): 0})
+    assert type(f.at_zero) is Fraction and f.at_zero == 1
+    assert all(type(v) is Fraction for v in f.values.values())
+    assert shift(f, 1) == ConcaveFunction(at_zero=F(2), values={(1,): F(3, 2), (-1,): F(1)})
+    assert concave_function_to_dict(f)["values"][1]["value"] == "1/2"
+
+
 def test_float_in_built_function_refused(data):
     a1 = data("A1")
-    f = ConcaveFunction(at_zero=F(1), values={(1,): 0.5, (-1,): F(1)})
     with pytest.raises(ValidationError):
-        is_concave(a1, f)
+        is_concave(a1, ConcaveFunction(at_zero=F(1), values={(1,): 0.5, (-1,): F(1)}))
     g = shift(point_function(a1, (F(0),)), 1)
     with pytest.raises(ValidationError):
         index_exponent(a1, g, ConcaveFunction(at_zero=1.0, values=dict(g.values)))

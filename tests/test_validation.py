@@ -18,6 +18,8 @@ from alcove import (
     apartment_ball,
     as_point,
     ball_sum,
+    build_root_datum,
+    cartan_matrix,
     cind_sandwich,
     enumerate_box_vertices,
     eval_root,
@@ -40,12 +42,14 @@ from alcove import (
     parse_type,
     point_function,
     pointwise_max,
+    positive_root_count,
     quotient_ball_sum,
     quotient_exponents,
     scaled_coords,
     shift,
     simplicial_distance,
     simplicial_distances,
+    validate_type,
     vertex_type,
     wall_count,
     wall_distance,
@@ -53,8 +57,8 @@ from alcove import (
 
 
 def _holding(f, v):
-    """f with the value v at its first root, built directly so that no
-    check sees v."""
+    """f with the value v at its first root, built directly, so that
+    only the function's own check on being built sees v."""
     first = next(iter(f.values))
     return ConcaveFunction(at_zero=f.at_zero, values={**f.values, first: v})
 
@@ -113,6 +117,10 @@ CALLS = {
     "parse_type text": lambda d, o, v: parse_type(v),
     "QPolynomial terms": lambda d, o, v: QPolynomial(v),
     "ConcaveFunction root": lambda d, o, v: point_function(d, o)(v),
+    "validate_type rstype": lambda d, o, v: validate_type(v),
+    "build_root_datum rstype": lambda d, o, v: build_root_datum(v),
+    "cartan_matrix rstype": lambda d, o, v: cartan_matrix(v),
+    "positive_root_count rstype": lambda d, o, v: positive_root_count(v),
 }
 
 
@@ -317,6 +325,10 @@ def test_messages_kept(data):
         (lambda: shift(point_function(a2, o), 0.1), "not an exact rational number: 0.1 is a float"),
         (lambda: as_point(a2, [0.1, 0]), "not an exact rational number: 0.1 is a float"),
         (lambda: apartment_ball(data("B2"), (Fraction(1, 2), 0), 1), r"\(1/2, 0\) is not a vertex"),
+        (
+            lambda: quotient_exponents(a2, (-1, 0)),
+            r"\(-1, 0\) is outside the closed chamber; fold it before calling",
+        ),
     ]
     for call, message in cases:
         with pytest.raises(ValidationError, match=f"^{message}$"):
