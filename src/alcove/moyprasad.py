@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from operator import add, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .apartment import _numerators, _point_text, _tester
@@ -59,15 +60,17 @@ class ConcaveFunction:
     """Total assignment on the roots of both signs plus the value at 0.
 
     The value at 0 and every value are checked exact when the function
-    is built and kept as Fractions; the roots are checked against a
+    is built and kept as Fractions in a read-only mapping, so the check
+    holds for the function's life; the roots are checked against a
     datum where one is known."""
 
     at_zero: Fraction
-    values: dict[Root, Fraction]
+    values: Mapping[Root, Fraction]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "at_zero", _rational(self.at_zero))
-        object.__setattr__(self, "values", {r: _rational(v) for r, v in self.values.items()})
+        values = {r: _rational(v) for r, v in _mapping(self.values).items()}
+        object.__setattr__(self, "values", MappingProxyType(values))
 
     def __call__(self, root: Root) -> Fraction:
         """The value at root; NotARootError when root is not one of the
@@ -80,11 +83,16 @@ class ConcaveFunction:
 
 def make_function(datum: RootDatum, at_zero, values: Mapping[Root, object]) -> ConcaveFunction:
     """Build a candidate function, checking totality but not concavity."""
-    if not isinstance(values, Mapping):
-        raise ValidationError(f"a {type(values).__name__} is not a mapping of roots to values")
-    f = ConcaveFunction(at_zero=at_zero, values={_root(datum, r): v for r, v in values.items()})
+    values = {_root(datum, r): v for r, v in _mapping(values).items()}
+    f = ConcaveFunction(at_zero=at_zero, values=values)
     _require_total(datum, f)
     return f
+
+
+def _mapping(values) -> Mapping:
+    if not isinstance(values, Mapping):
+        raise ValidationError(f"a {type(values).__name__} is not a mapping of roots to values")
+    return values
 
 
 def _require_total(datum: RootDatum, f: ConcaveFunction) -> None:

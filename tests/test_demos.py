@@ -1,6 +1,7 @@
 """Every demo script runs to completion from a fresh interpreter, and
 prints exactly the bytes pinned for it."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -14,18 +15,22 @@ import alcove
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(script):
-    # the directory holding the imported package goes first, so the
-    # child runs the code under test
+@functools.cache
+def _run(script):
+    """Run a demo once per session from a fresh interpreter; the
+    directory holding the imported package goes first, so the child
+    runs the code under test."""
     package_root = str(Path(alcove.__file__).resolve().parent.parent)
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
-    result = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert result.returncode == 0, result.stderr
+    return subprocess.run([sys.executable, str(script)], env=env, capture_output=True, timeout=300)
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script):
+    result = _run(script)
+    assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.strip()
 
 
@@ -42,12 +47,6 @@ DEMO_STDOUT = {
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_stdout_pinned(script):
-    package_root = str(Path(alcove.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
-    result = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, timeout=300
-    )
-    assert result.returncode == 0, result.stderr
+    result = _run(script)
+    assert result.returncode == 0, result.stderr.decode()
     assert hashlib.sha256(result.stdout).hexdigest() == DEMO_STDOUT[script.name]

@@ -383,6 +383,21 @@ def test_function_checked_when_built():
     assert concave_function_to_dict(f)["values"][1]["value"] == "1/2"
 
 
+def test_built_values_stay_checked(data):
+    # the build check holds for the function's life: its values cannot
+    # be written, and a change to the mapping it was built from does not
+    # reach it, so no float gets to is_concave or index_exponent
+    a1 = data("A1")
+    given = {(1,): F(1), (-1,): F(1)}
+    f = ConcaveFunction(at_zero=F(1), values=given)
+    with pytest.raises(TypeError):
+        f.values[(1,)] = 0.5
+    given[(1,)] = 0.5
+    assert f.values == {(1,): F(1), (-1,): F(1)}
+    assert is_concave(a1, f)
+    assert index_exponent(a1, f, f).exponent == 0
+
+
 def test_float_in_built_function_refused(data):
     a1 = data("A1")
     with pytest.raises(ValidationError):

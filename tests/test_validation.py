@@ -244,6 +244,7 @@ CONTAINER_ARGUMENTS = {
     "eval_root root": lambda d, v: eval_root(d, v, (1, 0)),
     "wall_count alpha": lambda d, v: wall_count(d, origin(d), (2, 0), v),
     "is_root": lambda d, v: d.is_root(v),
+    "ConcaveFunction values": lambda d, v: ConcaveFunction(0, v),
     "make_function values": lambda d, v: make_function(d, 0, v),
     "parabolic_shift levi": lambda d, v: parabolic_shift(d, v),
 }
