@@ -13,10 +13,15 @@ one fold per residue class modulo the scale gives the type of every
 vertex in the class, and one more per (class, type) gives the shift.
 The affine Weyl group and those shifts keep the number of positive
 roots integral at a point, so only a residue with a corner's count is
-folded; the count is read off 16-bit lanes that pack every root's
-value at the residue, each tested modulo the scale by two byte tables.
-Elsewhere root values come from a height chain: past the simple roots,
-each positive root is an earlier one plus a simple root, one add each.
+folded.  The count is read on the grid of a maximal denominator c (a
+mark that divides no other), of step 1/c, which holds every vertex
+whose type's mark divides c; a point on no such grid is no vertex.  At
+z / c, a root alpha is integral iff alpha(z mod c) = 0 mod c, a value of
+at most height(theta) (c - 1), one byte on every exceptional type: the
+values of all roots pack into byte lanes of one integer, and one
+256-byte table per c counts the lanes it divides.  Elsewhere root
+values come from a height chain: past the simple roots, each positive
+root is an earlier one plus a simple root, one add each.
 
 Inside the library a point is an integer tuple of numerators over one
 common denominator: datum.scale (the lcm of the marks) for vertices,
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .cartan import Point, RootDatum, _per_datum, as_point
 from .errors import (
@@ -126,9 +131,9 @@ def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
 class _VertexTester:
     """The vertex test and vertex type of one datum.
 
-    The memo maps a residue key (the coordinates modulo the scale) to
-    the index of the corner key / scale folds onto, or None; a residue
-    whose integral-root count is no corner's is memoized None unfolded.
+    The memo maps a residue key (the coordinates modulo the scale) that
+    has a corner's integral-root count to the index of the corner key /
+    scale folds onto, or None; other residues are never folded.
     A point a / scale is key / scale translated by the coweight
     lam = a // scale, whose class in P^v/Q^v (inverse_rows . lam mod
     inverse_denom) permutes the types as it acts on the extended
@@ -138,12 +143,16 @@ class _VertexTester:
 
     Also holds the corners mapped to their indices; the height chain
     (each simple root's coordinate, then for each later root an earlier
-    root's index and the simple root it adds); each simple root's
-    coefficients over the positive roots packed into 16-bit lanes, and
-    the two byte tables that test a lane modulo the scale; the inverse
-    Cartan matrix as integer rows over the lcm of its denominators; and
-    each wall's reflection as the sparse column of (coordinate,
-    coefficient) pairs it changes, simple walls first."""
+    root's index and the simple root it adds); one screen per maximal
+    denominator c, as (c, step, contrib, count): the grid's step
+    scale // c; contrib[j][u] = u * lane_j for u in [0, c), where lane_j
+    packs simple root j's coefficient in every positive root, one lane
+    per root, so that sum_j contrib[j][z_j mod c] packs alpha(z mod c)
+    for every root alpha; and count, the _lane_counter of the lanes that
+    hold multiples of c; the inverse Cartan matrix as integer rows over
+    the lcm of its denominators; and each wall's reflection as the
+    sparse column of (coordinate, coefficient) pairs it changes, simple
+    walls first."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -159,10 +168,15 @@ class _VertexTester:
             )
             for root in pos[d:]
         ]
-        # a lane holds alpha(b) for b in [0, scale)^d, at most height * (scale - 1)
-        assert sum(datum.highest_root_coeffs) * (N - 1) < 1 << 16
-        self.lanes = [sum(root[j] << 16 * k for k, root in enumerate(pos)) for j in range(d)]
-        self.tables = bytes([x % N for x in range(256)]), bytes([-256 * x % N for x in range(256)])
+        denoms = _maximal_denominators(datum)
+        # a lane holds alpha(z) for z in [0, c)^d, at most height(theta) * (c - 1),
+        # in the fewest bytes that hold that for the largest c
+        width = max(1, ((sum(datum.highest_root_coeffs) * (denoms[-1] - 1)).bit_length() + 7) // 8)
+        lanes = [sum(root[j] << 8 * width * k for k, root in enumerate(pos)) for j in range(d)]
+        self.grids = []
+        for c in denoms:
+            contrib = [[u * lane for u in range(c)] for lane in lanes]
+            self.grids.append((c, N // c, contrib, _lane_counter(c, width, len(pos))))
         self.corners = {(0,) * d: 0} | {
             tuple(N // c if j == i else 0 for j in range(d)): i + 1
             for i, c in enumerate(datum.highest_root_coeffs)
@@ -183,35 +197,39 @@ class _VertexTester:
             v.append(v[p] + a[i])
         return v
 
-    def integral_count(self, a) -> int:
-        """Positive roots taking integer values at a / scale.
+    def grid_count(self, key) -> int | None:
+        """Positive roots taking integer values at key / scale, for a residue
+        key in [0, scale)^d, read off the first maximal grid holding key;
+        None when no grid holds it, so that key / scale is no vertex."""
+        for _, step, contrib, count in self.grids:
+            if not any([v % step for v in key]):
+                return count(sum([row[v // step] for row, v in zip(contrib, key)]))
+        return None
 
-        alpha(a / scale) is an integer iff alpha(a mod scale) = 0 mod scale.
-        The packed lanes hold those values, each below 2^16; a lane lo + 256
-        hi is 0 mod scale iff lo = -256 hi mod scale, so its two bytes map
-        through one table each and the count is that of the zero bytes of
-        their xor.
-        """
+    def integral_count(self, a) -> int:
+        """Positive roots taking integer values at a / scale: the screen's
+        count when a mod scale is on a maximal grid, else by root values."""
         N = self.datum.scale
-        m = len(self.datum.positive_roots)
-        packed = sum(map(mul, [v % N for v in a], self.lanes))
-        raw = packed.to_bytes(2 * m, "little")
-        low = int.from_bytes(raw[::2].translate(self.tables[0]), "little")
-        high = int.from_bytes(raw[1::2].translate(self.tables[1]), "little")
-        return (low ^ high).to_bytes(m, "little").count(0)
+        count = self.grid_count([v % N for v in a])
+        return sum(v % N == 0 for v in self.root_values(a)) if count is None else count
 
     def residue_type(self, key: tuple[int, ...]) -> int | None:
         """Type of the vertex key / scale for a residue key in [0, scale)^d,
-        or None when it is no vertex."""
-        i = self.memo.get(key, -1)
-        if i == -1:
-            i = None
-            if self.integral_count(key) in self.corner_counts:
-                p = list(key)
-                _fold(self.datum, [p], self.datum.scale)
-                i = self.corners.get(tuple(p))
-            self.memo[key] = i
-        return i
+        or None when it is no vertex.  A residue on no maximal grid is None
+        with no count, one whose integral-root count is no corner's is None
+        with no fold; neither is memoized."""
+        if key in self.memo or self.grid_count(key) in self.corner_counts:
+            return self.folded_type(key)
+        return None
+
+    def folded_type(self, key: tuple[int, ...]) -> int | None:
+        """Type of the residue key / scale, which has a corner's integral-root
+        count: the memo's, else the corner a fold of key lands on, or None."""
+        if key not in self.memo:
+            p = list(key)
+            _fold(self.datum, [p], self.datum.scale)
+            self.memo[key] = self.corners.get(tuple(p))
+        return self.memo[key]
 
     def scaled(self, a) -> bool:
         """Whether a / scale is a vertex."""
@@ -240,6 +258,16 @@ class _VertexTester:
 
 # the datum's one vertex tester
 _tester = _per_datum(_VertexTester)
+
+
+def _lane_counter(c: int, width: int, lanes: int) -> Callable[[int], int]:
+    """Counter of the lanes, lanes of width bytes each from the low end of
+    a packed nonnegative integer below 256^(width * lanes), that hold a
+    multiple of c.  It reads only each lane's low byte, which is the lane
+    modulo c when the lane is one byte or c divides 256."""
+    assert width == 1 or 256 % c == 0
+    table = bytes([x % c for x in range(256)])
+    return lambda n: n.to_bytes(width * lanes, "little")[::width].translate(table).count(0)
 
 
 def _point_text(point: Iterable[Fraction]) -> str:
@@ -398,39 +426,43 @@ def _walk(
     """Vertices a with lo <= a <= hi, each once, as integer tuples in
     1/scale units; with top, only those with alpha_0(a) <= top.
 
-    Each maximal denominator's grid, of step scale // denom, is walked
+    Each maximal denominator c's grid, of step scale // c, is walked
     within ceil(lo / step) and floor(hi / step), and top // step caps
     marks . (a / step), pruning the walk to the simplex; the marks are
     positive, so the cap needs lo = 0, as rC has.  Every grid leaf
     spends one unit of state, before the dedupe; each public walker
-    hands the walk a budget of its own.  A new leaf is kept when the
-    tester's residue memo, or a fold of its residue, puts it on an
-    alcove corner.
+    hands the walk a budget of its own.  At the grid point z the walk
+    holds the tester's packed values alpha(z mod c) of every root, one
+    add per coordinate step, and drops a leaf whose integral-root count
+    is no corner's before it builds the leaf's tuple; a new leaf that
+    passes is kept when the tester's residue memo, or a fold of its
+    residue, puts it on an alcove corner.
     """
     tester = _tester(datum)
     marks = datum.highest_root_coeffs
-    d = datum.rank
+    N, d = datum.scale, datum.rank
     coords = [0] * d
     seen: set[tuple[int, ...]] = set()
 
-    def walk(j: int, room: int, step: int) -> Iterator[tuple[int, ...]]:
+    # walk reads the grid of the loop below: c, step, contrib and count
+    def walk(j: int, room: int, packed: int) -> Iterator[tuple[int, ...]]:
         if j == d:
             state.spend()
-            a = tuple([v * step for v in coords])
-            if a not in seen and tester.scaled(a):
-                seen.add(a)
-                yield a
+            if count(packed) in tester.corner_counts:
+                a = tuple([v * step for v in coords])
+                if a not in seen and tester.folded_type(tuple([v % N for v in a])) is not None:
+                    seen.add(a)
+                    yield a
             return
         high = hi[j] // step
         if top is not None:
             high = min(high, room // marks[j])
         for v in range(-(-lo[j] // step), high + 1):
             coords[j] = v
-            yield from walk(j + 1, room - marks[j] * v, step)
+            yield from walk(j + 1, room - marks[j] * v, packed + contrib[j][v % c])
 
-    for denom in _maximal_denominators(datum):
-        step = datum.scale // denom
-        yield from walk(0, 0 if top is None else top // step, step)
+    for c, step, contrib, count in tester.grids:
+        yield from walk(0, 0 if top is None else top // step, 0)
 
 
 def iter_scaled_alcove_vertices(

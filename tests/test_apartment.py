@@ -38,6 +38,7 @@ from alcove import apartment, ball_sum, theorem_table
 from alcove.apartment import (
     _Budget,
     _fold,
+    _lane_counter,
     _maximal_denominators,
     _numerators,
     _tester,
@@ -268,6 +269,61 @@ def test_integral_count_prefilter_is_sound(data, rank_is_vertex, name):
     assert rejected or scale == 1
 
 
+def test_lane_counter_reads_low_bytes():
+    # hand-built 2-byte lanes, low lane first, with zero lanes above them:
+    # when c divides 256 a lane's low byte is the lane modulo c
+    values = [0, 2, 3, 4, 255, 256, 257, 258, 510, 512, 768, 1020, 65535]
+    packed = sum(v << 16 * k for k, v in enumerate(values))
+    for c in (1, 2, 4, 8):
+        expected = sum(v % c == 0 for v in values)
+        assert _lane_counter(c, 2, len(values))(packed) == expected
+        assert _lane_counter(c, 2, len(values) + 3)(packed) == expected + 3
+    # one-byte lanes are read whole, whatever c is
+    assert _lane_counter(3, 1, 5)(int.from_bytes(bytes([0, 3, 4, 255, 7]), "little")) == 3
+    # 256 = 1 mod 3: the low byte of a wider lane is not that lane modulo 3
+    with pytest.raises(AssertionError):
+        _lane_counter(3, 2, 1)
+
+
+def test_lane_width_rule(data):
+    # a lane holds alpha(z) for z in [0, c)^d, at most height(theta) (c - 1),
+    # in the fewest bytes that hold it for the largest c; its low byte
+    # decides only if that is one byte or c divides 256 (B/C/D past rank
+    # 128 need two bytes, with c = 2)
+    for row in theorem_table(8).rows:
+        datum = data(str(row.rstype))
+        denoms = _maximal_denominators(datum)
+        top = sum(datum.highest_root_coeffs) * (max(datum.highest_root_coeffs) - 1)
+        width = max(1, -(-top.bit_length() // 8))
+        assert all(width == 1 or 256 % c == 0 for c in denoms), row.rstype
+        assert [g[0] for g in _tester(datum).grids] == denoms
+
+
+@pytest.mark.parametrize("name", FAMILY_TYPES)
+def test_off_grid_residue_not_counted(data, rank_is_vertex, monkeypatch, name):
+    # a residue on no maximal denominator's grid is no vertex, and a fresh
+    # tester says so without counting its integral roots or folding it
+    datum = data(name)
+    d, scale = datum.rank, datum.scale
+    steps = [scale // c for c in _maximal_denominators(datum)]
+    rng = random.Random(f"off grid {name}")
+    keys = [tuple(rng.randrange(scale) for _ in range(d)) for _ in range(300)]
+    keys = [key for key in keys if all(any(v % step for v in key) for step in steps)]
+    # only the types whose scale is itself a maximal denominator have none
+    assert bool(keys) == (1 not in steps)
+    tester = apartment._VertexTester(datum)
+    calls = []
+    monkeypatch.setattr(apartment, "_fold", lambda *args: calls.append(args))
+    counted = [(c, step, contrib, calls.append) for c, step, contrib, _ in tester.grids]
+    monkeypatch.setattr(tester, "grids", counted)
+    monkeypatch.setattr(tester, "root_values", calls.append)
+    for key in keys:
+        assert tester.residue_type(key) is None
+        assert not rank_is_vertex(datum, key)
+    assert calls == []
+    assert tester.memo == {}
+
+
 def test_off_grid_is_not_vertex(data):
     a2 = data("A2")
     assert not is_vertex(a2, (Fraction(1, 2), Fraction(0)))
@@ -339,7 +395,16 @@ def test_enumeration_counts_a2(data):
 
 
 def test_enumeration_equals_grid_scan(data):
-    for name, radii in (("A2", (0, 1, 2, 3)), ("B2", (1, 2, 3)), ("G2", (1, 2, 3)), ("C3", (1, 2))):
+    # F4 brings the grids of c = 3 and 4, E6 36 roots on those of c = 2
+    # and 3; on both the walk's integral-root screen drops most leaves
+    for name, radii in (
+        ("A2", (0, 1, 2, 3)),
+        ("B2", (1, 2, 3)),
+        ("G2", (1, 2, 3)),
+        ("C3", (1, 2)),
+        ("F4", (1, 2)),
+        ("E6", (1,)),
+    ):
         datum = data(name)
         scale = datum.scale
         marks = datum.highest_root_coeffs
