@@ -28,7 +28,8 @@ common denominator: datum.scale (the lcm of the marks) for vertices,
 the lcm of the input denominators for arbitrary rational points.  The
 grid walker, the vertex test and the fold all work on those integers;
 Fraction appears only at the public edge, where arguments come in and
-results go out.
+results go out.  Each public walker reads its Fractions from a memo of
+its own, so a walk builds one Fraction per distinct numerator it yields.
 """
 
 from __future__ import annotations
@@ -401,6 +402,19 @@ def _maximal_denominators(datum: RootDatum) -> list[int]:
     return [c for c in values if not any(o != c and o % c == 0 for o in values)]
 
 
+class _Fractions(dict):
+    """One walk's memo of Fraction(v, scale) by numerator v, each built on
+    first use; it holds only the distinct values the walk yields."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, v: int) -> Fraction:
+        t = self[v] = Fraction(v, self.scale)
+        return t
+
+
 class _Budget:
     def __init__(self, budget: int | None):
         if budget is None:
@@ -473,8 +487,9 @@ def iter_scaled_alcove_vertices(
     scale = datum.scale
     top = r * scale
     # rC lies in the cube [0, r]^d, as every mark is at least 1
+    fraction = _Fractions(scale).__getitem__
     for a in _walk(datum, (0,) * datum.rank, (top,) * datum.rank, _Budget(budget), top):
-        yield tuple(Fraction(v, scale) for v in a)
+        yield tuple(map(fraction, a))
 
 
 def enumerate_scaled_alcove_vertices(
@@ -495,8 +510,9 @@ def iter_box_vertices(
     scale = datum.scale
     box_lo = [ceil(t * scale) for t in low]
     box_hi = [floor(t * scale) for t in high]
+    fraction = _Fractions(scale).__getitem__
     for a in _walk(datum, box_lo, box_hi, _Budget(budget)):
-        yield tuple(Fraction(v, scale) for v in a)
+        yield tuple(map(fraction, a))
 
 
 def enumerate_box_vertices(

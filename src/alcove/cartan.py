@@ -171,10 +171,11 @@ def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
     d = len(cartan)
     stack = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     known = set(stack)
+    columns = list(enumerate(zip(*cartan)))
     while stack:
         beta = stack.pop()
-        for i in range(d):
-            k = sum(b * row[i] for b, row in zip(beta, cartan))
+        for i, column in columns:
+            k = sum(map(mul, beta, column))
             if k < 0:
                 up = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
                 if up not in known:

@@ -35,6 +35,7 @@ from typing import Iterator
 from .apartment import (
     VertexSet,
     _Budget,
+    _Fractions,
     _fold,
     _make_vertex_set,
     _not_a_vertex,
@@ -124,9 +125,10 @@ def iter_wall_ball_points(
     scale = datum.scale
     lo = tuple(v - r * scale for v in ac)
     hi = tuple(v + r * scale for v in ac)
+    fraction = _Fractions(scale).__getitem__
     for a in _walk(datum, lo, hi, _Budget(budget)):
         if _wall_distance_scaled(datum, ac, a)[0] <= r:
-            yield tuple(Fraction(v, scale) for v in a)
+            yield tuple(map(fraction, a))
 
 
 def apartment_ball(

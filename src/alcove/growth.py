@@ -25,7 +25,6 @@ from .cartan import (
     weyl_degrees,
 )
 from .errors import ValidationError, _items, require_int
-from .moyprasad import _capped_exponent, _root_levels
 from .qpoly import QPolynomial
 
 __all__ = [
@@ -65,34 +64,58 @@ def growth_exponent(datum: RootDatum) -> Fraction:
     )
 
 
-def _census(
-    datum: RootDatum, r: int, budget: int | None
-) -> list[tuple[tuple[int, ...], Point, tuple[int, ...]]]:
-    """The sorted vertices of rC as (integer tuple over datum.scale,
-    point, root levels): the one walk each growth aggregate reads.  It
-    is the public iterator, not apartment._walk, since bench/spans.py
-    counts walks and vertices there; the move waits for engine meters.
+class _Census:
+    """The sorted vertices of rC from one walk, the one pass every growth
+    aggregate reads: each as its integer tuple a over datum.scale, its
+    point, and one packed integer p = sum_j a_j L_j.
+
+    L_j packs simple root j's coefficient in every positive root, one
+    lane of w = bit_length(r * scale) + 1 bits per root, so lane k of p
+    is alpha_k(a); on rC every alpha(a) <= theta(a) <= r * scale, which
+    leaves each lane's top bit clear and no lane carries.  Adding
+    2^(w-1) - l * scale - 1 to every lane sets a lane's top bit iff
+    alpha(a) > l * scale, that is iff ceil(alpha(x)) > l, so the quotient
+    exponent capped at cap counts those top bits over l = 1..min(cap, r) - 1
+    (no level exceeds r).  The walk is the public iterator, not
+    apartment._walk, since bench/spans.py counts walks and vertices
+    there; the move waits for engine meters.
     """
-    require_int(r, "radius must be a nonnegative integer", 0)
-    walk = iter_scaled_alcove_vertices(datum, r, budget=budget)
-    points = {_scaled(x, datum.scale): x for x in walk}
-    return [(a, points[a], _root_levels(datum, a, datum.scale)) for a in sorted(points)]
+
+    def __init__(self, datum: RootDatum, r: int, budget: int | None):
+        require_int(r, "radius must be a nonnegative integer", 0)
+        N = datum.scale
+        walk = iter_scaled_alcove_vertices(datum, r, budget=budget)
+        points = {_scaled(x, N): x for x in walk}
+        self.vertices = sorted(points)
+        self.points = tuple(map(points.__getitem__, self.vertices))
+        w = (r * N).bit_length() + 1
+        pos = datum.positive_roots
+        lanes = [sum(root[j] << w * k for k, root in enumerate(pos)) for j in range(datum.rank)]
+        self.packed = [sum(map(mul, a, lanes)) for a in self.vertices]
+        ones = sum(1 << w * k for k in range(len(pos)))
+        self.top = ones << w - 1
+        self.biases = [ones * ((1 << w - 1) - l * N - 1) for l in range(1, r)]
+
+    def exponent_poly(self, cap: int | None, packed: Iterable[int] | None = None) -> QPolynomial:
+        """Sum of q^e over the vertices, or over the given packed values of
+        some of them, e the quotient exponent capped at cap (None: uncapped)."""
+        top = self.top
+        biases = self.biases if cap is None else self.biases[: cap - 1]
+        return QPolynomial(Counter(
+            sum([((p + b) & top).bit_count() for b in biases])
+            for p in (self.packed if packed is None else packed)
+        ))
 
 
-def _exponent_poly(levels: Iterable[tuple[int, ...]], cap: int | None) -> QPolynomial:
-    """Sum of q^e over the vertices, e the quotient exponent capped at cap."""
-    return QPolynomial(Counter(_capped_exponent(row, cap) for row in levels))
-
-
-def _two_rho_max(datum: RootDatum, census: list) -> Fraction:
+def _two_rho_max(datum: RootDatum, census: _Census) -> Fraction:
     coeffs = datum.two_rho_coeffs
-    return Fraction(max(sum(map(mul, coeffs, a)) for a, _, _ in census), datum.scale)
+    return Fraction(max(sum(map(mul, coeffs, a)) for a in census.vertices), datum.scale)
 
 
 def max_two_rho(datum: RootDatum, r: int, *, budget: int | None = None) -> Fraction:
     """Maximum of the height-sum functional over the vertices of the
     r-fold dilated fundamental alcove."""
-    return _two_rho_max(datum, _census(datum, r, budget))
+    return _two_rho_max(datum, _Census(datum, r, budget))
 
 
 @dataclass(frozen=True)
@@ -108,12 +131,12 @@ class BallReport:
     gamma_poly: QPolynomial
     max_two_rho: Fraction
     chamber_vertices: tuple[Point, ...]
-    root_levels: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    census: _Census = field(compare=False, repr=False)
 
     def quotient_poly(self, level: int) -> QPolynomial:
         """The census with every exponent capped at level."""
         require_int(level, "cap level must be a positive integer", 1)
-        return _exponent_poly(self.root_levels, level)
+        return self.census.exponent_poly(level)
 
 
 def ball_sum(
@@ -126,21 +149,20 @@ def ball_sum(
     the radius-r ball; multiplying by the gamma polynomial gives the
     matching upper bound.
     """
-    census = _census(datum, r, budget)
-    levels = tuple(row for _, _, row in census)
-    lower = _exponent_poly(levels, None)
+    census = _Census(datum, r, budget)
+    lower = census.exponent_poly(None)
     gamma = gamma_polynomial(datum)
     return BallReport(
         rstype=datum.rstype,
         radius=r,
-        vertex_count_chamber=len(census),
-        per_type_counts=_type_counts(datum, (a for a, _, _ in census)),
+        vertex_count_chamber=len(census.vertices),
+        per_type_counts=_type_counts(datum, census.vertices),
         lower_poly=lower,
         upper_poly=gamma * lower,
         gamma_poly=gamma,
         max_two_rho=_two_rho_max(datum, census),
-        chamber_vertices=tuple(x for _, x, _ in census),
-        root_levels=levels,
+        chamber_vertices=census.points,
+        census=census,
     )
 
 
@@ -149,7 +171,7 @@ def quotient_ball_sum(
 ) -> QPolynomial:
     """Same census with every exponent capped at level r_prime."""
     require_int(r_prime, "cap level must be a positive integer", 1)
-    return _exponent_poly((row for _, _, row in _census(datum, r, budget)), r_prime)
+    return _Census(datum, r, budget).exponent_poly(r_prime)
 
 
 def parabolic_shift(datum: RootDatum, levi: Iterable[int]) -> int:
@@ -245,10 +267,11 @@ def cind_sandwich(
     lower_radius = r - R - 2
     upper_radius = 2 + (r + 1) * sum(datum.highest_root_coeffs)
     # one walk at the upper radius: a vertex lies in the lower polytope iff
-    # its level at the highest root (the last one) is at most lower_radius
-    levels = [row for _, _, row in _census(datum, upper_radius, budget)]
-    lower = [row for row in levels if row[-1] <= lower_radius]
-    lower_poly = _exponent_poly(lower, None) if lower_radius >= 0 else None
+    # marks . a, its value at the highest root, is at most lower_radius * scale
+    census = _Census(datum, upper_radius, budget)
+    marks, bound = datum.highest_root_coeffs, lower_radius * datum.scale
+    lower = [p for a, p in zip(census.vertices, census.packed) if sum(map(mul, marks, a)) <= bound]
+    lower_poly = census.exponent_poly(None, lower) if lower_radius >= 0 else None
     return SandwichReport(
         rstype=datum.rstype,
         big_radius=R,
@@ -259,7 +282,7 @@ def cind_sandwich(
         lower_empty=lower_poly is None,
         upper_radius=upper_radius,
         upper_level=r + 1,
-        upper_poly=gamma_polynomial(datum) * _exponent_poly(levels, r + 1),
+        upper_poly=gamma_polynomial(datum) * census.exponent_poly(r + 1),
         upper_depth_zero_only=True,
     )
 

@@ -236,18 +236,8 @@ def quotient_exponents(datum: RootDatum, x, r_prime: int | None = None) -> int:
     if r_prime is not None:
         require_int(r_prime, "cap level must be a positive integer", 1)
     pts, N = _numerators((point,))
-    return _capped_exponent(_root_levels(datum, pts[0], N), r_prime)
-
-
-def _root_levels(datum: RootDatum, a, N: int) -> tuple[int, ...]:
-    """ceil(alpha(x)) over the positive roots at x = a / N."""
-    return tuple([-(-v // N) for v in _tester(datum).root_values(a)])
-
-
-def _capped_exponent(levels: Iterable[int], cap: int | None) -> int:
-    """Sum of max(min(level, cap) - 1, 0) over the root levels of a
-    point in the closed chamber; cap None means no cap."""
-    return sum(min(level, cap or level) - 1 for level in levels if level > 1)
+    levels = [-(-v // N) for v in _tester(datum).root_values(pts[0])]
+    return sum(min(level, r_prime or level) - 1 for level in levels if level > 1)
 
 
 def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:

@@ -4,7 +4,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
-from math import floor
+from math import floor, gcd
 from operator import mul
 
 import pytest
@@ -29,6 +29,7 @@ from alcove import (
     is_vertex,
     iter_box_vertices,
     iter_scaled_alcove_vertices,
+    iter_wall_ball_points,
     origin,
     parse_type,
     scaled_coords,
@@ -463,6 +464,34 @@ def test_box_vertices_grid_scan(data):
                 slow.add(x)
         fast = set(p for p in enumerate_box_vertices(g2, lo, hi).points)
         assert fast == slow
+
+
+def test_walkers_yield_reduced_fractions(data):
+    # every coordinate a public walker yields is a Fraction in lowest
+    # terms equal to v / scale, of either sign, including the E8 box's
+    # negative ones; each walk reads them from a memo of its own
+    e8, b3, g2 = data("E8"), data("B3"), data("G2")
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    walks = [
+        (e8, iter_scaled_alcove_vertices(e8, 2)),
+        (g2, iter_scaled_alcove_vertices(g2, 3)),
+        (e8, iter_box_vertices(e8, (-1, -half, 0, 0, 0, 0, 0, -third), (1, half, 0, 0, 0, 0, 0, third))),
+        (g2, iter_box_vertices(g2, *G2_BOXES[1][:2])),
+        (b3, iter_wall_ball_points(b3, (-3 * half, 0, half), 1)),
+        (g2, iter_wall_ball_points(g2, (-1, 0), 2)),
+    ]
+    signs = set()
+    for datum, walk in walks:
+        points = list(walk)
+        assert points
+        for t in (t for x in points for t in x):
+            v = t * datum.scale
+            assert type(t) is Fraction and type(t.numerator) is int and v.denominator == 1
+            expected = Fraction(v.numerator, datum.scale)
+            assert (t.numerator, t.denominator) == (expected.numerator, expected.denominator)
+            assert t.denominator > 0 and gcd(t.numerator, t.denominator) == 1
+            signs.add((t > 0) - (t < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_budget_exhaustion(data):

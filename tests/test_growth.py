@@ -1,5 +1,6 @@
 """Ball census polynomials, growth exponents, tables, sandwich bounds."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil, prod
@@ -28,28 +29,39 @@ from alcove import (
     theorem_table,
     weyl_degrees,
 )
+from alcove.apartment import _VertexTester
 from alcove.cartan import RootSystemType, _generate_positive_roots, eval_root
 from alcove.cli import main
 
 
-def _oracle_exponent(datum, x, cap=None):
-    """Quotient exponent at a chamber point, from the definition in
-    Fraction arithmetic: sum of max(min(ceil(alpha(x)), cap) - 1, 0)."""
+def _oracle_levels(datum, x):
+    """ceil(alpha(x)) over the positive roots, in Fraction arithmetic."""
+    return [ceil(eval_root(datum, root, x)) for root in datum.positive_roots]
+
+
+def _capped_sum(levels, cap=None):
+    """Sum of max(min(level, cap) - 1, 0) over the levels; no cap when None."""
     total = 0
-    for root in datum.positive_roots:
-        level = ceil(eval_root(datum, root, x))
+    for level in levels:
         if cap is not None:
             level = min(level, cap)
         total += max(level - 1, 0)
     return total
 
 
+def _oracle_exponent(datum, x, cap=None):
+    """Quotient exponent at a chamber point, from the definition in
+    Fraction arithmetic: sum of max(min(ceil(alpha(x)), cap) - 1, 0)."""
+    return _capped_sum(_oracle_levels(datum, x), cap)
+
+
+def _levels_poly(levels, cap=None):
+    """Sum of q^e over the rows of levels, e their capped sum."""
+    return QPolynomial(Counter(_capped_sum(row, cap) for row in levels))
+
+
 def _oracle_poly(datum, points, cap=None):
-    terms: dict[int, int] = {}
-    for x in points:
-        e = _oracle_exponent(datum, x, cap)
-        terms[e] = terms.get(e, 0) + 1
-    return QPolynomial(terms)
+    return _levels_poly((_oracle_levels(datum, x) for x in points), cap)
 
 
 def test_gamma_frozen(data):
@@ -125,16 +137,53 @@ def test_ball_sum_r0(data):
 
 def test_ball_sum_exponent_oracle(data):
     # recompute each exponent from the definition, and through the
-    # concave-function route; every cap level 1..r+1 reads the same census
-    for name, r in (("A2", 3), ("B2", 3), ("G2", 2), ("C3", 2)):
+    # concave-function route; every cap level 1..r+1 reads the same census.
+    # The exceptional types pack 24 to 120 root lanes into each vertex
+    cases = (("A2", 3), ("B2", 3), ("G2", 2), ("C3", 2), ("E6", 2), ("E7", 2), ("E8", 2), ("F4", 3))
+    for name, r in cases:
         datum = data(name)
         report = ball_sum(datum, r)
         vertices = report.chamber_vertices
-        assert report.lower_poly == _oracle_poly(datum, vertices)
-        for x in vertices:
-            assert quotient_exponents(datum, x) == _oracle_exponent(datum, x)
+        levels = [_oracle_levels(datum, x) for x in vertices]
+        assert report.lower_poly == _levels_poly(levels)
+        for x, row in zip(vertices, levels):
+            assert quotient_exponents(datum, x) == _capped_sum(row)
         for level in range(1, r + 2):
-            assert report.quotient_poly(level) == _oracle_poly(datum, vertices, level)
+            assert report.quotient_poly(level) == _levels_poly(levels, level)
+
+
+def test_census_lane_edges(data):
+    # A2 has scale 1, so r * scale runs through 2^k - 1, 2^k and 2^k + 1,
+    # where the lane width bit_length(r * scale) + 1 steps up; r = 0 has no
+    # positive exponent.  No level exceeds r, so a cap above r caps nothing
+    a2 = data("A2")
+    assert a2.scale == 1
+    for r in range(9):
+        report = ball_sum(a2, r)
+        levels = [_oracle_levels(a2, x) for x in report.chamber_vertices]
+        assert report.lower_poly == _levels_poly(levels)
+        for level in range(1, r + 3):
+            assert report.quotient_poly(level) == _levels_poly(levels, level)
+        for level in (r + 1, r + 2, 2 * r + 7):
+            assert report.quotient_poly(level) == report.lower_poly
+    assert ball_sum(a2, 0).lower_poly == QPolynomial.one()
+
+
+def test_census_reads_no_root_values(data, monkeypatch):
+    # every census exponent comes off the packed lanes; the per-root
+    # reading belongs to quotient_exponents alone
+    def refuse(self, a):
+        raise AssertionError("the census read root values")
+
+    monkeypatch.setattr(_VertexTester, "root_values", refuse)
+    for name, r in (("E8", 3), ("F4", 3), ("G2", 4), ("A2", 5)):
+        datum = data(name)
+        ball_sum(datum, r).quotient_poly(2)
+        quotient_ball_sum(datum, r, 3)
+    cind_sandwich(data("G2"), 0, 1)
+    cind_sandwich(data("A2"), 1, 5)
+    with pytest.raises(AssertionError):
+        quotient_exponents(data("A2"), (1, 1))
 
 
 def test_quotient_ball_sum(data):
