@@ -1,6 +1,7 @@
 """Alcove geometry: membership, vertex tests, folding, enumeration."""
 
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,7 @@ from alcove import (
     NotAVertexError,
     ValidationError,
     alcove_vertex,
+    apartment_ball,
     as_point,
     build_root_datum,
     enumerate_box_vertices,
@@ -492,6 +494,32 @@ def test_walkers_yield_reduced_fractions(data):
             assert t.denominator > 0 and gcd(t.numerator, t.denominator) == 1
             signs.add((t > 0) - (t < 0))
     assert signs == {-1, 0, 1}
+
+
+def test_vertex_sets_sorted_and_counted(data):
+    # each VertexSet builder lists its points once each, in the order of
+    # their Fraction tuples, and counts them by vertex_type; the boxes and
+    # the ball reach negative coordinates
+    a2, g2, f4, e6, b3 = (data(name) for name in ("A2", "G2", "F4", "E6", "B3"))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    sets = [
+        (a2, enumerate_scaled_alcove_vertices(a2, 3)),
+        (g2, enumerate_scaled_alcove_vertices(g2, 3)),
+        (f4, enumerate_scaled_alcove_vertices(f4, 2)),
+        (e6, enumerate_scaled_alcove_vertices(e6, 2)),
+        (g2, enumerate_box_vertices(g2, *G2_BOXES[1][:2])),
+        (f4, enumerate_box_vertices(f4, (-1, -half, 0, -third), (1, half, half, third))),
+        (b3, apartment_ball(b3, (-3 * half, 0, half), 2)),
+    ]
+    for datum, vs in sets:
+        points = vs.points
+        assert len(points) > datum.rank + 1
+        assert all(type(t) is Fraction for x in points for t in x)
+        assert points == tuple(sorted(points))
+        assert len(set(points)) == len(points)
+        types = Counter(vertex_type(datum, x) for x in points)
+        assert vs.per_type_counts == tuple(types[i] for i in range(datum.rank + 1))
+    assert any(t < 0 for _, vs in sets[4:] for x in vs.points for t in x)
 
 
 def test_budget_exhaustion(data):

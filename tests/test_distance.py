@@ -226,6 +226,28 @@ def test_b3_gap_pair(data):
     )
 
 
+@pytest.mark.parametrize("name, r, pairs", [("A2", 3, None), ("G2", 3, None), ("B3", 3, 100), ("D4", 2, 50)])
+def test_point_query_matches_table(data, name, r, pairs):
+    # a point query, which stops when it discovers its target, answers
+    # what the table search from the same source holds for that target,
+    # on every pair of the radius-r wall ball for rank 2 and on seeded
+    # pairs above it
+    datum = data(name)
+    ball = apartment_ball(datum, origin(datum), r).points
+    if pairs is None:
+        chosen = list(product(ball, repeat=2))
+    else:
+        rng = random.Random(f"point query {name}")
+        chosen = [(x, y) for x in rng.sample(ball, 10) for y in rng.sample(ball, pairs // 10)]
+    depth = 2 * r + 2
+    tables = {}
+    for x, y in chosen:
+        if x not in tables:
+            tables[x] = simplicial_distances(datum, x, depth)
+        assert y in tables[x]
+        assert simplicial_distance(datum, x, y, depth) == tables[x][y]
+
+
 def test_simplicial_never_below_wall(data):
     g2 = data("G2")
     o = origin(g2)
