@@ -28,8 +28,10 @@ common denominator: datum.scale (the lcm of the marks) for vertices,
 the lcm of the input denominators for arbitrary rational points.  The
 grid walker, the vertex test and the fold all work on those integers;
 Fraction appears only at the public edge, where arguments come in and
-results go out.  Each public walker reads its Fractions from a memo of
-its own, so a walk builds one Fraction per distinct numerator it yields.
+results go out.  Every public walker yields through one helper that
+reads a walk's Fractions from a memo of its own, so a walk builds one
+Fraction per distinct numerator it yields, and a walk's points are
+sorted on their integer tuples.
 """
 
 from __future__ import annotations
@@ -147,10 +149,10 @@ class _VertexTester:
     root's index and the simple root it adds); one screen per maximal
     denominator c, as (c, step, contrib, count): the grid's step
     scale // c; contrib[j][u] = u * lane_j for u in [0, c), where lane_j
-    packs simple root j's coefficient in every positive root, one lane
-    per root, so that sum_j contrib[j][z_j mod c] packs alpha(z mod c)
-    for every root alpha; and count, the _lane_counter of the lanes that
-    hold multiples of c; the inverse Cartan matrix as integer rows over
+    is _root_lanes's L_j with lanes of whole bytes, so that
+    sum_j contrib[j][z_j mod c] packs alpha(z mod c) for every root
+    alpha; and count, the _lane_counter of the lanes that hold multiples
+    of c; the inverse Cartan matrix as integer rows over
     the lcm of its denominators; and each wall's reflection as the
     sparse column of (coordinate, coefficient) pairs it changes, simple
     walls first."""
@@ -173,7 +175,7 @@ class _VertexTester:
         # a lane holds alpha(z) for z in [0, c)^d, at most height(theta) * (c - 1),
         # in the fewest bytes that hold that for the largest c
         width = max(1, ((sum(datum.highest_root_coeffs) * (denoms[-1] - 1)).bit_length() + 7) // 8)
-        lanes = [sum(root[j] << 8 * width * k for k, root in enumerate(pos)) for j in range(d)]
+        lanes = _root_lanes(datum, 8 * width)
         self.grids = []
         for c in denoms:
             contrib = [[u * lane for u in range(c)] for lane in lanes]
@@ -182,7 +184,8 @@ class _VertexTester:
             tuple(N // c if j == i else 0 for j in range(d)): i + 1
             for i, c in enumerate(datum.highest_root_coeffs)
         }
-        self.corner_counts = {self.integral_count(c) for c in self.corners}
+        # corner i, (scale / c_i) e_i, lies on the grid of every maximal c that c_i divides
+        self.corner_counts = {self.grid_count([v % N for v in c]) for c in self.corners}
         self.memo: dict[tuple[int, ...], int | None] = {}
         self.shifts: dict[tuple[tuple[int, ...], int], int] = {}
         self.inverse_rows, self.inverse_denom = _numerators(datum.cartan_inverse)
@@ -206,13 +209,6 @@ class _VertexTester:
             if not any([v % step for v in key]):
                 return count(sum([row[v // step] for row, v in zip(contrib, key)]))
         return None
-
-    def integral_count(self, a) -> int:
-        """Positive roots taking integer values at a / scale: the screen's
-        count when a mod scale is on a maximal grid, else by root values."""
-        N = self.datum.scale
-        count = self.grid_count([v % N for v in a])
-        return sum(v % N == 0 for v in self.root_values(a)) if count is None else count
 
     def residue_type(self, key: tuple[int, ...]) -> int | None:
         """Type of the vertex key / scale for a residue key in [0, scale)^d,
@@ -259,6 +255,15 @@ class _VertexTester:
 
 # the datum's one vertex tester
 _tester = _per_datum(_VertexTester)
+
+
+def _root_lanes(datum: RootDatum, bits: int) -> list[int]:
+    """L_j for each simple root j: its coefficient in every positive root,
+    one lane of the given bits per root in datum order, lowest first, so
+    that sum_j a_j L_j packs alpha(a) for every root alpha while no lane
+    overflows."""
+    pos = datum.positive_roots
+    return [sum(root[j] << bits * k for k, root in enumerate(pos)) for j in range(datum.rank)]
 
 
 def _lane_counter(c: int, width: int, lanes: int) -> Callable[[int], int]:
@@ -391,10 +396,20 @@ class VertexSet:
         return len(self.points)
 
 
-def _make_vertex_set(datum: RootDatum, points: Iterable[Point]) -> VertexSet:
-    ordered = tuple(sorted(points))
-    counts = _type_counts(datum, (_scaled(p, datum.scale) for p in ordered))
-    return VertexSet(points=ordered, per_type_counts=counts)
+def _sorted_walk(
+    scale: int, walk: Iterable[Point]
+) -> tuple[list[tuple[int, ...]], tuple[Point, ...]]:
+    """The integer tuples over scale of a walk's points, sorted, and the
+    points in that order: one denominator orders the integers as it
+    orders the Fraction tuples."""
+    points = {_scaled(x, scale): x for x in walk}
+    vertices = sorted(points)
+    return vertices, tuple(map(points.__getitem__, vertices))
+
+
+def _make_vertex_set(datum: RootDatum, walk: Iterable[Point]) -> VertexSet:
+    vertices, points = _sorted_walk(datum.scale, walk)
+    return VertexSet(points=points, per_type_counts=_type_counts(datum, vertices))
 
 
 def _maximal_denominators(datum: RootDatum) -> list[int]:
@@ -413,6 +428,13 @@ class _Fractions(dict):
     def __missing__(self, v: int) -> Fraction:
         t = self[v] = Fraction(v, self.scale)
         return t
+
+
+def _as_points(scale: int, walk: Iterable[tuple[int, ...]]) -> Iterator[Point]:
+    """A walk's integer tuples over scale as points, through one memo."""
+    fraction = _Fractions(scale).__getitem__
+    for a in walk:
+        yield tuple(map(fraction, a))
 
 
 class _Budget:
@@ -484,12 +506,9 @@ def iter_scaled_alcove_vertices(
 ) -> Iterator[Point]:
     """Vertices of rC, deduplicated across denominators, unordered."""
     require_int(r, "scaling factor must be a nonnegative integer", 0)
-    scale = datum.scale
-    top = r * scale
+    d, top = datum.rank, r * datum.scale
     # rC lies in the cube [0, r]^d, as every mark is at least 1
-    fraction = _Fractions(scale).__getitem__
-    for a in _walk(datum, (0,) * datum.rank, (top,) * datum.rank, _Budget(budget), top):
-        yield tuple(map(fraction, a))
+    yield from _as_points(datum.scale, _walk(datum, (0,) * d, (top,) * d, _Budget(budget), top))
 
 
 def enumerate_scaled_alcove_vertices(
@@ -510,9 +529,7 @@ def iter_box_vertices(
     scale = datum.scale
     box_lo = [ceil(t * scale) for t in low]
     box_hi = [floor(t * scale) for t in high]
-    fraction = _Fractions(scale).__getitem__
-    for a in _walk(datum, box_lo, box_hi, _Budget(budget)):
-        yield tuple(map(fraction, a))
+    yield from _as_points(scale, _walk(datum, box_lo, box_hi, _Budget(budget)))
 
 
 def enumerate_box_vertices(

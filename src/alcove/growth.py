@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .apartment import Point, _scaled, _type_counts, iter_scaled_alcove_vertices
+from .apartment import Point, _root_lanes, _sorted_walk, _type_counts, iter_scaled_alcove_vertices
 from .cartan import (
     _EXCEPTIONAL_RANKS,
     _MIN_RANK,
@@ -69,9 +69,9 @@ class _Census:
     aggregate reads: each as its integer tuple a over datum.scale, its
     point, and one packed integer p = sum_j a_j L_j.
 
-    L_j packs simple root j's coefficient in every positive root, one
-    lane of w = bit_length(r * scale) + 1 bits per root, so lane k of p
-    is alpha_k(a); on rC every alpha(a) <= theta(a) <= r * scale, which
+    L_j is apartment's root-lane layout, one lane of
+    w = bit_length(r * scale) + 1 bits per root, so lane k of p is
+    alpha_k(a); on rC every alpha(a) <= theta(a) <= r * scale, which
     leaves each lane's top bit clear and no lane carries.  Adding
     2^(w-1) - l * scale - 1 to every lane sets a lane's top bit iff
     alpha(a) > l * scale, that is iff ceil(alpha(x)) > l, so the quotient
@@ -85,14 +85,11 @@ class _Census:
         require_int(r, "radius must be a nonnegative integer", 0)
         N = datum.scale
         walk = iter_scaled_alcove_vertices(datum, r, budget=budget)
-        points = {_scaled(x, N): x for x in walk}
-        self.vertices = sorted(points)
-        self.points = tuple(map(points.__getitem__, self.vertices))
+        self.vertices, self.points = _sorted_walk(N, walk)
         w = (r * N).bit_length() + 1
-        pos = datum.positive_roots
-        lanes = [sum(root[j] << w * k for k, root in enumerate(pos)) for j in range(datum.rank)]
+        lanes = _root_lanes(datum, w)
         self.packed = [sum(map(mul, a, lanes)) for a in self.vertices]
-        ones = sum(1 << w * k for k in range(len(pos)))
+        ones = sum(1 << w * k for k in range(len(datum.positive_roots)))
         self.top = ones << w - 1
         self.biases = [ones * ((1 << w - 1) - l * N - 1) for l in range(1, r)]
 

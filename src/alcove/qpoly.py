@@ -10,12 +10,28 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import wraps
 
 from .errors import ValidationError, require_int
 
 __all__ = ["QPolynomial"]
 
 NEG_INFINITY = float("-inf")
+
+
+def _operand(method):
+    """method with its operand as a QPolynomial, an int as a constant;
+    any other operand is NotImplemented, left to Python."""
+
+    @wraps(method)
+    def coerced(self, other):
+        if isinstance(other, int) and not isinstance(other, bool):
+            other = QPolynomial({0: other})
+        elif not isinstance(other, QPolynomial):
+            return NotImplemented
+        return method(self, other)
+
+    return coerced
 
 
 class QPolynomial:
@@ -73,20 +89,16 @@ class QPolynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    @_operand
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
         return self._terms == other._terms
 
     def __hash__(self) -> int:
         """A constant hashes as its int, which it equals."""
         return hash(self.coefficient(0) if self.degree <= 0 else frozenset(self._terms.items()))
 
+    @_operand
     def __add__(self, other) -> "QPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
         terms = dict(self._terms)
         for exponent, coefficient in other._terms.items():
             terms[exponent] = terms.get(exponent, 0) + coefficient
@@ -97,22 +109,16 @@ class QPolynomial:
     def __neg__(self) -> "QPolynomial":
         return QPolynomial({e: -c for e, c in self._terms.items()})
 
+    @_operand
     def __sub__(self, other) -> "QPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
         return self + (-other)
 
+    @_operand
     def __rsub__(self, other) -> "QPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
         return other - self
 
+    @_operand
     def __mul__(self, other) -> "QPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
         terms: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -184,12 +190,3 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.render()})"
-
-
-def _coerce(other):
-    """other as a QPolynomial, an int as a constant; else NotImplemented."""
-    if isinstance(other, QPolynomial):
-        return other
-    if isinstance(other, int) and not isinstance(other, bool):
-        return QPolynomial({0: other})
-    return NotImplemented

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -199,9 +200,11 @@ def _fold_map(datum, x):
     Folding x into the closed alcove applies one fixed chain of wall
     reflections; fold_pair replays that chain on any companion point.
     The chain composes to an affine map of the coordinates, recovered
-    exactly from the images of the origin and the unit points.
+    exactly from the images of the origin and the unit points.  Its
+    linear part and the origin's image are integral, so the map sends a
+    point of the (1/scale)-grid to one, and works on its numerators.
     """
-    d = datum.rank
+    d, scale = datum.rank, datum.scale
     zero = tuple(Fraction(0) for _ in range(d))
     folded, base = fold_pair(datum, x, zero)
     cols = []
@@ -210,12 +213,13 @@ def _fold_map(datum, x):
         again, image = fold_pair(datum, x, unit)
         assert again == folded
         cols.append(tuple(a - b for a, b in zip(image, base)))
+    assert all(t.denominator == 1 for t in base + sum(cols, ()))
+    shift = [int(t) * scale for t in base]
+    rows = [[int(col[k]) for col in cols] for k in range(d)]
 
     def apply(y):
-        return tuple(
-            base[k] + sum(cols[j][k] * y[j] for j in range(d))
-            for k in range(d)
-        )
+        a = [t.numerator * (scale // t.denominator) for t in y]
+        return tuple(Fraction(s + sum(map(mul, row, a)), scale) for s, row in zip(shift, rows))
 
     assert apply(x) == folded
     return folded, apply

@@ -242,14 +242,19 @@ def _integral_roots(datum, x):
 
 @pytest.mark.parametrize("name", FAMILY_TYPES)
 def test_integral_count_prefilter_is_sound(data, rank_is_vertex, name):
-    # the count the vertex tester screens residues by is the same at a
-    # point, its fold and its integer translates; every corner's count,
-    # and so every vertex's, is one the tester lets through.  Random
-    # points rarely share a factor with the scale, so each maximal
-    # denominator's walker grid and its integer translates join them.
+    # the integral-root count the vertex tester screens residues by is the
+    # same at a point, its fold and its integer translates; every corner's
+    # count, and so every vertex's, is one the tester lets through; and the
+    # screen reads it right on each maximal denominator's grid.  Random
+    # points rarely share a factor with the scale, so each such grid and
+    # its integer translates join them.
     datum = data(name)
     d, scale = datum.rank, datum.scale
     tester = _tester(datum)
+
+    def count(a):
+        return _integral_roots(datum, [Fraction(v, scale) for v in a])
+
     corners = [alcove_vertex(datum, i) for i in range(d + 1)]
     assert {_integral_roots(datum, c) for c in corners} == tester.corner_counts
     rng = random.Random(f"count {name}")
@@ -257,18 +262,19 @@ def test_integral_count_prefilter_is_sound(data, rank_is_vertex, name):
     for denom in _maximal_denominators(datum):
         step = scale // denom
         grid = [[step * rng.randrange(denom) for _ in range(d)] for _ in range(20)]
-        points += grid + [[v + scale * rng.randint(-3, 3) for v in a] for a in grid]
+        for a in grid + [[v + scale * rng.randint(-3, 3) for v in a] for a in grid]:
+            assert tester.grid_count([v % scale for v in a]) == count(a)
+            points.append(a)
     rejected = False
     for a in points:
-        count = tester.integral_count(a)
-        assert count == _integral_roots(datum, [Fraction(v, scale) for v in a])
+        n = count(a)
         folded = list(a)
         _fold(datum, [folded], scale)
-        assert tester.integral_count(folded) == count
-        assert tester.integral_count([v + scale * rng.randint(-3, 3) for v in a]) == count
+        assert count(folded) == n
+        assert count([v + scale * rng.randint(-3, 3) for v in a]) == n
         if rank_is_vertex(datum, a):
-            assert count in tester.corner_counts
-        rejected |= count not in tester.corner_counts
+            assert n in tester.corner_counts
+        rejected |= n not in tester.corner_counts
     assert rejected or scale == 1
 
 
