@@ -9,11 +9,15 @@ structure iff it folds onto corner i; every vertex of type i sits on
 the (1/c_i)-grid, which is what the enumerators exploit.  Integer
 shifts of the coordinates (coweight translations) map vertices to
 vertices and permute their types by the shift's class in P^v/Q^v, so
-one fold per residue class modulo the scale gives the type of every
+one typing per residue class modulo the scale gives the type of every
 vertex in the class, and one more per (class, type) gives the shift.
 The affine Weyl group and those shifts keep the number of positive
-roots integral at a point, so only a residue with a corner's count is
-folded.  The count is read on the grid of a maximal denominator c (a
+roots integral at a point, so only a residue with a corner's count can
+be a vertex.  Such a residue is typed by a certificate of three
+invariants of the affine Weyl group (that count, the point's exact
+denominator and a class in P^v/Q^v), read off the few grid points of
+the closed alcove, and is folded only when the certificate's entry is
+ambiguous.  The count is read on the grid of a maximal denominator c (a
 mark that divides no other), of step 1/c, which holds every vertex
 whose type's mark divides c; a point on no such grid is no vertex.  At
 z / c, a root alpha is integral iff alpha(z mod c) = 0 mod c, a value of
@@ -39,7 +43,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from functools import cached_property
+from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
@@ -136,13 +141,28 @@ class _VertexTester:
 
     The memo maps a residue key (the coordinates modulo the scale) that
     has a corner's integral-root count to the index of the corner key /
-    scale folds onto, or None; other residues are never folded.
+    scale folds onto, or None; other residues are never typed.
     A point a / scale is key / scale translated by the coweight
     lam = a // scale, whose class in P^v/Q^v (inverse_rows . lam mod
     inverse_denom) permutes the types as it acts on the extended
-    diagram.  Each (class, type) shift is one fold of the first vertex
+    diagram.  Each (class, type) shift is read from the first vertex
     met with that class and type; all are trivial when inverse_denom is
     1 (E8, F4, G2).
+
+    A memo or shift miss reads the certificate, built on the first
+    miss: the invariants (count, den, cls) of every point of (1/c)P^v
+    in the closed alcove C, for each maximal c, mapped to the corner
+    index of the points with them, or _AMBIGUOUS when two such points
+    differ in it.  Only an ambiguous entry is folded.  Here count is the
+    number of positive roots integral at the point, den the least D
+    with D x in P^v, and cls the class of den x in P^v/Q^v (empty when
+    inverse_denom is 1).  W_aff = W |x Q^v keeps all three: W acts on
+    t-coordinates by integer matrices with integer inverses and
+    permutes the roots, and acts trivially on P^v/Q^v; a Q^v
+    translation adds integers, and den Q^v lies in Q^v.  Each W_aff
+    orbit meets C once, and the fold of a step-1/c grid point lies in
+    (1/c)P^v, which W_aff maps to itself, so it is one of the
+    enumerated points with the same invariants.
 
     Also holds the corners mapped to their indices; the height chain
     (each simple root's coordinate, then for each later root an earlier
@@ -153,9 +173,9 @@ class _VertexTester:
     sum_j contrib[j][z_j mod c] packs alpha(z mod c) for every root
     alpha; and count, the _lane_counter of the lanes that hold multiples
     of c; the inverse Cartan matrix as integer rows over
-    the lcm of its denominators; and each wall's reflection as the
-    sparse column of (coordinate, coefficient) pairs it changes, simple
-    walls first."""
+    the lcm of its denominators; each wall's reflection as the sparse
+    column of (coordinate, coefficient) pairs it changes, simple walls
+    first; and the certificate, built on first read."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -221,12 +241,55 @@ class _VertexTester:
 
     def folded_type(self, key: tuple[int, ...]) -> int | None:
         """Type of the residue key / scale, which has a corner's integral-root
-        count: the memo's, else the corner a fold of key lands on, or None."""
+        count: the memo's, else the certificate's or a fold's, or None."""
         if key not in self.memo:
-            p = list(key)
-            _fold(self.datum, [p], self.datum.scale)
-            self.memo[key] = self.corners.get(tuple(p))
+            self.memo[key] = self.certified_type(key)
         return self.memo[key]
+
+    def alcove_points(self) -> list[tuple[int, ...]]:
+        """The points of (1/c)P^v in the closed alcove, for each maximal
+        denominator c in turn, as numerators over the scale: step n for
+        the n >= 0 with marks . n <= c.  A point on several such grids
+        is listed once for each."""
+        points = []
+        for c, step, _, _ in self.grids:
+            level = [((), c)]
+            for m in self.datum.highest_root_coeffs:
+                level = [(n + (v,), room - m * v) for n, room in level for v in range(room // m + 1)]
+            points += [tuple([v * step for v in n]) for n, _ in level]
+        return points
+
+    def invariants(self, a) -> tuple[int | None, int, tuple[int, ...]]:
+        """(count, den, cls) of a / scale, the certificate's key: its
+        integral-root count, its exact denominator and the class of
+        den a / scale in P^v/Q^v, empty when inverse_denom is 1."""
+        N, D = self.datum.scale, self.inverse_denom
+        den = lcm(*[N // gcd(N, v) for v in a])
+        b = [v * den // N for v in a]
+        cls = tuple([sum(map(mul, row, b)) % D for row in self.inverse_rows]) if D > 1 else ()
+        return self.grid_count([v % N for v in a]), den, cls
+
+    @cached_property
+    def certificate(self) -> dict[tuple, int | None]:
+        """The corner index, None or _AMBIGUOUS for each key of invariants
+        met on alcove_points."""
+        certificate = {}
+        for a in self.alcove_points():
+            t = self.corners.get(a)
+            key = self.invariants(a)
+            certificate[key] = t if certificate.get(key, t) == t else _AMBIGUOUS
+        return certificate
+
+    def certified_type(self, a) -> int | None:
+        """Type of a / scale, a point on a maximal grid, or None when it is
+        no vertex: the certificate's, or on an ambiguous entry the corner
+        a fold of a lands on."""
+        t = self.certificate[self.invariants(a)]
+        if t == _AMBIGUOUS:
+            p = list(a)
+            _fold(self.datum, [p], self.datum.scale)
+            t = self.corners.get(tuple(p))
+        return t
 
     def scaled(self, a) -> bool:
         """Whether a / scale is a vertex."""
@@ -247,10 +310,12 @@ class _VertexTester:
             return i
         j = self.shifts.get((cls, i))
         if j is None:
-            p = list(a)
-            _fold(self.datum, [p], N)
-            j = self.shifts[cls, i] = self.corners[tuple(p)]
+            j = self.shifts[cls, i] = self.certified_type(a)
         return j
+
+
+# the certificate's entry for invariants met by points of different types
+_AMBIGUOUS = -1
 
 
 # the datum's one vertex tester

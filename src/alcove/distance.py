@@ -90,12 +90,17 @@ def wall_count(datum: RootDatum, x, y, alpha) -> int:
 
 
 def _wall_distance_scaled(
-    datum: RootDatum, ax: tuple[int, ...], ay: tuple[int, ...]
+    datum: RootDatum, ax: tuple[int, ...], ay: tuple[int, ...], x_values: list[int] | None = None
 ) -> tuple[int, Root | None, int]:
+    """Wall distance, witness and wall count of ax and ay; x_values, when
+    given, are the tester's root_values(ax), computed once by a caller
+    that holds ax fixed."""
     if ax == ay:
         return 0, None, 0
     values = _tester(datum).root_values
-    counts = list(map(_between_scaled, values(ax), values(ay), repeat(datum.scale)))
+    if x_values is None:
+        x_values = values(ax)
+    counts = list(map(_between_scaled, x_values, values(ay), repeat(datum.scale)))
     best = max(counts)
     return 1 + best, datum.positive_roots[counts.index(best)], best
 
@@ -126,7 +131,8 @@ def iter_wall_ball_points(
     lo = tuple(v - r * scale for v in ac)
     hi = tuple(v + r * scale for v in ac)
     walk = _walk(datum, lo, hi, _Budget(budget))
-    yield from _as_points(scale, (a for a in walk if _wall_distance_scaled(datum, ac, a)[0] <= r))
+    vc = _tester(datum).root_values(ac)
+    yield from _as_points(scale, (a for a in walk if _wall_distance_scaled(datum, ac, a, vc)[0] <= r))
 
 
 def apartment_ball(

@@ -741,15 +741,169 @@ def test_type_of_census_translates(name, r):
     assert shifted
 
 
-@pytest.mark.parametrize("name, r, folds", [("E8", 3, 281), ("E6", 4, 80), ("A7", 4, 8)])
+@pytest.mark.parametrize(
+    "name, r, folds", [("E8", 3, 0), ("E6", 4, 0), ("A7", 4, 0), ("E7", 3, 19)]
+)
 def test_ball_sum_fold_count(monkeypatch, name, r, folds):
-    # a fresh tester folds each residue that passes the integral-root
-    # screen once, and each (class, type) shift once; the census reads its
-    # types from the memo.  E8 has no shifts; A7 has one residue (scale 1)
-    # and the seven nonzero classes of P^v/Q^v = Z/8
+    # a fresh tester types each residue that passes the integral-root
+    # screen once, and each (class, type) shift once, from its certificate,
+    # and folds only where the certificate is ambiguous; the census reads
+    # its types from the memo.  E8, E6 and A7 (one residue, and the seven
+    # nonzero classes of P^v/Q^v = Z/8) fold nothing; E7 folds the
+    # residues whose invariants corners 1 and 6 share with other points
     datum = build_root_datum(parse_type(name))
     fold = apartment._fold
     calls = []
     monkeypatch.setattr(apartment, "_fold", lambda *args: calls.append(1) or fold(*args))
     ball_sum(datum, r)
     assert len(calls) == folds
+
+
+def _support_rule_counts(datum):
+    """For each mask J' of simple walls, the positive roots alpha with
+    supp alpha in J' and those with supp(theta - alpha) in J', summed over
+    the submasks of J' by a subset-sum transform."""
+    d = datum.rank
+    theta = datum.highest_root_coeffs
+
+    def mask(coeffs):
+        return sum(1 << i for i, c in enumerate(coeffs) if c)
+
+    inside, below_top = [0] * (1 << d), [0] * (1 << d)
+    for root in datum.positive_roots:
+        inside[mask(root)] += 1
+        below_top[mask([h - c for h, c in zip(theta, root)])] += 1
+    for i in range(d):
+        for m in range(1 << d):
+            if m >> i & 1:
+                inside[m] += inside[m ^ 1 << i]
+                below_top[m] += below_top[m ^ 1 << i]
+    return inside, below_top
+
+
+# the certificate's size: grid points of the closed alcove over the
+# maximal denominators, with repeats; d + 1 on A_n, d + 2 on B_n and C_n
+# and d + 7 on D_n
+CERTIFICATE_SIZES = {"E6": 29, "E7": 37, "E8": 52, "F4": 12, "G2": 5}
+FAMILY_SIZES = {"A": 1, "B": 2, "C": 2, "D": 7}
+# the corner types whose invariants the certificate leaves ambiguous, on
+# the types of theorem_table(8) that have any
+AMBIGUOUS_TYPES = {
+    "C3": {1, 2}, "C4": {1, 3}, "C5": {1, 2, 3, 4}, "C6": {1, 2, 4, 5},
+    "C7": {1, 2, 3, 4, 5, 6}, "C8": {1, 2, 3, 5, 6, 7},
+    "D6": {2, 4}, "D8": {2, 3, 5, 6}, "E7": {1, 6},
+}
+
+
+def test_certificate_counts_match_support_rule(data):
+    # each grid point of the closed alcove has as many integral positive
+    # roots as the extended diagram's walls through it allow: those
+    # supported on the simple walls J' through it, and when the affine
+    # wall passes through it also those alpha with theta - alpha
+    # supported on J'.  The points are those of (1/c)P^v in the closed
+    # alcove, their number the certificate's size
+    for row in theorem_table(8).rows:
+        name = str(row.rstype)
+        datum = data(name)
+        d, scale, marks = datum.rank, datum.scale, datum.highest_root_coeffs
+        tester = _tester(datum)
+        inside, below_top = _support_rule_counts(datum)
+        points = tester.alcove_points()
+        size = CERTIFICATE_SIZES.get(name) or d + FAMILY_SIZES[name[0]]
+        assert len(points) == size, name
+        per_grid = Counter()
+        for a in points:
+            t = [Fraction(v, scale) for v in a]
+            assert in_scaled_alcove(datum, 1, t), (name, a)
+            per_grid[a] += 1
+            walls = sum(1 << i for i, v in enumerate(a) if v == 0)
+            on_top = sum(map(mul, marks, a)) == scale
+            expected = inside[walls] + (below_top[walls] if on_top else 0)
+            assert tester.invariants(a)[0] == expected == _integral_roots(datum, t), (name, a)
+        # a point is listed once per maximal grid holding it
+        for a, k in per_grid.items():
+            den = tester.invariants(a)[1]
+            assert k == sum(c % den == 0 for c in _maximal_denominators(datum)), (name, a)
+
+
+def test_certificate_points_are_the_grid_scan(data):
+    # the closed alcove's points of each maximal grid against a scan of
+    # the whole cube [0, c]^d, where the scan is small
+    for name in ("B3", "C4", "D5", "F4", "G2"):
+        datum = data(name)
+        marks = datum.highest_root_coeffs
+        scan = []
+        for c in _maximal_denominators(datum):
+            step = datum.scale // c
+            scan += [
+                tuple(step * v for v in n)
+                for n in product(range(c + 1), repeat=datum.rank)
+                if sum(map(mul, marks, n)) <= c
+            ]
+        assert sorted(_tester(datum).alcove_points()) == sorted(scan)
+
+
+def test_certificate_decided_types(data):
+    # the corner types whose invariants the certificate maps to them
+    # alone, pinned for every type of theorem_table(8)
+    for row in theorem_table(8).rows:
+        name = str(row.rstype)
+        datum = data(name)
+        tester = _tester(datum)
+        certificate = tester.certificate
+        ambiguous = {i for a, i in tester.corners.items() if certificate[tester.invariants(a)] != i}
+        assert ambiguous == AMBIGUOUS_TYPES.get(name, set()), name
+        for a, i in tester.corners.items():
+            assert certificate[tester.invariants(a)] in (i, apartment._AMBIGUOUS)
+
+
+def _grid_keys(datum, rng, sample):
+    """The corners, then the residues of every maximal grid, or sample
+    random ones per grid."""
+    d, scale = datum.rank, datum.scale
+    keys = list(_tester(datum).corners)
+    for c in _maximal_denominators(datum):
+        step = scale // c
+        if sample is None:
+            keys += [tuple(step * v for v in z) for z in product(range(c), repeat=d)]
+        else:
+            keys += [tuple(step * rng.randrange(c) for _ in range(d)) for _ in range(sample)]
+    return keys
+
+
+@pytest.mark.parametrize(
+    "name, sample",
+    [("A3", None), ("B3", None), ("C3", None), ("D4", None), ("G2", None), ("F4", None),
+     ("E6", 150), ("E7", 150), ("E8", 100)],
+)
+def test_certificate_matches_fold(data, name, sample):
+    # the fold of a grid point, a residue or an integer translate of one,
+    # is a grid point of the closed alcove with the same invariants; a
+    # decided entry of the certificate is the corner that fold lands on
+    datum = data(name)
+    d, scale = datum.rank, datum.scale
+    tester = _tester(datum)
+    certificate = tester.certificate
+    points = set(tester.alcove_points())
+    rng = random.Random(f"certificate {name}")
+    outcomes = Counter()
+    for key in _grid_keys(datum, rng, sample):
+        for a in (key, tuple(v + scale * rng.randint(-3, 3) for v in key)):
+            folded = list(a)
+            _fold(datum, [folded], scale)
+            folded = tuple(folded)
+            assert folded in points
+            invariants = tester.invariants(a)
+            assert tester.invariants(folded) == invariants
+            expected = tester.corners.get(folded)
+            decision = certificate[invariants]
+            assert decision in (expected, apartment._AMBIGUOUS), a
+            assert tester.certified_type(a) == expected, a
+            screened = invariants[0] in tester.corner_counts
+            outcomes[decision == apartment._AMBIGUOUS, expected is not None, screened] += 1
+    # decided vertices are met, decided non-vertices with a corner's count
+    # on the types whose grids have them, and ambiguous entries on the
+    # types whose corners have them
+    assert outcomes[False, True, True]
+    assert bool(outcomes[False, False, True]) == (name in ("E7", "E8"))
+    assert bool(outcomes[True, True, True] + outcomes[True, False, True]) == (name in AMBIGUOUS_TYPES)

@@ -24,6 +24,7 @@ from alcove import (
     fold_to_alcove,
     integers_strictly_between,
     is_vertex,
+    iter_box_vertices,
     iter_wall_ball_points,
     origin,
     parse_type,
@@ -35,7 +36,7 @@ from alcove import (
     wall_distance,
 )
 import alcove.distance
-from alcove.apartment import _Budget, _maximal_denominators
+from alcove.apartment import _Budget, _maximal_denominators, _VertexTester
 from alcove.distance import _between_scaled, _bfs, _neighbor_offsets, _unpack
 
 
@@ -414,6 +415,21 @@ def test_wall_ball_work_count(data, assert_least_budget, name, center, least):
     datum = data(name)
     c = center or origin(datum)
     assert_least_budget(lambda b: list(iter_wall_ball_points(datum, c, 2, budget=b)), least)
+
+
+@pytest.mark.parametrize("name, r", [("B3", 2), ("F4", 1), ("E6", 1)])
+def test_wall_ball_root_values_once_per_candidate(data, monkeypatch, name, r):
+    # the center's root values are computed once per ball, each other
+    # vertex of the box walk's once: one call per vertex of the box
+    datum = data(name)
+    o = origin(datum)
+    box = list(iter_box_vertices(datum, [-r] * datum.rank, [r] * datum.rank))
+    values = _VertexTester.root_values
+    calls = []
+    monkeypatch.setattr(_VertexTester, "root_values", lambda self, a: calls.append(a) or values(self, a))
+    ball = list(iter_wall_ball_points(datum, o, r))
+    assert len(calls) == len(box) > len(ball)
+    assert calls.count(scaled_coords(datum, o)) == 1
 
 
 def test_search_work_count(data, assert_least_budget):
