@@ -322,6 +322,40 @@ _AMBIGUOUS = -1
 _tester = _per_datum(_VertexTester)
 
 
+class _VertexResidues:
+    """The residue classes modulo the scale of the vertices: each class's
+    residue rho in [0, scale)^d, in 1/scale units, and marks . rho.
+
+    A vertex is a W_aff image of an alcove corner, and a coroot translation
+    adds integers to the coordinates, so the vertex classes are the W-orbits
+    of the corners' residues.  W acts on numerators by the tester's simple
+    reflections, integer maps that commute with reduction mod the scale, so
+    one BFS from the corners' residues under them finds every class."""
+
+    def __init__(self, datum: RootDatum):
+        N, d, tester = datum.scale, datum.rank, _tester(datum)
+        reflections = tester.reflections[:d]
+        seen = {tuple([v % N for v in corner]) for corner in tester.corners}
+        todo = list(seen)
+        while todo:
+            x = todo.pop()
+            for k, column in enumerate(reflections):
+                if xk := x[k]:
+                    y = list(x)
+                    for j, c in column:
+                        y[j] = (y[j] - xk * c) % N
+                    if (y := tuple(y)) not in seen:
+                        seen.add(y)
+                        todo.append(y)
+        self.residues = list(seen)
+        marks = datum.highest_root_coeffs
+        self.heights = [sum(map(mul, marks, rho)) for rho in self.residues]
+
+
+# the datum's one table of vertex residues, built on first read
+_residues = _per_datum(_VertexResidues)
+
+
 def _root_lanes(datum: RootDatum, bits: int) -> list[int]:
     """L_j for each simple root j: its coefficient in every positive root,
     one lane of the given bits per root in datum order, lowest first, so

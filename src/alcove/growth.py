@@ -9,13 +9,23 @@ Fraction, and evaluation at a concrete q happens only on request.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterable
 
-from .apartment import Point, _root_lanes, _sorted_walk, _type_counts, iter_scaled_alcove_vertices
+from .apartment import (
+    Point,
+    _Budget,
+    _residues,
+    _root_lanes,
+    _sorted_walk,
+    _type_counts,
+    iter_scaled_alcove_vertices,
+)
 from .cartan import (
     _EXCEPTIONAL_RANKS,
     _MIN_RANK,
@@ -69,39 +79,121 @@ class _Census:
     aggregate reads: each as its integer tuple a over datum.scale, its
     point, and one packed integer p = sum_j a_j L_j.
 
-    L_j is apartment's root-lane layout, one lane of
-    w = bit_length(r * scale) + 1 bits per root, so lane k of p is
-    alpha_k(a); on rC every alpha(a) <= theta(a) <= r * scale, which
-    leaves each lane's top bit clear and no lane carries.  Adding
-    2^(w-1) - l * scale - 1 to every lane sets a lane's top bit iff
-    alpha(a) > l * scale, that is iff ceil(alpha(x)) > l, so the quotient
-    exponent capped at cap counts those top bits over l = 1..min(cap, r) - 1
-    (no level exceeds r).  The walk is the public iterator, not
-    apartment._walk, since bench/spans.py counts walks and vertices
-    there; the move waits for engine meters.
+    L_j are _level_lanes's root lanes for values up to r * scale, as on rC
+    every alpha(a) <= theta(a) <= r * scale, so lane k of p is alpha_k(a).
+    After the level-l bias a lane's top bit says alpha(a) > l * scale, that
+    is ceil(alpha(x)) > l, so the quotient exponent capped at cap counts
+    those top bits over l = 1..min(cap, r) - 1 (no level exceeds r).  The
+    walk is the public iterator, not apartment._walk, since bench/spans.py
+    counts walks and vertices there; the move waits for engine meters.
     """
 
     def __init__(self, datum: RootDatum, r: int, budget: int | None):
         require_int(r, "radius must be a nonnegative integer", 0)
-        N = datum.scale
         walk = iter_scaled_alcove_vertices(datum, r, budget=budget)
-        self.vertices, self.points = _sorted_walk(N, walk)
-        w = (r * N).bit_length() + 1
-        lanes = _root_lanes(datum, w)
+        self.vertices, self.points = _sorted_walk(datum.scale, walk)
+        lanes, self.top, self.biases = _level_lanes(datum, r * datum.scale, r)
         self.packed = [sum(map(mul, a, lanes)) for a in self.vertices]
-        ones = sum(1 << w * k for k in range(len(datum.positive_roots)))
-        self.top = ones << w - 1
-        self.biases = [ones * ((1 << w - 1) - l * N - 1) for l in range(1, r)]
 
-    def exponent_poly(self, cap: int | None, packed: Iterable[int] | None = None) -> QPolynomial:
-        """Sum of q^e over the vertices, or over the given packed values of
-        some of them, e the quotient exponent capped at cap (None: uncapped)."""
-        top = self.top
+    def exponent_poly(self, cap: int | None) -> QPolynomial:
+        """Sum of q^e over the vertices, e the quotient exponent capped at
+        cap (None: uncapped)."""
         biases = self.biases if cap is None else self.biases[: cap - 1]
-        return QPolynomial(Counter(
-            sum([((p + b) & top).bit_count() for b in biases])
-            for p in (self.packed if packed is None else packed)
-        ))
+        return QPolynomial(Counter(_exponents(self.top, biases, self.packed)))
+
+
+def _level_lanes(datum: RootDatum, bound: int, levels: int) -> tuple[list[int], int, list[int]]:
+    """apartment's root lanes for root values up to bound, in 1/scale units,
+    w = bit_length(bound) + 1 bits each; the mask of the lanes' top bits;
+    and for each level l in 1..levels - 1 the bias 2^(w-1) - l * scale - 1
+    on every lane, whose add sets a lane's top bit iff its value exceeds
+    l * scale.  No value sets the top bit alone, and no lane carries."""
+    w = bound.bit_length() + 1
+    ones = sum(1 << w * k for k in range(len(datum.positive_roots)))
+    biases = [ones * ((1 << w - 1) - l * datum.scale - 1) for l in range(1, levels)]
+    return _root_lanes(datum, w), ones << w - 1, biases
+
+
+def _exponents(top: int, biases: list[int], packed: list[int]) -> list[int]:
+    """The capped exponent of each packed vertex: the top bits its lanes
+    set over one add of each level's bias."""
+    exponents = [0] * len(packed)
+    for b in biases:
+        exponents = list(map(add, exponents, [((p + b) & top).bit_count() for p in packed]))
+    return exponents
+
+
+def _coin_counts(coins: list[int], top: int) -> list[int]:
+    """P(m) for m in 0..top: the y >= 0 with coins . y <= m."""
+    exact = [1] + [0] * top  # y with coins . y == m
+    for c in coins:
+        for m in range(c, top + 1):
+            exact[m] += exact[m - c]
+    return list(accumulate(exact))
+
+
+def _capped_census(datum: RootDatum, R: int, cap: int, budget: int | None) -> QPolynomial:
+    """Sum of q^e over the vertices of RC, e the quotient exponent capped at
+    cap, counted by residue classes instead of a walk.
+
+    A vertex of RC is a = rho + N z in 1/N units (N the scale), for rho one
+    of apartment's vertex residues and z >= 0 integral with marks . z <= M_rho
+    = floor((R N - marks . rho) / N).  A root through a coordinate j with
+    z_j >= cap has alpha(a) >= a_j >= cap N, so it passes every level below
+    the cap.  So e depends only on the clip set S = {j : z_j < cap} and on
+    (rho_S, z_S): it is the exponent of a' = rho + N z on S and cap N off S,
+    whose root values are at most height(theta) cap N.  For each S the
+    residues are grouped by rho_S, with a histogram of M_rho - cap marks(S^c);
+    a clip k = z_S in [0, cap)^S then stands for W(marks_S . k) vertices, where
+    W(t) = sum_M hist[M] P(M - t) and P(m) counts the y >= 0 on S^c with
+    marks . y <= m, z = cap + y there.  Each (group, clip) leaf spends one
+    unit of budget before its exponent is read off packed lanes."""
+    N, d, marks = datum.scale, datum.rank, datum.highest_root_coeffs
+    table = _residues(datum)
+    live = [(rho, (R * N - h) // N) for rho, h in zip(table.residues, table.heights) if h <= R * N]
+    lanes, top, biases = _level_lanes(datum, sum(marks) * cap * N, cap)
+    state = _Budget(budget)
+    terms: Counter[int] = Counter()
+    for mask in range(1 << d):
+        inside = [j for j in range(d) if mask >> j & 1]
+        outside = [j for j in range(d) if not mask >> j & 1]
+        spent = cap * sum(marks[j] for j in outside)
+        if spent > R:
+            continue
+        P = _coin_counts([marks[j] for j in outside], R - spent)
+        # the clips, as (marks_S . k, packed N k on S and cap N off S), by t
+        clips = [(0, sum(cap * N * lanes[j] for j in outside))]
+        for j in inside:
+            clips = [
+                (t + marks[j] * v, p + N * v * lanes[j])
+                for t, p in clips
+                for v in range(cap)
+                if t + marks[j] * v <= R - spent
+            ]
+        clips.sort()
+        ts = [t for t, _ in clips]
+        offsets = [p for _, p in clips]
+        # the residues grouped by rho_S, each group with its histogram of M - spent
+        groups: dict[tuple[int, ...], Counter[int]] = {}
+        for rho, M in live:
+            if M >= spent:
+                groups.setdefault(tuple([rho[j] for j in inside]), Counter())[M - spent] += 1
+        # each leaf's (exponent, t), pooled over the groups of one histogram;
+        # rho_S's lanes ride on the biases, as (p + base) + b = p + (base + b)
+        pooled: dict[frozenset[tuple[int, int]], Counter[tuple[int, int]]] = {}
+        inside_lanes = [lanes[j] for j in inside]
+        for key, hist in groups.items():
+            n = bisect_right(ts, max(hist))
+            state.spend(n)
+            base = sum(map(mul, key, inside_lanes))
+            exponents = _exponents(top, [base + b for b in biases], offsets[:n])
+            pooled.setdefault(frozenset(hist.items()), Counter()).update(zip(exponents, ts))
+        for hist, pairs in pooled.items():
+            ts_met = {t for _, t in pairs}
+            weight = {t: sum([c * P[m - t] for m, c in hist if m >= t]) for t in ts_met}
+            for (e, t), count in pairs.items():
+                terms[e] += count * weight[t]
+    return QPolynomial(terms)
 
 
 def _two_rho_max(datum: RootDatum, census: _Census) -> Fraction:
@@ -257,18 +349,20 @@ def cind_sandwich(
     rank + 1 (empty when that radius is negative).  Upper bound: the
     gamma polynomial times the level-(r+1) capped census at radius
     2 + (r+1) * (sum of the highest root marks); it counts depth-zero
-    contributions only.
+    contributions only.  The lower census is a walk, the upper one a
+    count by vertex residue classes that walks nothing.  The budget
+    bounds each on its own: the walk spends one unit per grid leaf, the
+    count one per (residue group, clip) leaf; past it either raises
+    EnumerationLimitError.
     """
     require_int(R, "ball radius must be a nonnegative integer", 0)
     require_int(r, "level must be a positive integer", 1)
     lower_radius = r - R - 2
     upper_radius = 2 + (r + 1) * sum(datum.highest_root_coeffs)
-    # one walk at the upper radius: a vertex lies in the lower polytope iff
-    # marks . a, its value at the highest root, is at most lower_radius * scale
-    census = _Census(datum, upper_radius, budget)
-    marks, bound = datum.highest_root_coeffs, lower_radius * datum.scale
-    lower = [p for a, p in zip(census.vertices, census.packed) if sum(map(mul, marks, a)) <= bound]
-    lower_poly = census.exponent_poly(None, lower) if lower_radius >= 0 else None
+    lower_poly = None
+    if lower_radius >= 0:
+        lower_poly = _Census(datum, lower_radius, budget).exponent_poly(None)
+    upper = _capped_census(datum, upper_radius, r + 1, budget)
     return SandwichReport(
         rstype=datum.rstype,
         big_radius=R,
@@ -279,7 +373,7 @@ def cind_sandwich(
         lower_empty=lower_poly is None,
         upper_radius=upper_radius,
         upper_level=r + 1,
-        upper_poly=gamma_polynomial(datum) * census.exponent_poly(r + 1),
+        upper_poly=gamma_polynomial(datum) * upper,
         upper_depth_zero_only=True,
     )
 

@@ -90,9 +90,16 @@ def residue_orbits():
     x_j -= x_k C[j][k] mod scale.  Translations move no class, so these
     are the vertex classes of the corner's type.  The sets overlap where
     the coweight and coroot lattices differ (on E6, v_1 is in the
-    origin's class), so the vertex classes are their union."""
+    origin's class), so the vertex classes are their union.  Memoized
+    per type."""
+    memo = {}
 
     def orbits(datum):
+        if datum.rstype not in memo:
+            memo[datum.rstype] = _orbits(datum)
+        return memo[datum.rstype]
+
+    def _orbits(datum):
         N, d, cartan = datum.scale, datum.rank, datum.cartan
         marks = datum.highest_root_coeffs
         corners = [(0,) * d] + [

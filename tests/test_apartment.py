@@ -44,6 +44,7 @@ from alcove.apartment import (
     _lane_counter,
     _maximal_denominators,
     _numerators,
+    _residues,
     _tester,
 )
 from alcove.distance import _neighbor_offsets
@@ -692,6 +693,18 @@ def _reference_type(datum, x):
     (folded,), _ = _reference_fold(datum, x, ())
     corners = [alcove_vertex(datum, i) for i in range(datum.rank + 1)]
     return corners.index(folded) if folded in corners else None
+
+
+@pytest.mark.parametrize("name", [str(row.rstype) for row in theorem_table(5).rows])
+def test_residue_table_matches_orbits(data, residue_orbits, name):
+    # the table's BFS against the union of the fixture's corner orbits:
+    # each class once, with marks . rho beside it
+    datum = data(name)
+    table = _residues(datum)
+    assert len(table.residues) == len(set(table.residues))
+    assert set(table.residues) == set().union(*residue_orbits(datum))
+    marks = datum.highest_root_coeffs
+    assert table.heights == [sum(map(mul, marks, rho)) for rho in table.residues]
 
 
 @pytest.mark.parametrize("name", [str(row.rstype) for row in theorem_table(5).rows])

@@ -164,6 +164,18 @@ def test_budget_exits_3():
     assert json.loads(result.stderr)["error"]["kind"] == "EnumerationLimitError"
 
 
+def test_sandwich_budget_exits_3():
+    # E6 level 1 counts its upper census by residue classes, 48,561 leaves
+    # where a walk at radius 24 passes 2,054,403 chamber vertices
+    args = ("sandwich", "--type", "E6", "--R", "0", "--r", "1")
+    result = _run(*args, "--budget", "1000")
+    assert result.exit_code == 3
+    assert json.loads(result.stderr)["error"]["kind"] == "EnumerationLimitError"
+    payload = _json(*args)
+    assert payload["upper"]["radius"] == 24
+    assert payload["lower"]["empty"]
+
+
 def test_unexpected_error_exits_4(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

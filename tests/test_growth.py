@@ -32,6 +32,7 @@ from alcove import (
 from alcove.apartment import _VertexTester
 from alcove.cartan import RootSystemType, _generate_positive_roots, eval_root
 from alcove.cli import main
+from alcove.growth import _capped_census, _Census
 
 
 def _oracle_levels(datum, x):
@@ -399,12 +400,13 @@ def walks(monkeypatch):
     return radii
 
 
-# each run and the one radius it walks; the sandwich walks only its upper polytope
+# each run and the one radius it walks; the sandwich walks only its lower
+# polytope, and counts its upper one by residue classes
 ONE_WALK = {
     "ball_sum": (lambda a2: ball_sum(a2, 3), 3),
     "quotient_ball_sum": (lambda a2: quotient_ball_sum(a2, 3, 2), 3),
     "max_two_rho": (lambda a2: max_two_rho(a2, 3), 3),
-    "cind_sandwich": (lambda a2: cind_sandwich(a2, 0, 5), 14),
+    "cind_sandwich": (lambda a2: cind_sandwich(a2, 0, 5), 3),
     "cli ball --level": (
         lambda a2: CliRunner().invoke(
             main, "ball --type A2 --radius 3 --level 2".split(), catch_exceptions=False
@@ -421,9 +423,49 @@ def test_one_census_walk(data, walks, name):
     assert walks == [radius]
 
 
+# the upper count's (residue group, clip) leaves, which outnumber the lower
+# walk's grid leaves (A2 0 5 walks 10; the other three walk at most 1)
 @pytest.mark.parametrize(
-    "name,R,r,least", [("A2", 0, 5, 120), ("A3", 1, 3, 680), ("C3", 0, 1, 819), ("G2", 0, 1, 188)]
+    "name,R,r,least", [("A2", 0, 5, 49), ("A3", 1, 3, 125), ("C3", 0, 1, 75), ("G2", 0, 1, 37)]
 )
 def test_sandwich_work_count(data, assert_least_budget, name, R, r, least):
     datum = data(name)
     assert_least_budget(lambda n: cind_sandwich(datum, R, r, budget=n), least)
+
+
+def test_sandwich_budgets_each_census(data, assert_least_budget):
+    # the budget bounds the lower walk and the upper count each on its own
+    a2 = data("A2")
+    assert_least_budget(lambda n: _Census(a2, 3, n), 10)
+    assert_least_budget(lambda n: _capped_census(a2, 14, 6, n), 49)
+
+
+# (R, caps) per type: caps 1 (a plain count), below R, and above R, where
+# nothing saturates; each radius's walk takes under a second on every type
+CAPPED_CASES = {4: (1, 2, 5), 6: (3, 7)}
+
+
+@pytest.mark.parametrize("name", [str(row.rstype) for row in theorem_table(8).rows])
+def test_capped_census_matches_walk(data, name):
+    # the residue-class count against the walked census, on every type of
+    # rank <= 8, among them E6 (6, 3) and E7 (4, 2)
+    datum = data(name)
+    for R, caps in CAPPED_CASES.items():
+        census = _Census(datum, R, None)
+        for cap in caps:
+            assert _capped_census(datum, R, cap, None) == census.exponent_poly(cap), (R, cap)
+
+
+def test_e6_sandwich_ordering(data, residue_orbits, closed_form_count):
+    # criterion 9's checks on E6, whose upper census is out of the walk's
+    # reach: 17,133,117 chamber vertices at radius 35, the closed form's count
+    e6 = data("E6")
+    report = cind_sandwich(e6, 0, 2)
+    assert (report.lower_radius, report.upper_radius, report.upper_level) == (0, 35, 3)
+    assert report.lower_poly == QPolynomial.one()
+    for q0 in (2, 3, 5):
+        low = Fraction(report.lower_poly.evaluate(q0), report.lower_divisor)
+        assert low <= report.upper_poly.evaluate(q0)
+    classes = set().union(*residue_orbits(e6))
+    count = closed_form_count(e6, 35, classes)
+    assert _capped_census(e6, 35, 3, None).evaluate(1) == count == 17_133_117
