@@ -11,15 +11,17 @@ shifts of the coordinates (coweight translations) map vertices to
 vertices and permute their types by the shift's class in P^v/Q^v, so
 one typing per residue class modulo the scale gives the type of every
 vertex in the class, and one more per (class, type) gives the shift.
-The affine Weyl group and those shifts keep the number of positive
-roots integral at a point, so only a residue with a corner's count can
-be a vertex.  Such a residue is typed by a certificate of three
-invariants of the affine Weyl group (that count, the point's exact
-denominator and a class in P^v/Q^v), read off the few grid points of
-the closed alcove, and is folded only when the certificate's entry is
-ambiguous.  The count is read on the grid of a maximal denominator c (a
-mark that divides no other), of step 1/c, which holds every vertex
-whose type's mark divides c; a point on no such grid is no vertex.  At
+A residue is typed by one rule, a certificate of three invariants of
+the affine Weyl group (the number of positive roots integral at the
+point, its exact denominator and a class in P^v/Q^v), read off the few
+grid points of the closed alcove when the datum's tester is built: it
+is folded only when the certificate's entry is ambiguous, and
+invariants no alcove point has are no vertex's.  Since the integral
+count is such an invariant, the grid walk drops a leaf whose count is
+no corner's before it builds the leaf's tuple.  The count is read on
+the grid of a maximal denominator c (a mark that divides no other), of
+step 1/c, which holds every vertex whose type's mark divides c; a point
+on no such grid is no vertex.  At
 z / c, a root alpha is integral iff alpha(z mod c) = 0 mod c, a value of
 at most height(theta) (c - 1), one byte on every exceptional type: the
 values of all roots pack into byte lanes of one integer, and one
@@ -43,12 +45,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import ceil, floor, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator
 
-from .cartan import Point, RootDatum, _per_datum, as_point
+from .cartan import Point, RootDatum, _inverse, _per_datum, as_point
 from .errors import (
     EnumerationLimitError,
     FoldLimitError,
@@ -139,30 +140,30 @@ def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
 class _VertexTester:
     """The vertex test and vertex type of one datum.
 
-    The memo maps a residue key (the coordinates modulo the scale) that
-    has a corner's integral-root count to the index of the corner key /
-    scale folds onto, or None; other residues are never typed.
-    A point a / scale is key / scale translated by the coweight
-    lam = a // scale, whose class in P^v/Q^v (inverse_rows . lam mod
-    inverse_denom) permutes the types as it acts on the extended
+    The memo maps each residue key (the coordinates modulo the scale)
+    met so far to the index of the corner key / scale folds onto, or
+    None when it is no vertex.  A point a / scale is key / scale
+    translated by the coweight lam = a // scale, whose class in P^v/Q^v
+    (coweight_class) permutes the types as it acts on the extended
     diagram.  Each (class, type) shift is read from the first vertex
     met with that class and type; all are trivial when inverse_denom is
     1 (E8, F4, G2).
 
-    A memo or shift miss reads the certificate, built on the first
-    miss: the invariants (count, den, cls) of every point of (1/c)P^v
-    in the closed alcove C, for each maximal c, mapped to the corner
-    index of the points with them, or _AMBIGUOUS when two such points
-    differ in it.  Only an ambiguous entry is folded.  Here count is the
-    number of positive roots integral at the point, den the least D
-    with D x in P^v, and cls the class of den x in P^v/Q^v (empty when
-    inverse_denom is 1).  W_aff = W |x Q^v keeps all three: W acts on
-    t-coordinates by integer matrices with integer inverses and
-    permutes the roots, and acts trivially on P^v/Q^v; a Q^v
-    translation adds integers, and den Q^v lies in Q^v.  Each W_aff
-    orbit meets C once, and the fold of a step-1/c grid point lies in
-    (1/c)P^v, which W_aff maps to itself, so it is one of the
-    enumerated points with the same invariants.
+    A memo or shift miss is typed by the certificate alone: the
+    invariants (count, den, cls) of every point of (1/c)P^v in the
+    closed alcove C, for each maximal c, mapped to the corner index of
+    the points with them, or _AMBIGUOUS when two such points differ in
+    it.  Only an ambiguous entry is folded; invariants no such point has
+    are no vertex's.  Here count is the number of positive roots
+    integral at the point (None off every maximal grid), den the least
+    D with D x in P^v, and cls the class of den x in P^v/Q^v.
+    W_aff = W |x Q^v keeps all three: W acts on t-coordinates by integer
+    matrices with integer inverses and permutes the roots, and acts
+    trivially on P^v/Q^v; a Q^v translation adds integers, and den Q^v
+    lies in Q^v.  Each W_aff orbit meets C once, and the fold of a
+    step-1/c grid point lies in (1/c)P^v, which W_aff maps to itself,
+    so it is one of the enumerated points with the same invariants.  A
+    point on no maximal grid is no vertex and shares no point's count.
 
     Also holds the corners mapped to their indices; the height chain
     (each simple root's coordinate, then for each later root an earlier
@@ -172,10 +173,11 @@ class _VertexTester:
     is _root_lanes's L_j with lanes of whole bytes, so that
     sum_j contrib[j][z_j mod c] packs alpha(z mod c) for every root
     alpha; and count, the _lane_counter of the lanes that hold multiples
-    of c; the inverse Cartan matrix as integer rows over
-    the lcm of its denominators; each wall's reflection as the sparse
-    column of (coordinate, coefficient) pairs it changes, simple walls
-    first; and the certificate, built on first read."""
+    of c; the corners' integral-root counts, by which the grid walk
+    screens its leaves; the inverse Cartan matrix as integer rows over
+    inverse_denom = |det C|; each wall's reflection as the sparse column
+    of (coordinate, coefficient) pairs it changes, simple walls first;
+    and the certificate, built with the tester."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -208,11 +210,15 @@ class _VertexTester:
         self.corner_counts = {self.grid_count([v % N for v in c]) for c in self.corners}
         self.memo: dict[tuple[int, ...], int | None] = {}
         self.shifts: dict[tuple[tuple[int, ...], int], int] = {}
-        self.inverse_rows, self.inverse_denom = _numerators(datum.cartan_inverse)
         cartan = datum.cartan
+        self.inverse_rows, self.inverse_denom = _inverse(cartan)
         self.reflections = [
             [(j, cartan[j][i]) for j in range(d) if cartan[j][i]] for i in range(d)
         ] + [[(j, c) for j, c in enumerate(datum.alpha0_coroot_row) if c]]
+        self.certificate: dict[tuple, int | None] = {}
+        for a in self.alcove_points():
+            t, key = self.corners.get(a), self.invariants(a)
+            self.certificate[key] = t if self.certificate.get(key, t) == t else _AMBIGUOUS
 
     def root_values(self, a) -> list[int]:
         """alpha . a for every positive root alpha, in datum order."""
@@ -232,16 +238,8 @@ class _VertexTester:
 
     def residue_type(self, key: tuple[int, ...]) -> int | None:
         """Type of the vertex key / scale for a residue key in [0, scale)^d,
-        or None when it is no vertex.  A residue on no maximal grid is None
-        with no count, one whose integral-root count is no corner's is None
-        with no fold; neither is memoized."""
-        if key in self.memo or self.grid_count(key) in self.corner_counts:
-            return self.folded_type(key)
-        return None
-
-    def folded_type(self, key: tuple[int, ...]) -> int | None:
-        """Type of the residue key / scale, which has a corner's integral-root
-        count: the memo's, else the certificate's or a fold's, or None."""
+        or None when it is no vertex: the memo's, else the certificate's,
+        which is then memoized."""
         if key not in self.memo:
             self.memo[key] = self.certified_type(key)
         return self.memo[key]
@@ -259,32 +257,27 @@ class _VertexTester:
             points += [tuple([v * step for v in n]) for n, _ in level]
         return points
 
+    def coweight_class(self, lam) -> tuple[int, ...]:
+        """The class in P^v/Q^v of the integer coweight lam, as
+        inverse_rows . lam mod inverse_denom; empty when inverse_denom is 1."""
+        D = self.inverse_denom
+        return tuple([sum(map(mul, row, lam)) % D for row in self.inverse_rows]) if D > 1 else ()
+
     def invariants(self, a) -> tuple[int | None, int, tuple[int, ...]]:
         """(count, den, cls) of a / scale, the certificate's key: its
-        integral-root count, its exact denominator and the class of
-        den a / scale in P^v/Q^v, empty when inverse_denom is 1."""
-        N, D = self.datum.scale, self.inverse_denom
+        integral-root count (None off every maximal grid), its exact
+        denominator and the class of den a / scale in P^v/Q^v."""
+        N = self.datum.scale
         den = lcm(*[N // gcd(N, v) for v in a])
-        b = [v * den // N for v in a]
-        cls = tuple([sum(map(mul, row, b)) % D for row in self.inverse_rows]) if D > 1 else ()
+        cls = self.coweight_class([v * den // N for v in a])
         return self.grid_count([v % N for v in a]), den, cls
 
-    @cached_property
-    def certificate(self) -> dict[tuple, int | None]:
-        """The corner index, None or _AMBIGUOUS for each key of invariants
-        met on alcove_points."""
-        certificate = {}
-        for a in self.alcove_points():
-            t = self.corners.get(a)
-            key = self.invariants(a)
-            certificate[key] = t if certificate.get(key, t) == t else _AMBIGUOUS
-        return certificate
-
     def certified_type(self, a) -> int | None:
-        """Type of a / scale, a point on a maximal grid, or None when it is
-        no vertex: the certificate's, or on an ambiguous entry the corner
-        a fold of a lands on."""
-        t = self.certificate[self.invariants(a)]
+        """Type of a / scale, or None when it is no vertex: the
+        certificate's, or on an ambiguous entry the corner a fold of a
+        lands on.  It is None for invariants no alcove point has, and for
+        every integral-root count no corner has."""
+        t = self.certificate.get(self.invariants(a))
         if t == _AMBIGUOUS:
             p = list(a)
             _fold(self.datum, [p], self.datum.scale)
@@ -301,12 +294,7 @@ class _VertexTester:
         memo's type of its residue, shifted by the class of a // scale."""
         N = self.datum.scale
         i = self.residue_type(tuple([v % N for v in a]))
-        D = self.inverse_denom
-        if i is None or D == 1:
-            return i
-        lam = [v // N for v in a]
-        cls = tuple([sum(map(mul, row, lam)) % D for row in self.inverse_rows])
-        if not any(cls):
+        if i is None or not any(cls := self.coweight_class([v // N for v in a])):
             return i
         j = self.shifts.get((cls, i))
         if j is None:
@@ -415,42 +403,36 @@ def _fold(datum: RootDatum, pts: list[list[int]], N: int) -> int:
     below only shortens the reflection walk, to a length bounded by the
     type; the walk applies the lowest-index violated wall first (simple
     walls in order, then the affine wall of the highest root), and past
-    DEFAULT_FOLD_LIMIT reflections raises FoldLimitError.
+    DEFAULT_FOLD_LIMIT reflections raises FoldLimitError.  Wall w moves
+    every point p to p - f(p) column_w, column_w the tester's reflection
+    and f(p) = p_w on a simple wall, marks . p - N on the affine one.
     """
     d = datum.rank
-    cartan = datum.cartan
     marks = datum.highest_root_coeffs
     t = pts[0]
 
     tester = _tester(datum)
-    reflections = tester.reflections
     lattice_denom = tester.inverse_denom * N
     units = [sum(map(mul, row, t)) // lattice_denom for row in tester.inverse_rows]
     if any(units):
-        shift = [N * sum(map(mul, row, units)) for row in cartan]
+        shift = [N * sum(map(mul, row, units)) for row in datum.cartan]
         for p in pts:
-            for j in range(d):
-                p[j] -= shift[j]
+            p[:] = map(sub, p, shift)
 
     steps = 0
     while True:
-        wall = None
-        for i in range(d):
-            if t[i] < 0:
-                wall = i
+        for wall in range(d):
+            if t[wall] < 0:
                 break
-        if wall is not None:
-            for p in pts:
-                pi = p[wall]
-                for j, c in reflections[wall]:
-                    p[j] -= pi * c
         else:
             if sum(map(mul, marks, t)) <= N:
                 return steps
-            for p in pts:
-                g = sum(map(mul, marks, p)) - N
-                for j, c in reflections[d]:
-                    p[j] -= g * c
+            wall = d
+        column = tester.reflections[wall]
+        for p in pts:
+            v = p[wall] if wall < d else sum(map(mul, marks, p)) - N
+            for j, c in column:
+                p[j] -= v * c
         steps += 1
         if steps > DEFAULT_FOLD_LIMIT:
             raise FoldLimitError(f"folding exceeded {DEFAULT_FOLD_LIMIT} reflections")
@@ -570,8 +552,8 @@ def _walk(
     holds the tester's packed values alpha(z mod c) of every root, one
     add per coordinate step, and drops a leaf whose integral-root count
     is no corner's before it builds the leaf's tuple; a new leaf that
-    passes is kept when the tester's residue memo, or a fold of its
-    residue, puts it on an alcove corner.
+    passes is kept when the tester's residue_type puts it on an alcove
+    corner.
     """
     tester = _tester(datum)
     marks = datum.highest_root_coeffs
@@ -585,7 +567,7 @@ def _walk(
             state.spend()
             if count(packed) in tester.corner_counts:
                 a = tuple([v * step for v in coords])
-                if a not in seen and tester.folded_type(tuple([v % N for v in a])) is not None:
+                if a not in seen and tester.residue_type(tuple([v % N for v in a])) is not None:
                     seen.add(a)
                     yield a
             return

@@ -83,9 +83,17 @@ class _Census:
     every alpha(a) <= theta(a) <= r * scale, so lane k of p is alpha_k(a).
     After the level-l bias a lane's top bit says alpha(a) > l * scale, that
     is ceil(alpha(x)) > l, so the quotient exponent capped at cap counts
-    those top bits over l = 1..min(cap, r) - 1 (no level exceeds r).  The
-    walk is the public iterator, not apartment._walk, since bench/spans.py
-    counts walks and vertices there; the move waits for engine meters.
+    those top bits over l = 1..min(cap, r) - 1 (no level exceeds r).
+
+    The walk is the public iterator, not apartment._walk, although that
+    costs a Fraction round trip per vertex: bench/spans.py counts walks
+    and vertices at iter_scaled_alcove_vertices, and bench/worker.py's
+    layer_metrics divides apartment.vertices by apartment.walk_s.  In the
+    census and search workloads the CLI ball calls through this class
+    are the only walks the tracer sees before that division, so a census
+    on _walk would make a traced run of either raise ZeroDivisionError.
+    The move must land in the same change as the benchmark's engine
+    meters.
     """
 
     def __init__(self, datum: RootDatum, r: int, budget: int | None):

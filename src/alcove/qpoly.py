@@ -9,10 +9,9 @@ Sparse dict representation, arbitrary-precision coefficients.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import wraps
 
-from .errors import ValidationError, require_int
+from .errors import ValidationError, _rational, require_int
 
 __all__ = ["QPolynomial"]
 
@@ -140,13 +139,12 @@ class QPolynomial:
         return result
 
     def evaluate(self, q):
-        """Exact value at an integer or Fraction q."""
-        if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
-            raise ValidationError("evaluation point must be an integer or Fraction")
-        total = 0
-        for exponent, coefficient in self._terms.items():
-            total += coefficient * q**exponent
-        return total
+        """Exact value at a rational q, read as every rational argument is;
+        an integral q is read as its numerator, so its value is an int."""
+        q = _rational(q)
+        if q.denominator == 1:
+            q = q.numerator
+        return sum([coefficient * q**exponent for exponent, coefficient in self._terms.items()])
 
     def term_list(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""

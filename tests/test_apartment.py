@@ -331,7 +331,7 @@ def test_off_grid_residue_not_counted(data, rank_is_vertex, monkeypatch, name):
         assert tester.residue_type(key) is None
         assert not rank_is_vertex(datum, key)
     assert calls == []
-    assert tester.memo == {}
+    assert tester.memo == dict.fromkeys(keys)
 
 
 def test_off_grid_is_not_vertex(data):

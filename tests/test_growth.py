@@ -314,6 +314,7 @@ def test_theorem_table_shape():
     table = theorem_table(8)
     names = [str(row.rstype) for row in table.rows]
     assert len(names) == 8 + 7 + 7 + 5 + 3 + 1 + 1
+    assert len(table) == len(table.rows)
     assert names[0] == "A1"
     assert names[-1] == "G2"
     assert "D4" in names and "D3" not in names and "B1" not in names

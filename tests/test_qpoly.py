@@ -1,5 +1,6 @@
 """Ring axioms and formatting for the sparse q-polynomials."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,20 @@ def test_evaluate_exact():
     assert p.evaluate(Fraction(1, 2)) == 1 + Fraction(1, 2**40)
     with pytest.raises(ValidationError):
         p.evaluate(1.5)
+
+
+def test_evaluate_reads_exact_spellings():
+    # q is read as every exact rational argument is; an integral q keeps
+    # integer arithmetic and an int value
+    p = QPolynomial({0: 1, 3: 2})
+    for q in (3, Fraction(3), "3", Decimal(3)):
+        value = p.evaluate(q)
+        assert value == 55 and type(value) is int
+    for q in (Fraction(1, 2), "1/2", Decimal("0.5")):
+        assert p.evaluate(q) == Fraction(5, 4)
+    for q in (True, 2.0, "q", None):
+        with pytest.raises(ValidationError):
+            p.evaluate(q)
 
 
 def test_serialization_roundtrip_big():

@@ -116,6 +116,7 @@ CALLS = {
     "omega_function points": lambda d, o, v: omega_function(d, v),
     "parse_type text": lambda d, o, v: parse_type(v),
     "QPolynomial terms": lambda d, o, v: QPolynomial(v),
+    "QPolynomial.evaluate q": lambda d, o, v: QPolynomial({0: 1, 2: 3}).evaluate(v),
     "ConcaveFunction root": lambda d, o, v: point_function(d, o)(v),
     "validate_type rstype": lambda d, o, v: validate_type(v),
     "build_root_datum rstype": lambda d, o, v: build_root_datum(v),
