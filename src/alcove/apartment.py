@@ -49,7 +49,7 @@ from math import ceil, floor, gcd, lcm
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator
 
-from .cartan import Point, RootDatum, _inverse, _per_datum, as_point
+from .cartan import Point, RootDatum, _integer_inverse, _per_datum, as_point
 from .errors import (
     EnumerationLimitError,
     FoldLimitError,
@@ -211,7 +211,7 @@ class _VertexTester:
         self.memo: dict[tuple[int, ...], int | None] = {}
         self.shifts: dict[tuple[tuple[int, ...], int], int] = {}
         cartan = datum.cartan
-        self.inverse_rows, self.inverse_denom = _inverse(cartan)
+        self.inverse_rows, self.inverse_denom = _integer_inverse(datum)
         self.reflections = [
             [(j, cartan[j][i]) for j in range(d) if cartan[j][i]] for i in range(d)
         ] + [[(j, c) for j, c in enumerate(datum.alpha0_coroot_row) if c]]

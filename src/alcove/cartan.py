@@ -260,26 +260,39 @@ class RootDatum:
         return self.rstype.rank
 
     def all_roots(self) -> tuple[Root, ...]:
-        negatives = tuple(tuple(-c for c in r) for r in self.positive_roots)
-        return self.positive_roots + negatives
+        """The positive roots, then their negatives in the same order;
+        one tuple per datum."""
+        return _all_roots(self)
 
     def is_root(self, coeffs: Root) -> bool:
         return _root(self, coeffs) in self.root_set
 
 
-def _per_datum(build: Callable[[RootDatum], _T]) -> Callable[[RootDatum], _T]:
+def _per_datum(build: Callable[[RootDatum], _T]) -> Callable[..., _T]:
     """build made to run once per datum: its result is kept in the
     datum's instance dict under build's name, as functools.cached_property
-    would, outside the dataclass fields."""
+    would, outside the dataclass fields.  A value already computed on
+    the way, by build_root_datum, is kept instead when passed as known."""
     name = build.__name__
 
-    def cached(datum: RootDatum) -> _T:
+    def cached(datum: RootDatum, known: _T | None = None) -> _T:
         value = datum.__dict__.get(name)
         if value is None:
-            value = datum.__dict__[name] = build(datum)
+            value = datum.__dict__[name] = build(datum) if known is None else known
         return value
 
     return cached
+
+
+@_per_datum
+def _all_roots(datum: RootDatum) -> tuple[Root, ...]:
+    return datum.positive_roots + tuple(tuple(-c for c in r) for r in datum.positive_roots)
+
+
+@_per_datum
+def _integer_inverse(datum: RootDatum) -> tuple[list[list[int]], int]:
+    """(rows, |det C|) with C^-1 = rows / |det C| for the Cartan matrix C."""
+    return _inverse(datum.cartan)
 
 
 def as_point(datum: RootDatum, values: Iterable) -> Point:
@@ -336,9 +349,9 @@ def build_root_datum(rstype: RootSystemType) -> RootDatum:
         raise AssertionError("coroot pairing with the highest root is not integral")
 
     pos_tuple = tuple(positives)
-    neg = tuple(tuple(-c for c in r) for r in pos_tuple)
-    rows, D = _inverse(cartan)
-    return RootDatum(
+    roots = pos_tuple + tuple(tuple(-c for c in r) for r in pos_tuple)
+    rows, D = inverse = _inverse(cartan)
+    datum = RootDatum(
         rstype=rstype,
         cartan=cartan,
         positive_roots=pos_tuple,
@@ -349,8 +362,11 @@ def build_root_datum(rstype: RootSystemType) -> RootDatum:
         cartan_inverse=tuple(tuple(Fraction(v, D) for v in row) for row in rows),
         scale=lcm(*highest),
         positive_root_set=frozenset(pos_tuple),
-        root_set=frozenset(pos_tuple + neg),
+        root_set=frozenset(roots),
     )
+    _all_roots(datum, known=roots)
+    _integer_inverse(datum, known=inverse)
+    return datum
 
 
 def eval_root(datum: RootDatum, root: Root, point) -> Fraction:

@@ -6,22 +6,24 @@ and f(0) >= 0.  Point functions f_x(a) = -a(x) describe the filtration
 attached to a point; index exponents between nested concave functions
 are the log_q group indices driving every cardinality bound here.
 
-ConcaveFunction holds Fractions, the public edge.  The checks work on
-integer numerators over one common denominator: concavity walks a
-root-addition table (the index triples of all_roots() with
-root_i + root_j = root_k), built once per datum, and point values,
-index exponents and filtration containment come from integer root
-values.
+A ConcaveFunction holds its values as integers: one numerator per root
+over one denominator common to them and to the value at 0.  Its values
+mapping builds a Fraction only when a value is read, the public edge.
+Point and omega functions store integer root values as they come,
+shift, optimize and pointwise_max work on the numerators, and the
+checks read each function once, as a row in all_roots() order:
+concavity walks a root-addition table (the index triples of
+all_roots() with root_i + root_j = root_k), built once per datum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import floor, lcm
 from operator import add, sub
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .apartment import _numerators, _point_text, _tester
 from .cartan import Root, RootDatum, _coefficients, _per_datum, _root, as_point
@@ -55,22 +57,57 @@ __all__ = [
 ]
 
 
+class _Values(Mapping):
+    """A function's values, read-only: the value at root is
+    Fraction(nums[index[root]], den), built on each read.  index maps
+    each root to its place in nums, in the order the roots iterate; the
+    view prints as the mappingproxy it stands for."""
+
+    __slots__ = ("_index", "_nums", "_den")
+
+    def __init__(self, index: Mapping[Root, int], nums: list[int], den: int):
+        self._index, self._nums, self._den = index, nums, den
+
+    def __getitem__(self, root) -> Fraction:
+        return Fraction(self._nums[self._index[root]], self._den)
+
+    def __iter__(self) -> Iterator[Root]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __contains__(self, root) -> bool:
+        return root in self._index
+
+    def keys(self):
+        return self._index.keys()
+
+    def __repr__(self) -> str:
+        return f"mappingproxy({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class ConcaveFunction:
     """Total assignment on the roots of both signs plus the value at 0.
 
     The value at 0 and every value are checked exact when the function
-    is built and kept as Fractions in a read-only mapping, so the check
-    holds for the function's life; the roots are checked against a
-    datum where one is known."""
+    is built, and the values are kept as integer numerators over one
+    denominator common to them and to the value at 0, in a read-only
+    mapping that reads them as Fractions; so the check holds for the
+    function's life.  The roots are checked against a datum where one
+    is known."""
 
     at_zero: Fraction
     values: Mapping[Root, Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "at_zero", _rational(self.at_zero))
+        at_zero = _rational(self.at_zero)
         values = {r: _rational(v) for r, v in _mapping(self.values).items()}
-        object.__setattr__(self, "values", MappingProxyType(values))
+        den = lcm(at_zero.denominator, *(v.denominator for v in values.values()))
+        nums = [v.numerator * (den // v.denominator) for v in values.values()]
+        object.__setattr__(self, "at_zero", at_zero)
+        object.__setattr__(self, "values", _Values({r: k for k, r in enumerate(values)}, nums, den))
 
     def __call__(self, root: Root) -> Fraction:
         """The value at root; NotARootError when root is not one of the
@@ -79,6 +116,17 @@ class ConcaveFunction:
         if key not in self.values:
             raise NotARootError(f"{key} is not a root of this function")
         return self.values[key]
+
+
+def _integral(
+    at_zero: Fraction, index: Mapping[Root, int], nums: list[int], den: int
+) -> ConcaveFunction:
+    """A function of this module's own making, whose values need no
+    check: den is a common denominator of at_zero and of the values."""
+    f = object.__new__(ConcaveFunction)
+    object.__setattr__(f, "at_zero", at_zero)
+    object.__setattr__(f, "values", _Values(index, nums, den))
+    return f
 
 
 def make_function(datum: RootDatum, at_zero, values: Mapping[Root, object]) -> ConcaveFunction:
@@ -95,9 +143,28 @@ def _mapping(values) -> Mapping:
     return values
 
 
+@_per_datum
+def _root_index(datum: RootDatum) -> dict[Root, int]:
+    """Each root's place in all_roots(); the index of every point and
+    omega function of the datum."""
+    return {root: k for k, root in enumerate(datum.all_roots())}
+
+
 def _require_total(datum: RootDatum, f: ConcaveFunction) -> None:
-    if f.values.keys() != datum.root_set:
+    values = f.values
+    if values._index is not _root_index(datum) and values.keys() != datum.root_set:
         raise ValidationError("function is not total on the roots of this system")
+
+
+def _row(datum: RootDatum, f: ConcaveFunction) -> tuple[list[int], int, int]:
+    """f's numerators in all_roots() order, that of its value at 0, and
+    their denominator; ValidationError unless f is total on the roots."""
+    _require_total(datum, f)
+    values = f.values
+    nums, den = values._nums, values._den
+    if values._index is not _root_index(datum):
+        nums = [nums[values._index[root]] for root in datum.all_roots()]
+    return nums, f.at_zero.numerator * (den // f.at_zero.denominator), den
 
 
 @_per_datum
@@ -105,7 +172,7 @@ def _addition_table(datum: RootDatum) -> tuple[tuple[int, int, int], ...]:
     """Index triples (i, j, k) with i < j and root_i + root_j = root_k,
     in all_roots() order; built once per datum."""
     roots = datum.all_roots()
-    index = {root: k for k, root in enumerate(roots)}
+    index = _root_index(datum)
     return tuple(
         (i, j, k)
         for i, a in enumerate(roots)
@@ -114,19 +181,9 @@ def _addition_table(datum: RootDatum) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _integer_values(
-    roots: tuple[Root, ...], *functions: ConcaveFunction
-) -> tuple[list[list[int]], int]:
-    """Each function's values on roots, then its value at 0, as integer
-    numerators over one common denominator D; (rows, D)."""
-    return _numerators(tuple((*map(f.values.__getitem__, roots), f.at_zero) for f in functions))
-
-
-def is_concave(datum: RootDatum, f: ConcaveFunction) -> bool:
-    """Check the three concavity inequalities."""
-    _require_total(datum, f)
-    (v,), _ = _integer_values(datum.all_roots(), f)
-    zero = v[-1]
+def _concave(datum: RootDatum, v: list[int], zero: int) -> bool:
+    """The concavity inequalities on a row v of numerators in
+    all_roots() order, with zero the numerator of the value at 0."""
     if zero < 0:
         return False
     n = len(datum.positive_roots)
@@ -134,6 +191,12 @@ def is_concave(datum: RootDatum, f: ConcaveFunction) -> bool:
     if any(v[i] + v[i + n] < zero for i in range(n)):
         return False
     return all(v[i] + v[j] >= v[k] for i, j, k in _addition_table(datum))
+
+
+def is_concave(datum: RootDatum, f: ConcaveFunction) -> bool:
+    """Check the three concavity inequalities."""
+    v, zero, _ = _row(datum, f)
+    return _concave(datum, v, zero)
 
 
 def point_function(datum: RootDatum, x) -> ConcaveFunction:
@@ -148,40 +211,38 @@ def omega_function(datum: RootDatum, points: Iterable) -> ConcaveFunction:
         raise EmptySetError("omega function needs at least one point")
     # alpha(x) * N for every positive root alpha (rows) and point x (columns)
     rows = list(zip(*map(_tester(datum).root_values, pts)))
-    values = [Fraction(-min(r), N) for r in rows] + [Fraction(max(r), N) for r in rows]
-    return ConcaveFunction(at_zero=Fraction(0), values=dict(zip(datum.all_roots(), values)))
-
-
-def _optimized(v: Fraction) -> Fraction:
-    return v + 1 if v.denominator == 1 else Fraction(ceil(v))
+    nums = [-min(r) for r in rows] + [max(r) for r in rows]
+    return _integral(Fraction(0), _root_index(datum), nums, N)
 
 
 def optimize(datum: RootDatum, f: ConcaveFunction) -> ConcaveFunction:
     """Jump past the current level: integer values step up by one, the
     rest round up.  The same rule applies at 0."""
     _require_total(datum, f)
-    return ConcaveFunction(
-        at_zero=_optimized(f.at_zero),
-        values={r: _optimized(v) for r, v in f.values.items()},
-    )
+    values = f.values
+    # floor(v) + 1 is v + 1 for an integer v and ceil(v) for any other
+    nums = [n // values._den + 1 for n in values._nums]
+    return _integral(Fraction(floor(f.at_zero) + 1), values._index, nums, 1)
 
 
 def shift(f: ConcaveFunction, r) -> ConcaveFunction:
     """Add the constant r everywhere, the value at 0 included."""
     r = _rational(r)
-    return ConcaveFunction(
-        at_zero=f.at_zero + r,
-        values={root: v + r for root, v in f.values.items()},
-    )
+    values = f.values
+    den = lcm(values._den, r.denominator)
+    up, step = den // values._den, r.numerator * (den // r.denominator)
+    return _integral(f.at_zero + r, values._index, [n * up + step for n in values._nums], den)
 
 
 def pointwise_max(f: ConcaveFunction, g: ConcaveFunction) -> ConcaveFunction:
-    if set(f.values) != set(g.values):
+    fv, gv = f.values, g.values
+    if fv.keys() != gv.keys():
         raise ValidationError("functions live on different root systems")
-    return ConcaveFunction(
-        at_zero=max(f.at_zero, g.at_zero),
-        values={root: max(v, g.values[root]) for root, v in f.values.items()},
-    )
+    den = lcm(fv._den, gv._den)
+    a, b = den // fv._den, den // gv._den
+    g_nums = gv._nums if gv._index is fv._index else [gv._nums[gv._index[r]] for r in fv]
+    nums = [max(x * a, y * b) for x, y in zip(fv._nums, g_nums)]
+    return _integral(max(f.at_zero, g.at_zero), fv._index, nums, den)
 
 
 @dataclass(frozen=True)
@@ -198,9 +259,11 @@ def index_exponent(datum: RootDatum, f: ConcaveFunction, g: ConcaveFunction) -> 
     Requires both functions concave, g >= f on the roots, and equal
     positive values at 0.
     """
-    if not is_concave(datum, f):
+    fv, f_zero, fd = _row(datum, f)
+    if not _concave(datum, fv, f_zero):
         raise NonConcaveError("lower function is not concave")
-    if not is_concave(datum, g):
+    gv, g_zero, gd = _row(datum, g)
+    if not _concave(datum, gv, g_zero):
         raise NonConcaveError("upper function is not concave")
     if f.at_zero != g.at_zero:
         raise LevelMismatchError(
@@ -208,13 +271,15 @@ def index_exponent(datum: RootDatum, f: ConcaveFunction, g: ConcaveFunction) -> 
         )
     if f.at_zero <= 0:
         raise LevelMismatchError("value at zero must be positive")
-    roots = tuple(f.values)
-    (fv, gv), D = _integer_values(roots, f, g)
+    # f's roots in f's order, each with its place in the rows
+    index = _root_index(datum)
+    places = range(len(fv)) if f.values._index is index else map(index.__getitem__, f.values)
     contributions: dict[Root, int] = {}
-    for root, a, b in zip(roots, fv, gv):
-        if b < a:
+    for root, k in zip(f.values, places):
+        a, b = fv[k], gv[k]
+        if b * fd < a * gd:
             raise DominationError(f"g < f at root {root}")
-        contributions[root] = (-a // D) - (-b // D)
+        contributions[root] = (-a // fd) - (-b // gd)
     return IndexExponent(
         exponent=sum(contributions.values()),
         per_root_contributions=contributions,

@@ -1,11 +1,13 @@
 """Root system construction against hand-checked tables."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
+import alcove
 from alcove import (
     DimensionMismatchError,
     InvalidTypeError,
@@ -22,6 +24,8 @@ from alcove import (
     validate_type,
     weyl_degrees,
 )
+from alcove import cartan
+from alcove.apartment import _tester
 from alcove.cartan import _inverse, require_positive_root
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "G2", "F4"]
@@ -150,6 +154,36 @@ def test_roots_closed_under_negation():
         for r in roots:
             assert tuple(-c for c in r) in roots
         assert (0,) * datum.rank not in roots
+
+
+def test_all_roots_built_once():
+    """all_roots() is one tuple per datum, positives then their
+    negatives; a datum made without build_root_datum builds it lazily."""
+    for name in ("A1", "G2", "D4", "E8"):
+        datum = build_root_datum(parse_type(name))
+        negatives = tuple(tuple(-c for c in r) for r in datum.positive_roots)
+        for d in (datum, replace(datum)):
+            roots = d.all_roots()
+            assert roots is d.all_roots()
+            assert roots == datum.positive_roots + negatives
+
+
+def test_cartan_inverted_once_per_datum(monkeypatch):
+    """build_root_datum inverts the Cartan matrix, and the vertex tester
+    reads the integer rows over |det C| it kept, inverting nothing."""
+    calls = []
+    real = cartan._inverse
+    # every module that bound the function counts
+    for module in vars(alcove).values():
+        if getattr(module, "_inverse", None) is real:
+            monkeypatch.setattr(module, "_inverse", lambda m: calls.append(m) or real(m))
+    for name, det in (("E8", 1), ("D4", 4), ("A3", 4)):
+        datum = build_root_datum(parse_type(name))
+        tester = _tester(datum)
+        assert len(calls) == 1
+        calls.clear()
+        assert (tester.inverse_rows, tester.inverse_denom) == real(datum.cartan)
+        assert tester.inverse_denom == det
 
 
 def test_highest_root_dominates():

@@ -1,6 +1,7 @@
 """Concave-function calculus and filtration index exponents."""
 
 import random
+import re
 from fractions import Fraction
 from math import ceil
 
@@ -405,3 +406,100 @@ def test_float_in_built_function_refused(data):
     g = shift(point_function(a1, (F(0),)), 1)
     with pytest.raises(ValidationError):
         index_exponent(a1, g, ConcaveFunction(at_zero=1.0, values=dict(g.values)))
+
+
+def _optimized(v):
+    return v + 1 if v.denominator == 1 else F(ceil(v))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_integer_functions_match_fraction_formulas(data, name):
+    """Every function this module builds reads back the Fractions of
+    the eval_root formulas, in all_roots() order, and prints and
+    serializes as the function built from those Fractions."""
+    datum = data(name)
+    rng = random.Random(f"{name} integer view")
+    roots = datum.all_roots()
+    for _ in range(4):
+        x, y = _random_point(rng, datum.rank), _random_point(rng, datum.rank)
+        r = F(rng.randint(-3, 3), rng.choice([1, 2, 3, 5, 7]))
+        fx = {a: -eval_root(datum, a, x) for a in roots}
+        fy = {a: -eval_root(datum, a, y) for a in roots}
+        om = {a: max(fx[a], fy[a]) for a in roots}
+        cases = [
+            (point_function(datum, x), F(0), fx),
+            (omega_function(datum, [x, y]), F(0), om),
+            (shift(point_function(datum, x), 2), F(2), {a: v + 2 for a, v in fx.items()}),
+            (shift(omega_function(datum, [x, y]), r), r, {a: v + r for a, v in om.items()}),
+            (
+                optimize(datum, shift(omega_function(datum, [x, y]), r)),
+                _optimized(r),
+                {a: _optimized(v + r) for a, v in om.items()},
+            ),
+            (
+                pointwise_max(shift(point_function(datum, x), r), point_function(datum, y)),
+                max(r, F(0)),
+                {a: max(fx[a] + r, fy[a]) for a in roots},
+            ),
+        ]
+        for f, at_zero, values in cases:
+            assert type(f.at_zero) is Fraction and f.at_zero == at_zero
+            assert dict(f.values) == values
+            assert list(f.values) == list(roots)
+            assert all(type(v) is Fraction for v in f.values.values())
+            built = ConcaveFunction(at_zero=at_zero, values=values)
+            assert repr(f) == repr(built)
+            assert concave_function_to_dict(f) == concave_function_to_dict(built)
+            assert f == built and f.values == built.values
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_index_exponent_reads_any_root_order(data, name):
+    """A lower function given in reversed root order against an upper
+    one of this module: its contributions follow its own order, and a
+    domination failure names the first root of that order."""
+    datum = data(name)
+    rng = random.Random(f"{name} reversed")
+    roots = datum.all_roots()
+    x, y = _random_point(rng, datum.rank), _random_point(rng, datum.rank)
+    fx = {a: 1 - eval_root(datum, a, x) for a in reversed(roots)}
+    om = {a: max(fx[a], 1 - eval_root(datum, a, y)) for a in roots}
+    lower = ConcaveFunction(at_zero=F(1), values=fx)
+    upper = shift(omega_function(datum, [x, y]), 1)
+    result = index_exponent(datum, lower, upper)
+    expected = {a: ceil(om[a]) - ceil(fx[a]) for a in reversed(roots)}
+    assert list(result.per_root_contributions.items()) == list(expected.items())
+    assert result.exponent == sum(expected.values())
+    assert index_exponent(datum, shift(point_function(datum, x), 1), upper) == result
+    first = next(a for a in reversed(roots) if fx[a] < om[a])
+    with pytest.raises(DominationError, match=rf"^g < f at root {re.escape(str(first))}$"):
+        index_exponent(datum, ConcaveFunction(at_zero=F(1), values=dict(reversed(om.items()))), lower)
+
+
+def test_index_operation_builds_few_fractions(data, monkeypatch):
+    """An E7 index operation, the shape bench/workloads.py times, builds
+    a few Fractions in all, not a few per root: values stay integers
+    until one is read."""
+    e7 = data("E7")
+    rng = random.Random("E7 work")
+    x, y = _random_point(rng, e7.rank), _random_point(rng, e7.rank)
+
+    def operation():
+        return index_exponent(
+            e7, shift(point_function(e7, x), 1), shift(omega_function(e7, [x, y]), 1)
+        )
+
+    expected = operation()
+    calls = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    result = operation()
+    monkeypatch.undo()
+    assert result == expected
+    # the values at 0 and the two shifts; E7 has 126 roots
+    assert 0 < len(calls) <= 6
