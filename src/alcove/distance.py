@@ -16,10 +16,15 @@ generated once per search; E6 and E7 distances run interactively.
 The search keys a vertex by one integer, its offsets from the start
 packed as balanced digits in the radix 2 * depth * scale + 1, exact
 because an edge moves no simple-root value by more than the scale.  It
-carries each vertex's residue class record beside its key, so a
-candidate neighbour costs one integer add and one dict lookup, and
-no coordinate tuple is built during the search.  A distance table
-keeps the packed keys: a lookup packs its point, and coordinates and
+carries each vertex's residue class record and the step that reached
+it beside its key, so a candidate neighbour costs one integer add and
+one dict lookup, and no coordinate tuple is built during the search.
+A vertex v reached from p skips the candidates in the closed
+neighbourhood of p: p was expanded a layer before v, so they are all
+known, and skipping them changes no depth and no order.  Those
+candidates depend only on the classes of v and p, so the kept steps
+are listed once per class and incoming step.  A distance table keeps
+the packed keys: a lookup packs its point, and coordinates and
 Fraction keys are built only when the table is iterated.
 """
 
@@ -238,49 +243,93 @@ def _bfs(
     that vertex.
 
     Each residue class modulo the scale has one record, [residue,
-    steps], where steps lists (packed offset, the neighbour's record)
-    pairs and is filled on the class's first expansion in node order:
-    that vertex is decoded from its key and handed to
-    _neighbor_offsets.  The vertex, not the residue tuple, is handed
-    over: where P^v/Q^v is not trivial the residue tuple can fold onto
-    another corner, whose link spends a different budget.  The
-    frontier carries (key, record) pairs, so an edge costs one integer
-    add and one dict lookup, and no coordinate tuple is built.
+    steps, pruned, known], where steps lists (packed offset, the
+    neighbour's record) pairs and is filled on the class's first
+    expansion in node order: that vertex is decoded from its key and
+    handed to _neighbor_offsets.  The vertex, not the residue tuple, is
+    handed over: where P^v/Q^v is not trivial the residue tuple can
+    fold onto another corner, whose link spends a different budget.
+    The frontier carries (key, incoming step, record) triples, so an
+    edge costs one integer add and one dict lookup, and no coordinate
+    tuple is built.
+
+    A vertex v at depth d reached from p along step s scans only the
+    steps _pruned keeps: each dropped one leads into the closed
+    neighbourhood of p, whose vertices all have depth at most d and
+    were discovered when p was expanded.  A skipped candidate was never
+    new, so the depths, their order, the early return and the budget
+    are those of the full scan.  The class of p is v's class minus s,
+    so the kept steps depend only on v's class and s: pruned maps s to
+    them, built on the second use of that edge class (the first scans
+    the whole link and leaves None), and known is the set of the
+    class's steps and 0, built for its first pruned child.
     """
-    N = datum.scale
+    N, d = datum.scale, datum.rank
     reach = max_depth * N
     # a target beyond the reach has no key: the search runs to the radius
     goal = None if target is None else _pack(target, start, reach)
     cols = [range(s - reach, s + reach + 1) for s in start]
-    zero = (0,) * datum.rank
+    zero_cols = [range(-reach, reach + 1)] * d
+    powers = [(2 * reach + 1) ** j for j in reversed(range(d))]
     cache: dict = {}
     residue = tuple([v % N for v in start])
-    records = {residue: [residue, None]}
+    records = {residue: [residue, None, {}, None]}
 
     def link(key: int, record: list) -> list:
         steps = record[1] = []
         for delta in _neighbor_offsets(datum, _unpack(key, cols, reach), cache, state):
             r = tuple([(u + v) % N for u, v in zip(record[0], delta)])
-            steps.append((_pack(delta, zero, reach), records.setdefault(r, [r, None])))
+            steps.append((sum(map(mul, delta, powers)), records.setdefault(r, [r, None, {}, None])))
         return steps
+
+    def build(key: int, step: int, record: list) -> list:
+        pruned = record[2]
+        if step not in pruned:
+            # an edge class's first use scans the whole link
+            pruned[step] = None
+            return record[1] or link(key, record)
+        kept = pruned[step]
+        if kept is None:
+            back = _unpack(step, zero_cols, reach)
+            parent = records[tuple([(u - v) % N for u, v in zip(record[0], back)])]
+            kept = pruned[step] = _pruned(record, step, parent)
+        return kept
 
     depths = {0: 0}
     table = _DistanceTable(datum, start, reach, depths)
     if goal == 0:
         return table
-    frontier = [(0, records[residue])]
+    frontier = [(0, 0, records[residue])]
     for depth in range(1, max_depth + 1):
         nxt = []
-        for key, record in frontier:
-            for step, t in record[1] or link(key, record):
+        for key, came, record in frontier:
+            for step, t in record[2].get(came) or build(key, came, record):
                 k = key + step
                 if k not in depths:
                     depths[k] = depth
-                    nxt.append((k, t))
+                    nxt.append((k, step, t))
                     if k == goal:
                         return table
         frontier = nxt
     return table
+
+
+def _pruned(record: list, step: int, parent: list) -> list:
+    """The (step, record) pairs of record's link that can lead a vertex v
+    of its class, reached by step from a vertex p of parent's class, to a
+    vertex the search has not met: those s' with step + s' neither zero
+    nor a step of parent's link, so v + s' is outside the closed
+    neighbourhood of p.  known, parent's steps and 0, is built once.
+
+    The sums are exact on packed keys.  The vertices at depth 1 are
+    reached from the start along distinct steps, so an edge class is
+    used twice only by vertices at depth 2 or more, which are expanded
+    only when max_depth is at least 3; every digit of a sum, at most
+    twice the scale, is then within the reach."""
+    known = parent[3]
+    if known is None:
+        known = parent[3] = {0, *[t for t, _ in parent[1]]}
+    return [(t, u) for t, u in record[1] if step + t not in known]
 
 
 def _pack(a: tuple[int, ...], start: tuple[int, ...], reach: int) -> int | None:

@@ -688,3 +688,126 @@ def test_bfs_matches_reference(data, name):
             assert list(table.items()) == [
                 (tuple(Fraction(v, scale) for v in w), k) for w, k in expected
             ]
+
+
+def _coroot_translate(datum, a, rng):
+    """a moved by a random coroot-lattice vector, as scaled coordinates."""
+    units = [rng.randint(-3, 3) for _ in range(datum.rank)]
+    return tuple(
+        v + datum.scale * sum(datum.cartan[j][k] * units[k] for k in range(datum.rank))
+        for j, v in enumerate(a)
+    )
+
+
+def _assert_search_matches_reference(datum, a, depth, target=None):
+    """_bfs from a yields the reference's (vertex, depth) sequence and
+    spends its budget; with a target, the reference's prefix up to the
+    target and the budget spent by then."""
+    ref_state, state = _Budget(None), _Budget(None)
+    expected = []
+    for w, k in _reference_bfs(datum, a, depth, ref_state):
+        expected.append((w, k))
+        if w == target:
+            break
+    reach = depth * datum.scale
+    depths = _bfs(datum, a, depth, state, target)._depths
+    coords = [range(v - reach, v + reach + 1) for v in a]
+    assert [(_unpack(key, coords, reach), k) for key, k in depths.items()] == expected
+    assert state.used == ref_state.used
+    return expected
+
+
+# (type, alcove corners, depth, also from a coroot translate): searches
+# deep enough that vertices of one residue class are reached along one
+# step many times, so they scan the pruned steps
+REPEATED_EDGE_CASES = [
+    ("D4", (0,), 8, True),
+    ("B3", (0, 1, 2, 3), 9, False),
+    ("C3", (0, 1, 2, 3), 9, False),
+    ("A3", (0,), 8, False),
+    ("G2", (0,), 12, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,corners,depth,moved", REPEATED_EDGE_CASES, ids=[c[0] for c in REPEATED_EDGE_CASES]
+)
+def test_pruned_search_matches_reference(data, name, corners, depth, moved):
+    datum = data(name)
+    rng = random.Random(f"pruned bfs {name}")
+    for i in corners:
+        corner = scaled_coords(datum, alcove_vertex(datum, i))
+        for a in (corner, _coroot_translate(datum, corner, rng)) if moved else (corner,):
+            _assert_search_matches_reference(datum, a, depth)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4"])
+def test_tightest_reach_matches_reference(data, monkeypatch, name, depth):
+    """The depth-1 vertices are reached from the start along distinct
+    steps, so no edge class is used twice and no pruned list is built
+    below depth 3.  At depth 3 the reach is three times the scale and a
+    packed step plus a packed link offset moves a digit by up to twice
+    it.  From every corner, the table and point queries for the first,
+    middle and last vertex of each sphere match the reference."""
+    datum = data(name)
+    built = []
+    pruned = alcove.distance._pruned
+    monkeypatch.setattr(alcove.distance, "_pruned", lambda *args: built.append(args) or pruned(*args))
+    for i in range(datum.rank + 1):
+        a = scaled_coords(datum, alcove_vertex(datum, i))
+        expected = _assert_search_matches_reference(datum, a, depth)
+        for k in range(1, depth + 1):
+            sphere = [w for w, j in expected if j == k]
+            for target in (sphere[0], sphere[len(sphere) // 2], sphere[-1]):
+                assert _assert_search_matches_reference(datum, a, depth, target)[-1][0] == target
+    assert bool(built) == (depth == 3)
+
+
+@pytest.mark.parametrize("name", ["C3", "D4"])
+def test_deep_point_query_matches_table(data, name):
+    # targets at distance 3 to 5 are discovered by vertices that scan
+    # pruned steps
+    datum = data(name)
+    o = origin(datum)
+    table = simplicial_distances(datum, o, 5)
+    rng = random.Random(f"deep point query {name}")
+    for k in (3, 4, 5):
+        for y in rng.sample([y for y, j in table.items() if j == k], 4):
+            assert simplicial_distance(datum, o, y, 5) == k
+
+
+@pytest.mark.parametrize("name,corners", [("B3", (0, 1, 2, 3)), ("C3", (0, 1, 2, 3)), ("D4", (0,))])
+def test_pruned_steps_leave_parent_neighbourhood(data, monkeypatch, name, corners):
+    """Every pruned list a depth-6 search builds, read on coordinate
+    tuples: a step of v's link is kept iff it leads out of the closed
+    neighbourhood of v's parent p, v = p + s."""
+    datum = data(name)
+    scale, depth = datum.scale, 6
+    reach, zero = depth * scale, (0,) * datum.rank
+    digits = [range(-reach, reach + 1)] * datum.rank
+    built = []
+    pruned = alcove.distance._pruned
+
+    def recorded(record, step, parent):
+        kept = pruned(record, step, parent)
+        built.append((record, step, parent, kept))
+        return kept
+
+    monkeypatch.setattr(alcove.distance, "_pruned", recorded)
+    for i in corners:
+        simplicial_distances(datum, alcove_vertex(datum, i), depth)
+    assert built
+    cache: dict = {}
+    for record, step, parent, kept in built:
+        v_link = _neighbor_offsets(datum, record[0], cache, _Budget(None))
+        p_link = _neighbor_offsets(datum, parent[0], cache, _Budget(None))
+        s = _unpack(step, digits, reach)
+        assert s in p_link
+        assert tuple((r - t) % scale for r, t in zip(record[0], s)) == parent[0]
+        closed = set(p_link) | {zero}
+        leaving = [delta for delta in v_link if tuple(map(add, s, delta)) not in closed]
+        assert [_unpack(t, digits, reach) for t, _ in kept] == leaving
+        for t, u in kept:
+            delta = _unpack(t, digits, reach)
+            assert u[0] == tuple((r + x) % scale for r, x in zip(record[0], delta))
