@@ -247,9 +247,6 @@ class RootDatum:
     # <alpha_j, alpha_0^vee> for the highest root alpha_0; drives the
     # affine reflection of the folding loop.
     alpha0_coroot_row: tuple[int, ...]
-    # Inverse Cartan matrix; columns of the Cartan matrix span the
-    # coroot lattice in alpha-coordinates.
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
     # lcm of the marks; every vertex has coordinates in (1/scale) Z^d.
     scale: int
     positive_root_set: frozenset[Root]
@@ -268,17 +265,16 @@ class RootDatum:
         return _root(self, coeffs) in self.root_set
 
 
-def _per_datum(build: Callable[[RootDatum], _T]) -> Callable[..., _T]:
-    """build made to run once per datum: its result is kept in the
-    datum's instance dict under build's name, as functools.cached_property
-    would, outside the dataclass fields.  A value already computed on
-    the way, by build_root_datum, is kept instead when passed as known."""
+def _per_datum(build: Callable[[RootDatum], _T]) -> Callable[[RootDatum], _T]:
+    """build made to run once per datum, on first read: its result is
+    kept in the datum's instance dict under build's name, as
+    functools.cached_property would, outside the dataclass fields."""
     name = build.__name__
 
-    def cached(datum: RootDatum, known: _T | None = None) -> _T:
+    def cached(datum: RootDatum) -> _T:
         value = datum.__dict__.get(name)
         if value is None:
-            value = datum.__dict__[name] = build(datum) if known is None else known
+            value = datum.__dict__[name] = build(datum)
         return value
 
     return cached
@@ -350,8 +346,7 @@ def build_root_datum(rstype: RootSystemType) -> RootDatum:
 
     pos_tuple = tuple(positives)
     roots = pos_tuple + tuple(tuple(-c for c in r) for r in pos_tuple)
-    rows, D = inverse = _inverse(cartan)
-    datum = RootDatum(
+    return RootDatum(
         rstype=rstype,
         cartan=cartan,
         positive_roots=pos_tuple,
@@ -359,14 +354,10 @@ def build_root_datum(rstype: RootSystemType) -> RootDatum:
         two_rho_coeffs=two_rho,
         simple_norms=norms,
         alpha0_coroot_row=tuple(map(int, alpha0_row)),
-        cartan_inverse=tuple(tuple(Fraction(v, D) for v in row) for row in rows),
         scale=lcm(*highest),
         positive_root_set=frozenset(pos_tuple),
         root_set=frozenset(roots),
     )
-    _all_roots(datum, known=roots)
-    _integer_inverse(datum, known=inverse)
-    return datum
 
 
 def eval_root(datum: RootDatum, root: Root, point) -> Fraction:

@@ -206,20 +206,12 @@ def ball(
     datum = build_root_datum(parse_type(type_text))
     report = ball_sum(datum, radius, budget=budget)
     data = ball_report_to_dict(report)
-    quotient = None
+    polys = {"lower": report.lower_poly, "upper": report.upper_poly, "gamma": report.gamma_poly}
     if level is not None:
-        quotient = report.quotient_poly(level)
-        data["quotient"] = {"level": level, **_poly_dict(quotient)}
+        polys["quotient"] = report.quotient_poly(level)
+        data["quotient"] = {"level": level, **_poly_dict(polys["quotient"])}
     if q_eval is not None:
-        evals = {
-            "q": q_eval,
-            "lower": str(report.lower_poly.evaluate(q_eval)),
-            "upper": str(report.upper_poly.evaluate(q_eval)),
-            "gamma": str(report.gamma_poly.evaluate(q_eval)),
-        }
-        if quotient is not None:
-            evals["quotient"] = str(quotient.evaluate(q_eval))
-        data["q_eval"] = evals
+        data["q_eval"] = {"q": q_eval, **{k: str(p.evaluate(q_eval)) for k, p in polys.items()}}
     _output("ball", data, fmt)
 
 

@@ -47,18 +47,16 @@ class QPolynomial:
             pairs = [(e, c) for e, c in (terms.items() if isinstance(terms, Mapping) else terms)]
         except (TypeError, ValueError):
             raise ValidationError(f"a {type(terms).__name__} is not a mapping of terms") from None
-        seen: set[int] = set()
-        clean: dict[int, int] = {}
+        given: dict[int, int] = {}
         for exponent, coefficient in pairs:
             require_int(exponent, f"exponent {exponent!r} is not an integer")
             if exponent < 0:
                 raise ValidationError(f"negative exponent {exponent}")
-            if exponent in seen:
+            if exponent in given:
                 raise ValidationError(f"repeated exponent {exponent}")
-            seen.add(exponent)
-            if require_int(coefficient, f"coefficient {coefficient!r} is not an integer"):
-                clean[exponent] = coefficient
-        object.__setattr__(self, "_terms", clean)
+            message = f"coefficient {coefficient!r} is not an integer"
+            given[exponent] = require_int(coefficient, message)
+        object.__setattr__(self, "_terms", {e: c for e, c in given.items() if c})
 
     @classmethod
     def zero(cls) -> "QPolynomial":

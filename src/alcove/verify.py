@@ -44,31 +44,22 @@ def verify_metric(seed: int, budget: int | None) -> tuple[bool, dict]:
         datum = build_root_datum(parse_type(name))
         ball = sorted(iter_wall_ball_points(datum, origin(datum), 2, budget=budget))
         identity_ok = all(wall_distance(datum, x, x).d == 0 for x in ball)
-        symmetric_ok = True
-        definite_ok = True
-        triangle_ok = True
         trials = 300
+        # per triple: whether x == y, then d(x, y), d(y, x), d(y, z), d(x, z)
+        records = []
         for _ in range(trials):
             x, y, z = (ball[rng.randrange(len(ball))] for _ in range(3))
-            dxy = wall_distance(datum, x, y).d
-            dyx = wall_distance(datum, y, x).d
-            dyz = wall_distance(datum, y, z).d
-            dxz = wall_distance(datum, x, z).d
-            if dxy != dyx:
-                symmetric_ok = False
-            if (dxy == 0) != (x == y):
-                definite_ok = False
-            if dxz > dxy + dyz:
-                triangle_ok = False
+            pairs = ((x, y), (y, x), (y, z), (x, z))
+            records.append((x == y, *(wall_distance(datum, a, b).d for a, b in pairs)))
         per_type.append(
             {
                 "type": name,
                 "ball_size": len(ball),
                 "triples": trials,
                 "identity": identity_ok,
-                "symmetry": symmetric_ok,
-                "definiteness": definite_ok,
-                "triangle": triangle_ok,
+                "symmetry": all(dxy == dyx for _, dxy, dyx, _, _ in records),
+                "definiteness": all((dxy == 0) == same for same, dxy, _, _, _ in records),
+                "triangle": all(dxz <= dxy + dyz for _, dxy, _, dyz, dxz in records),
             }
         )
     axioms = ("identity", "symmetry", "definiteness", "triangle")
@@ -190,14 +181,12 @@ def verify_sandwich(budget: int | None) -> tuple[bool, dict]:
             )
             ok = ok and report.upper_level == r + 1
             ok = ok and report.lower_empty == (report.lower_radius < 0)
-            if not report.lower_empty:
-                for q0 in (2, 3):
-                    low = Fraction(
-                        report.lower_poly.evaluate(q0), report.lower_divisor
-                    )
-                    if low > report.upper_poly.evaluate(q0):
-                        ok = False
-            cases.append({"type": name, "R": R, "r": r, "ok": ok})
+            ordered = report.lower_empty or all(
+                Fraction(report.lower_poly.evaluate(q0), report.lower_divisor)
+                <= report.upper_poly.evaluate(q0)
+                for q0 in (2, 3)
+            )
+            cases.append({"type": name, "R": R, "r": r, "ok": ok and ordered})
     return all(case["ok"] for case in cases), {"cases": cases}
 
 
@@ -208,28 +197,26 @@ def verify_concavity(seed: int) -> tuple[bool, dict]:
     for name in ("A2", "B2", "G2"):
         datum = build_root_datum(parse_type(name))
         scale = datum.scale
-        ok = True
+        low, high = -3 * scale, 3 * scale + 1
         trials = 20
+        passed = []
         for _ in range(trials):
-            x = tuple(
-                Fraction(rng.randrange(-3 * scale, 3 * scale + 1), scale)
-                for _ in range(datum.rank)
-            )
-            y = tuple(
-                Fraction(rng.randrange(-3 * scale, 3 * scale + 1), scale)
-                for _ in range(datum.rank)
+            x, y = (
+                tuple(Fraction(rng.randrange(low, high), scale) for _ in range(datum.rank))
+                for _ in range(2)
             )
             fx = point_function(datum, x)
             fy = point_function(datum, y)
             omega = omega_function(datum, (x, y))
-            ok = ok and is_concave(datum, fx)
-            ok = ok and is_concave(datum, omega)
-            ok = ok and is_concave(datum, optimize(datum, omega))
-            ok = ok and is_concave(datum, shift(fx, 2))
-            ok = ok and pointwise_max(fx, fy).values == omega.values
-            result = index_exponent(datum, shift(fx, 1), shift(omega, 1))
-            ok = ok and result.exponent >= 0
-        cases.append({"type": name, "trials": trials, "ok": ok})
+            passed.append(
+                all(
+                    is_concave(datum, f)
+                    for f in (fx, omega, optimize(datum, omega), shift(fx, 2))
+                )
+                and pointwise_max(fx, fy).values == omega.values
+                and index_exponent(datum, shift(fx, 1), shift(omega, 1)).exponent >= 0
+            )
+        cases.append({"type": name, "trials": trials, "ok": all(passed)})
     return all(case["ok"] for case in cases), {"cases": cases}
 
 
@@ -237,12 +224,10 @@ def verify_g2_gap(budget: int | None) -> tuple[bool, dict]:
     """Wall vs simplicial metric: equality spot check and the gap witness."""
     a2 = build_root_datum(parse_type("A2"))
     a2_ball = sorted(iter_wall_ball_points(a2, origin(a2), 2, budget=budget))
-    equal_ok = True
-    for x in a2_ball:
-        dists = simplicial_distances(a2, x, 6)
-        for y in a2_ball:
-            if dists.get(y) != wall_distance(a2, x, y).d:
-                equal_ok = False
+    tables = {x: simplicial_distances(a2, x, 6) for x in a2_ball}
+    equal_ok = all(
+        tables[x].get(y) == wall_distance(a2, x, y).d for x in a2_ball for y in a2_ball
+    )
 
     g2 = build_root_datum(parse_type("G2"))
     g2_ball = sorted(iter_wall_ball_points(g2, origin(g2), 4, budget=budget))
@@ -254,9 +239,7 @@ def verify_g2_gap(budget: int | None) -> tuple[bool, dict]:
         for y in g2_ball:
             pairs += 1
             wall = wall_distance(g2, x, y).d
-            simp = dists.get(y)
-            if simp is None:
-                simp = 9
+            simp = dists.get(y, 9)
             if simp < wall:
                 monotone_ok = False
             if simp > wall and witness is None:

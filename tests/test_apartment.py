@@ -47,6 +47,7 @@ from alcove.apartment import (
     _residues,
     _tester,
 )
+from alcove.cartan import _integer_inverse
 from alcove.distance import _neighbor_offsets
 
 
@@ -573,7 +574,8 @@ def _reference_fold(datum, main, companions):
     pts = [list(main)] + [list(c) for c in companions]
     t = pts[0]
 
-    ainv = datum.cartan_inverse
+    rows, D = _integer_inverse(datum)
+    ainv = [[Fraction(v, D) for v in row] for row in rows]
     lattice_coords = [
         sum(ainv[i][j] * t[j] for j in range(d)) for i in range(d)
     ]

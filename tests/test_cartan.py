@@ -168,22 +168,42 @@ def test_all_roots_built_once():
             assert roots == datum.positive_roots + negatives
 
 
-def test_cartan_inverted_once_per_datum(monkeypatch):
-    """build_root_datum inverts the Cartan matrix, and the vertex tester
-    reads the integer rows over |det C| it kept, inverting nothing."""
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The matrices handed to cartan._inverse from now on, in call order."""
     calls = []
     real = cartan._inverse
     # every module that bound the function counts
     for module in vars(alcove).values():
         if getattr(module, "_inverse", None) is real:
             monkeypatch.setattr(module, "_inverse", lambda m: calls.append(m) or real(m))
+    return calls
+
+
+def test_cartan_inverted_once_per_datum(inverse_calls):
+    """The vertex tester inverts the Cartan matrix once, on first use,
+    and keeps the integer rows over |det C|."""
     for name, det in (("E8", 1), ("D4", 4), ("A3", 4)):
         datum = build_root_datum(parse_type(name))
         tester = _tester(datum)
-        assert len(calls) == 1
-        calls.clear()
-        assert (tester.inverse_rows, tester.inverse_denom) == real(datum.cartan)
+        assert len(inverse_calls) == 1
+        inverse_calls.clear()
+        assert (tester.inverse_rows, tester.inverse_denom) == _inverse(datum.cartan)
         assert tester.inverse_denom == det
+
+
+def test_cartan_inverted_lazily(inverse_calls):
+    """build_root_datum inverts nothing; the first vertex tester of a
+    datum inverts once, and a second read inverts nothing more."""
+    rows = theorem_table(8).rows
+    inverse_calls.clear()
+    for row in rows:
+        datum = build_root_datum(row.rstype)
+        assert inverse_calls == [], row.rstype
+        _tester(datum)
+        _tester(datum)
+        assert inverse_calls == [datum.cartan], row.rstype
+        inverse_calls.clear()
 
 
 def test_highest_root_dominates():
@@ -369,15 +389,15 @@ def test_root_length_checked():
 
 
 def test_cartan_inverse():
+    # C . rows = |det C| . I for the integer inverse rows over |det C|
     for row in theorem_table(8).rows:
         datum = build_root_datum(row.rstype)
+        rows, D = cartan._integer_inverse(datum)
         d = datum.rank
         for i in range(d):
             for j in range(d):
-                entry = sum(
-                    datum.cartan[i][k] * datum.cartan_inverse[k][j] for k in range(d)
-                )
-                assert entry == (1 if i == j else 0)
+                entry = sum(datum.cartan[i][k] * rows[k][j] for k in range(d))
+                assert entry == (D if i == j else 0)
 
 
 def test_inverse_denominator_is_abs_det():

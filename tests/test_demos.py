@@ -1,18 +1,21 @@
 """Every demo script runs to completion from a fresh interpreter, and
-prints exactly the bytes pinned for it."""
+prints exactly the bytes pinned for it; README's library quick start
+runs as printed."""
 
 import functools
 import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import alcove
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @functools.cache
@@ -50,3 +53,25 @@ def test_demo_stdout_pinned(script):
     result = _run(script)
     assert result.returncode == 0, result.stderr.decode()
     assert hashlib.sha256(result.stdout).hexdigest() == DEMO_STDOUT[script.name]
+
+
+def test_readme_quick_start():
+    """The quick start block runs, and each result its comments state holds."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    notes = {}
+    for line in block.splitlines():
+        code, _, note = line.partition("#")
+        notes[code.strip()] = note.strip()
+    annotated = {
+        "wall_distance(g2, o, x).d": 3,
+        "simplicial_distance(g2, o, x, 10)": 4,
+        "rep.max_two_rho": Fraction(20, 3),
+    }
+    for code, expected in annotated.items():
+        assert notes[code].startswith(repr(expected)), code
+        assert eval(code, scope) == expected
+    assert notes["rep.max_two_rho"] == "Fraction(20, 3) == 2 * growth_exponent(g2)"
+    assert eval("rep.max_two_rho == 2 * growth_exponent(g2)", scope)

@@ -132,7 +132,7 @@ def test_constructor_refuses_non_mapping(bad):
 def test_constructor_refuses_repeated_exponent():
     # a list of pairs may name an exponent twice; it is refused, not collapsed
     assert QPolynomial([(1, 2), (0, 3)]) == QPolynomial({1: 2, 0: 3})
-    for bad in ([(1, 2), (1, 3)], [[1, 2], [0, 1], [1, 0]]):
+    for bad in ([(1, 2), (1, 3)], [[1, 2], [0, 1], [1, 0]], [(1, 0), (1, 2)]):
         with pytest.raises(ValidationError, match="^repeated exponent 1$"):
             QPolynomial(bad)
 
