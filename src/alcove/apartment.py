@@ -45,11 +45,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator
 
-from .cartan import Point, RootDatum, _integer_inverse, _per_datum, as_point
+from .cartan import Point, RootDatum, _integer_inverse, _per_datum, _root_index, as_point
 from .errors import (
     EnumerationLimitError,
     FoldLimitError,
@@ -63,14 +63,12 @@ __all__ = [
     "DEFAULT_ENUMERATION_BUDGET",
     "VertexSet",
     "alcove_vertex",
-    "enumerate_box_vertices",
     "enumerate_scaled_alcove_vertices",
     "fold_pair",
     "fold_to_alcove",
     "in_scaled_alcove",
     "is_special",
     "is_vertex",
-    "iter_box_vertices",
     "iter_scaled_alcove_vertices",
     "origin",
     "scaled_coords",
@@ -182,8 +180,7 @@ class _VertexTester:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         N, d = datum.scale, datum.rank
-        pos = datum.positive_roots
-        index = {root: k for k, root in enumerate(pos)}
+        pos, index = datum.positive_roots, _root_index(datum)
         self.simple = [root.index(1) for root in pos[:d]]
         self.chain = [
             next(
@@ -597,23 +594,3 @@ def enumerate_scaled_alcove_vertices(
 ) -> VertexSet:
     """All vertices of the r-scaled closed alcove, with type counts."""
     return _make_vertex_set(datum, iter_scaled_alcove_vertices(datum, r, budget=budget))
-
-
-def iter_box_vertices(
-    datum: RootDatum, lo, hi, *, budget: int | None = None
-) -> Iterator[Point]:
-    """Vertices in the coordinate box [lo, hi], unordered."""
-    low = as_point(datum, lo)
-    high = as_point(datum, hi)
-    if any(a > b for a, b in zip(low, high)):
-        raise ValidationError("box bounds must satisfy lo <= hi componentwise")
-    scale = datum.scale
-    box_lo = [ceil(t * scale) for t in low]
-    box_hi = [floor(t * scale) for t in high]
-    yield from _as_points(scale, _walk(datum, box_lo, box_hi, _Budget(budget)))
-
-
-def enumerate_box_vertices(
-    datum: RootDatum, lo, hi, *, budget: int | None = None
-) -> VertexSet:
-    return _make_vertex_set(datum, iter_box_vertices(datum, lo, hi, budget=budget))

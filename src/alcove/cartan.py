@@ -249,8 +249,6 @@ class RootDatum:
     alpha0_coroot_row: tuple[int, ...]
     # lcm of the marks; every vertex has coordinates in (1/scale) Z^d.
     scale: int
-    positive_root_set: frozenset[Root]
-    root_set: frozenset[Root]
 
     @property
     def rank(self) -> int:
@@ -262,7 +260,7 @@ class RootDatum:
         return _all_roots(self)
 
     def is_root(self, coeffs: Root) -> bool:
-        return _root(self, coeffs) in self.root_set
+        return _root(self, coeffs) in _root_index(self)
 
 
 def _per_datum(build: Callable[[RootDatum], _T]) -> Callable[[RootDatum], _T]:
@@ -283,6 +281,13 @@ def _per_datum(build: Callable[[RootDatum], _T]) -> Callable[[RootDatum], _T]:
 @_per_datum
 def _all_roots(datum: RootDatum) -> tuple[Root, ...]:
     return datum.positive_roots + tuple(tuple(-c for c in r) for r in datum.positive_roots)
+
+
+@_per_datum
+def _root_index(datum: RootDatum) -> dict[Root, int]:
+    """Each root's place in all_roots(): the positive roots take the
+    places below len(positive_roots)."""
+    return {root: k for k, root in enumerate(datum.all_roots())}
 
 
 @_per_datum
@@ -344,19 +349,15 @@ def build_root_datum(rstype: RootSystemType) -> RootDatum:
     if any(p.denominator != 1 for p in alpha0_row):
         raise AssertionError("coroot pairing with the highest root is not integral")
 
-    pos_tuple = tuple(positives)
-    roots = pos_tuple + tuple(tuple(-c for c in r) for r in pos_tuple)
     return RootDatum(
         rstype=rstype,
         cartan=cartan,
-        positive_roots=pos_tuple,
+        positive_roots=tuple(positives),
         highest_root_coeffs=highest,
         two_rho_coeffs=two_rho,
         simple_norms=norms,
         alpha0_coroot_row=tuple(map(int, alpha0_row)),
         scale=lcm(*highest),
-        positive_root_set=frozenset(pos_tuple),
-        root_set=frozenset(roots),
     )
 
 
@@ -366,8 +367,8 @@ def eval_root(datum: RootDatum, root: Root, point) -> Fraction:
 
 
 def require_positive_root(datum: RootDatum, root: Root) -> Root:
-    root = _root(datum, root)
-    if root not in datum.positive_root_set:
+    root, n = _root(datum, root), len(datum.positive_roots)
+    if _root_index(datum).get(root, n) >= n:
         raise NotARootError(f"{root} is not a positive root of {datum.rstype}")
     return root
 

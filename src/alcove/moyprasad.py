@@ -26,7 +26,7 @@ from operator import add, sub
 from typing import Iterable
 
 from .apartment import _numerators, _point_text, _tester
-from .cartan import Root, RootDatum, _coefficients, _per_datum, _root, as_point
+from .cartan import Root, RootDatum, _coefficients, _per_datum, _root, _root_index, as_point
 from .errors import (
     DominationError,
     EmptySetError,
@@ -143,16 +143,9 @@ def _mapping(values) -> Mapping:
     return values
 
 
-@_per_datum
-def _root_index(datum: RootDatum) -> dict[Root, int]:
-    """Each root's place in all_roots(); the index of every point and
-    omega function of the datum."""
-    return {root: k for k, root in enumerate(datum.all_roots())}
-
-
 def _require_total(datum: RootDatum, f: ConcaveFunction) -> None:
-    values = f.values
-    if values._index is not _root_index(datum) and values.keys() != datum.root_set:
+    values, index = f.values, _root_index(datum)
+    if values._index is not index and values.keys() != index.keys():
         raise ValidationError("function is not total on the roots of this system")
 
 

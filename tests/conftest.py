@@ -1,9 +1,10 @@
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 import pytest
 
-from alcove import EnumerationLimitError, build_root_datum, parse_type
+from alcove import EnumerationLimitError, build_root_datum, eval_root, parse_type
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +31,43 @@ def assert_least_budget():
             run(least - 1)
 
     return check
+
+
+def _fraction_rank(rows, d):
+    """Plain Gaussian elimination over Fraction, written independently."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    rank = 0
+    for col in range(d):
+        pivot = None
+        for r in range(rank, len(m)):
+            if m[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_is_vertex(datum, x):
+    integral = [
+        r for r in datum.positive_roots if eval_root(datum, r, x).denominator == 1
+    ]
+    return _fraction_rank(integral, datum.rank) == datum.rank
+
+
+@pytest.fixture(scope="session")
+def oracle_is_vertex():
+    """The slow Fraction vertex test, oracle_is_vertex(datum, x): x is a
+    vertex iff the positive roots integral at x span full rank."""
+    return _oracle_is_vertex
 
 
 def _int_rank(rows, d):

@@ -50,7 +50,6 @@ from alcove import (
     theorem_table,
     wall_distance,
 )
-from test_apartment import _oracle_is_vertex
 
 
 @pytest.fixture
@@ -171,7 +170,7 @@ def test_criterion_03_degree_identity(announce):
     )
 
 
-def test_criterion_04_polytope_oracle(announce):
+def test_criterion_04_polytope_oracle(announce, oracle_is_vertex):
     cases = 0
     for name in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"):
         datum = build_root_datum(parse_type(name))
@@ -181,7 +180,7 @@ def test_criterion_04_polytope_oracle(announce):
             expected = set()
             for nums in product(range(r * scale + 1), repeat=datum.rank):
                 x = tuple(Fraction(n, scale) for n in nums)
-                if not _oracle_is_vertex(datum, x):
+                if not oracle_is_vertex(datum, x):
                     continue
                 if wall_distance(datum, o, x).d <= r:
                     expected.add(x)

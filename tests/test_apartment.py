@@ -5,7 +5,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
-from math import floor, gcd
+from math import ceil, floor, gcd
 from operator import mul
 
 import pytest
@@ -21,7 +21,6 @@ from alcove import (
     apartment_ball,
     as_point,
     build_root_datum,
-    enumerate_box_vertices,
     enumerate_scaled_alcove_vertices,
     eval_root,
     fold_pair,
@@ -29,7 +28,6 @@ from alcove import (
     in_scaled_alcove,
     is_special,
     is_vertex,
-    iter_box_vertices,
     iter_scaled_alcove_vertices,
     iter_wall_ball_points,
     origin,
@@ -52,36 +50,6 @@ from alcove.distance import _neighbor_offsets
 
 
 FAMILY_TYPES = ("A2", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2")
-
-
-def _fraction_rank(rows, d):
-    """Plain Gaussian elimination over Fraction, written independently."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _oracle_is_vertex(datum, x):
-    integral = [
-        r for r in datum.positive_roots if eval_root(datum, r, x).denominator == 1
-    ]
-    return _fraction_rank(integral, datum.rank) == datum.rank
 
 
 def test_as_point_validation(data):
@@ -183,13 +151,13 @@ def test_is_special_matches_all_roots_integral(data, name):
     assert seen == {True, False}
 
 
-def test_is_vertex_against_elimination_oracle(data):
+def test_is_vertex_against_elimination_oracle(data, oracle_is_vertex):
     for name in ("A2", "B2", "G2"):
         datum = data(name)
         scale = datum.scale
         for a in product(range(-scale, 2 * scale + 1), repeat=datum.rank):
             x = tuple(Fraction(v, scale) for v in a)
-            assert is_vertex(datum, x) == _oracle_is_vertex(datum, x)
+            assert is_vertex(datum, x) == oracle_is_vertex(datum, x)
 
 
 @pytest.mark.parametrize("name", ["F4", "E6", "E7", "E8", "G2", "B4", "C4", "D5", "A5"])
@@ -405,7 +373,7 @@ def test_enumeration_counts_a2(data):
         assert len(vs) == (r + 1) * (r + 2) // 2
 
 
-def test_enumeration_equals_grid_scan(data):
+def test_enumeration_equals_grid_scan(data, oracle_is_vertex):
     # F4 brings the grids of c = 3 and 4, E6 36 roots on those of c = 2
     # and 3; on both the walk's integral-root screen drops most leaves
     for name, radii in (
@@ -426,7 +394,7 @@ def test_enumeration_equals_grid_scan(data):
                 if sum(c * v for c, v in zip(marks, a)) > r * scale:
                     continue
                 x = tuple(Fraction(v, scale) for v in a)
-                if _oracle_is_vertex(datum, x):
+                if oracle_is_vertex(datum, x):
                     slow.add(x)
             fast = set(iter_scaled_alcove_vertices(datum, r))
             assert fast == slow
@@ -442,17 +410,16 @@ def test_enumerated_vertices_lie_on_type_grid(data):
             assert all((denom * v).denominator == 1 for v in x)
 
 
+def _box_walk(datum, lo, hi, budget=None):
+    """The grid walk over the coordinate box [lo, hi]: its vertices as
+    integer tuples over the scale."""
+    N = datum.scale
+    low, high = [ceil(t * N) for t in lo], [floor(t * N) for t in hi]
+    return apartment._walk(datum, low, high, _Budget(budget))
+
+
 def test_box_vertices(data):
-    a2 = data("A2")
-    vs = enumerate_box_vertices(a2, (0, 0), (1, 1))
-    assert set(vs.points) == {
-        (Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(1)),
-    }
-    with pytest.raises(ValidationError):
-        enumerate_box_vertices(a2, (1, 0), (0, 1))
+    assert set(_box_walk(data("A2"), (0, 0), (1, 1))) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 # (lo, hi, least budget) of G2 boxes: the second has fractional, negative bounds
@@ -462,7 +429,7 @@ G2_BOXES = [
 ]
 
 
-def test_box_vertices_grid_scan(data):
+def test_box_vertices_grid_scan(data, oracle_is_vertex):
     g2 = data("G2")
     scale = g2.scale
     for lo, hi, _ in G2_BOXES:
@@ -470,23 +437,22 @@ def test_box_vertices_grid_scan(data):
         axes = [range(floor(a * scale), floor(b * scale) + 1) for a, b in zip(lo, hi)]
         for a in product(*axes):
             x = tuple(Fraction(v, scale) for v in a)
-            if all(l <= t <= h for l, t, h in zip(lo, x, hi)) and _oracle_is_vertex(g2, x):
+            if all(l <= t <= h for l, t, h in zip(lo, x, hi)) and oracle_is_vertex(g2, x):
                 slow.add(x)
-        fast = set(p for p in enumerate_box_vertices(g2, lo, hi).points)
+        fast = {tuple(Fraction(v, scale) for v in a) for a in _box_walk(g2, lo, hi)}
         assert fast == slow
 
 
 def test_walkers_yield_reduced_fractions(data):
     # every coordinate a public walker yields is a Fraction in lowest
-    # terms equal to v / scale, of either sign, including the E8 box's
+    # terms equal to v / scale, of either sign, including the E8 ball's
     # negative ones; each walk reads them from a memo of its own
     e8, b3, g2 = data("E8"), data("B3"), data("G2")
     half, third = Fraction(1, 2), Fraction(1, 3)
     walks = [
         (e8, iter_scaled_alcove_vertices(e8, 2)),
         (g2, iter_scaled_alcove_vertices(g2, 3)),
-        (e8, iter_box_vertices(e8, (-1, -half, 0, 0, 0, 0, 0, -third), (1, half, 0, 0, 0, 0, 0, third))),
-        (g2, iter_box_vertices(g2, *G2_BOXES[1][:2])),
+        (e8, iter_wall_ball_points(e8, (-1, 0, 0, 0, 0, 0, -third, 0), 0)),
         (b3, iter_wall_ball_points(b3, (-3 * half, 0, half), 1)),
         (g2, iter_wall_ball_points(g2, (-1, 0), 2)),
     ]
@@ -506,17 +472,17 @@ def test_walkers_yield_reduced_fractions(data):
 
 def test_vertex_sets_sorted_and_counted(data):
     # each VertexSet builder lists its points once each, in the order of
-    # their Fraction tuples, and counts them by vertex_type; the boxes and
-    # the ball reach negative coordinates
+    # their Fraction tuples, and counts them by vertex_type; the balls
+    # reach negative coordinates
     a2, g2, f4, e6, b3 = (data(name) for name in ("A2", "G2", "F4", "E6", "B3"))
-    half, third = Fraction(1, 2), Fraction(1, 3)
+    half = Fraction(1, 2)
     sets = [
         (a2, enumerate_scaled_alcove_vertices(a2, 3)),
         (g2, enumerate_scaled_alcove_vertices(g2, 3)),
         (f4, enumerate_scaled_alcove_vertices(f4, 2)),
         (e6, enumerate_scaled_alcove_vertices(e6, 2)),
-        (g2, enumerate_box_vertices(g2, *G2_BOXES[1][:2])),
-        (f4, enumerate_box_vertices(f4, (-1, -half, 0, -third), (1, half, half, third))),
+        (g2, apartment_ball(g2, (-1, 0), 2)),
+        (f4, apartment_ball(f4, origin(f4), 1)),
         (b3, apartment_ball(b3, (-3 * half, 0, half), 2)),
     ]
     for datum, vs in sets:
@@ -558,7 +524,7 @@ def test_walk_work_counts(data, assert_least_budget, name, r, least):
 def test_box_work_count(data, assert_least_budget):
     g2 = data("G2")
     for lo, hi, least in G2_BOXES:
-        assert_least_budget(lambda b: list(iter_box_vertices(g2, lo, hi, budget=b)), least)
+        assert_least_budget(lambda b: list(_box_walk(g2, lo, hi, b)), least)
 
 
 def _reference_fold(datum, main, companions):

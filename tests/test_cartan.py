@@ -5,7 +5,6 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
 
 import alcove
 from alcove import (
@@ -210,7 +209,7 @@ def test_highest_root_dominates():
     for name in ALL_SMALL + EXCEPTIONAL:
         datum = build_root_datum(parse_type(name))
         top = datum.highest_root_coeffs
-        assert top in datum.positive_root_set
+        assert top in datum.positive_roots
         for root in datum.positive_roots:
             assert all(r <= t for r, t in zip(root, top))
 
@@ -420,10 +419,31 @@ def test_root_datum_to_dict_shape():
     assert info["highest_root_coeffs"] == [3, 2]
 
 
-@given(st.sampled_from(["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4"]))
-def test_is_root_agrees_with_root_set(name):
-    datum = build_root_datum(parse_type(name))
-    for root in datum.all_roots():
-        assert datum.is_root(root)
-    assert not datum.is_root((0,) * datum.rank)
-    assert not datum.is_root(datum.highest_root_coeffs[:-1] + (datum.highest_root_coeffs[-1] + 1,))
+def test_root_index_tells_roots_and_positive_roots():
+    """is_root and require_positive_root read one root index: every
+    root is a root, a positive root passes, and a negative root and a
+    non-root raise the same NotARootError."""
+    for row in theorem_table(8).rows:
+        datum = build_root_datum(row.rstype)
+        top = datum.highest_root_coeffs
+        non_roots = [(0,) * datum.rank, top[:-1] + (top[-1] + 1,)]
+        negatives = [tuple(-c for c in root) for root in datum.positive_roots]
+        for root in datum.positive_roots:
+            assert datum.is_root(root)
+            assert require_positive_root(datum, root) == root
+        for root in negatives + non_roots:
+            assert datum.is_root(root) == (root in negatives)
+            with pytest.raises(NotARootError) as err:
+                require_positive_root(datum, root)
+            assert str(err.value) == f"{root} is not a positive root of {datum.rstype}"
+
+
+def test_roots_indexed_lazily():
+    """build_root_datum negates no root: all_roots() and the root index
+    are built on first read."""
+    for row in theorem_table(8).rows:
+        datum = build_root_datum(row.rstype)
+        assert "_all_roots" not in datum.__dict__ and "_root_index" not in datum.__dict__
+        assert datum.is_root(datum.highest_root_coeffs)
+        assert datum.__dict__["_all_roots"] == datum.all_roots()
+        assert list(datum.__dict__["_root_index"]) == list(datum.all_roots())

@@ -24,7 +24,6 @@ from alcove import (
     fold_to_alcove,
     integers_strictly_between,
     is_vertex,
-    iter_box_vertices,
     iter_wall_ball_points,
     origin,
     parse_type,
@@ -36,7 +35,7 @@ from alcove import (
     wall_distance,
 )
 import alcove.distance
-from alcove.apartment import _Budget, _maximal_denominators, _VertexTester
+from alcove.apartment import _Budget, _maximal_denominators, _VertexTester, _walk
 from alcove.distance import _between_scaled, _bfs, _neighbor_offsets, _unpack
 
 
@@ -126,8 +125,9 @@ def test_adjacent_implies_small_root_gap(data):
                 assert integers_strictly_between(0, value) == 0
 
 
-def _oracle_ball(datum, center, r):
-    """Scan the full coordinate box and filter by the definition."""
+def _oracle_ball(datum, center, r, is_vertex):
+    """Scan the full coordinate box and filter by the definition, with
+    is_vertex the slow vertex test."""
     scale = datum.scale
     d = datum.rank
     base = [int(v * scale) for v in center]
@@ -135,9 +135,7 @@ def _oracle_ball(datum, center, r):
     for offs in product(range(-r * scale, r * scale + 1), repeat=d):
         a = tuple(b + o for b, o in zip(base, offs))
         x = tuple(Fraction(v, scale) for v in a)
-        from test_apartment import _oracle_is_vertex
-
-        if not _oracle_is_vertex(datum, x):
+        if not is_vertex(datum, x):
             continue
         worst = 0
         for root in datum.positive_roots:
@@ -151,20 +149,20 @@ def _oracle_ball(datum, center, r):
     return pts
 
 
-def test_ball_equals_oracle(data):
+def test_ball_equals_oracle(data, oracle_is_vertex):
     for name, radii in (("A2", (0, 1, 2)), ("B2", (1, 2)), ("G2", (1, 2))):
         datum = data(name)
         o = origin(datum)
         for r in radii:
             fast = set(iter_wall_ball_points(datum, o, r))
-            assert fast == _oracle_ball(datum, o, r)
+            assert fast == _oracle_ball(datum, o, r, oracle_is_vertex)
 
 
-def test_ball_off_center(data):
+def test_ball_off_center(data, oracle_is_vertex):
     b2 = data("B2")
     center = (F(0), F(1, 2))
     fast = set(iter_wall_ball_points(b2, center, 2))
-    assert fast == _oracle_ball(b2, center, 2)
+    assert fast == _oracle_ball(b2, center, 2, oracle_is_vertex)
     assert center in fast
 
 
@@ -423,7 +421,8 @@ def test_wall_ball_root_values_once_per_candidate(data, monkeypatch, name, r):
     # vertex of the box walk's once: one call per vertex of the box
     datum = data(name)
     o = origin(datum)
-    box = list(iter_box_vertices(datum, [-r] * datum.rank, [r] * datum.rank))
+    reach = r * datum.scale
+    box = list(_walk(datum, (-reach,) * datum.rank, (reach,) * datum.rank, _Budget(None)))
     values = _VertexTester.root_values
     calls = []
     monkeypatch.setattr(_VertexTester, "root_values", lambda self, a: calls.append(a) or values(self, a))

@@ -272,7 +272,7 @@ def _reference_is_concave(datum, f):
         raise ValidationError("function is not total on the roots of this system")
     if f.at_zero < 0:
         return False
-    root_set = datum.root_set
+    root_set = set(datum.all_roots())
     values = f.values
     for alpha, fa in values.items():
         minus = tuple(-c for c in alpha)
