@@ -444,15 +444,19 @@ def test_box_vertices_grid_scan(data, oracle_is_vertex):
 
 
 def test_walkers_yield_reduced_fractions(data):
-    # every coordinate a public walker yields is a Fraction in lowest
-    # terms equal to v / scale, of either sign, including the E8 ball's
-    # negative ones; each walk reads them from a memo of its own
+    # every coordinate a walker yields is a Fraction in lowest terms
+    # equal to v / scale, of either sign, including the negative ones of
+    # an E8 ball and of the E8 box that a wider ball walks, whose points
+    # have several denominators; each walk reads them from a memo of its
+    # own
     e8, b3, g2 = data("E8"), data("B3"), data("G2")
     half, third = Fraction(1, 2), Fraction(1, 3)
+    e8_box = _box_walk(e8, (-1, -half, 0, 0, 0, 0, 0, -third), (1, half, 0, 0, 0, 0, 0, third))
     walks = [
         (e8, iter_scaled_alcove_vertices(e8, 2)),
         (g2, iter_scaled_alcove_vertices(g2, 3)),
         (e8, iter_wall_ball_points(e8, (-1, 0, 0, 0, 0, 0, -third, 0), 0)),
+        (e8, apartment._as_points(e8.scale, e8_box)),
         (b3, iter_wall_ball_points(b3, (-3 * half, 0, half), 1)),
         (g2, iter_wall_ball_points(g2, (-1, 0), 2)),
     ]

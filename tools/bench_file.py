@@ -1,11 +1,11 @@
 """Write BENCH_<N>.json, the benchmark's figures for one change.
 
-    python3 tools/bench_file.py --pr N [--seconds 30]
+    python3 tools/bench_file.py --pr N
 
 Runs the benchmark command that BENCHMARK.json declares (bench/run.py)
 in a subprocess, on each of its workloads: one end-to-end run per seed
-of SEEDS, at BENCHMARK.json's run_seconds unless --seconds is given,
-then one --trace 1 run on the first seed for the per-layer metrics.
+of SEEDS at BENCHMARK.json's run_seconds, then one --trace 1 run on
+the first seed for the per-layer metrics.
 The file records the runner's "# machine:" line, the seeds, each
 workload's correctness and operations attempted and failed over its
 end-to-end runs, each end-to-end metric's median, min and max over
@@ -93,10 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    if args.pr < 1 or args.seconds <= 0:
-        parser.error("--pr and --seconds must be positive")
+    if args.pr < 1:
+        parser.error("--pr must be positive")
 
     def run(workload: str, seed: int, seconds: float, trace: int) -> str:
         print(f"bench_file: {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
@@ -110,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         return done.stdout
 
     names = [workload["name"] for workload in spec["workloads"]]
-    content = bench_file(args.pr, run, args.seconds, names, src_code_lines())
+    content = bench_file(args.pr, run, spec["run_seconds"], names, src_code_lines())
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(content, indent=2) + "\n")
     print(out)
