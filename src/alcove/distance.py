@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from operator import mul, sub
 from typing import Iterator
 
@@ -99,14 +98,23 @@ def _wall_distance_scaled(
 ) -> tuple[int, Root | None, int]:
     """Wall distance, witness and wall count of ax and ay; x_values, when
     given, are the tester's root_values(ax), computed once by a caller
-    that holds ax fixed."""
+    that holds ax fixed.
+
+    Each count is _between_scaled's without its clip at 0: it reads -1
+    only where a == b is a multiple of N, both points on one wall of
+    that root.  A positive maximum is first attained where the clipped
+    counts first attain it; a maximum of 0 or -1 means every clipped
+    count is 0, so the witness is the first positive root."""
     if ax == ay:
         return 0, None, 0
-    values = _tester(datum).root_values
+    N, values = datum.scale, _tester(datum).root_values
     if x_values is None:
         x_values = values(ax)
-    counts = list(map(_between_scaled, x_values, values(ay), repeat(datum.scale)))
+    pairs = zip(x_values, values(ay))
+    counts = [(b - 1) // N - a // N if a < b else (a - 1) // N - b // N for a, b in pairs]
     best = max(counts)
+    if best <= 0:
+        return 1, datum.positive_roots[0], 0
     return 1 + best, datum.positive_roots[counts.index(best)], best
 
 

@@ -176,14 +176,19 @@ def _addition_table(datum: RootDatum) -> tuple[tuple[int, int, int], ...]:
 
 def _concave(datum: RootDatum, v: list[int], zero: int) -> bool:
     """The concavity inequalities on a row v of numerators in
-    all_roots() order, with zero the numerator of the value at 0."""
+    all_roots() order, with zero the numerator of the value at 0.
+
+    The addition table is scanned in full, with no stop at the first
+    violation: a list comprehension runs each triple faster than a
+    generator step, and a concave function, the common case, has every
+    triple checked either way."""
     if zero < 0:
         return False
     n = len(datum.positive_roots)
     # the negative of root i sits at i + n
     if any(v[i] + v[i + n] < zero for i in range(n)):
         return False
-    return all(v[i] + v[j] >= v[k] for i, j, k in _addition_table(datum))
+    return not [k for i, j, k in _addition_table(datum) if v[i] + v[j] < v[k]]
 
 
 def is_concave(datum: RootDatum, f: ConcaveFunction) -> bool:
@@ -294,8 +299,9 @@ def quotient_exponents(datum: RootDatum, x, r_prime: int | None = None) -> int:
     if r_prime is not None:
         require_int(r_prime, "cap level must be a positive integer", 1)
     pts, N = _numerators((point,))
-    levels = [-(-v // N) for v in _tester(datum).root_values(pts[0])]
-    return sum(min(level, r_prime or level) - 1 for level in levels if level > 1)
+    # ceil(v / N) > 1 exactly when v > N; v itself, never below ceil(v / N), stands for no cap
+    values = _tester(datum).root_values(pts[0])
+    return sum(min(-(-v // N), r_prime or v) - 1 for v in values if v > N)
 
 
 def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:
@@ -310,8 +316,7 @@ def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:
     if not r1 > r2 >= 0:
         raise ValidationError("levels must satisfy r1 > r2 >= 0")
     (ax, ay), N = _numerators((as_point(datum, x), as_point(datum, y)))
-    gap = (r1 - r2) * N
-    return all(abs(v) <= gap for v in _tester(datum).root_values(list(map(sub, ax, ay))))
+    return max(map(abs, _tester(datum).root_values(list(map(sub, ax, ay))))) <= (r1 - r2) * N
 
 
 def concave_function_to_dict(f: ConcaveFunction) -> dict:

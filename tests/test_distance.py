@@ -19,6 +19,7 @@ from alcove import (
     alcove_vertex,
     apartment_ball,
     build_root_datum,
+    enumerate_scaled_alcove_vertices,
     eval_root,
     fold_pair,
     fold_to_alcove,
@@ -77,6 +78,48 @@ def test_wall_distance_frozen(data):
     g2 = data("G2")
     rep = wall_distance(g2, origin(g2), (F(1), F(0)))
     assert (rep.d, rep.witness_root, rep.wall_count) == (3, (3, 1), 2)
+
+
+def _oracle_wall_report(datum, x, y):
+    """(d, witness, count) from the public wall_count alone: 1 plus the
+    largest count over the positive roots, the first root attaining it,
+    and that count; (0, None, 0) for x == y."""
+    if x == y:
+        return 0, None, 0
+    counts = [wall_count(datum, x, y, root) for root in datum.positive_roots]
+    best = max(counts)
+    return 1 + best, datum.positive_roots[counts.index(best)], best
+
+
+def _report(datum, x, y):
+    rep = wall_distance(datum, x, y)
+    return rep.d, rep.witness_root, rep.wall_count
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "E6", "E7", "E8"])
+def test_wall_report_matches_wall_counts(data, name):
+    datum = data(name)
+    rng = random.Random(name)
+    corners = [scaled_coords(datum, p) for p in enumerate_scaled_alcove_vertices(datum, 2).points]
+    points = [
+        tuple(F(v, datum.scale) for v in _coroot_translate(datum, rng.choice(corners), rng))
+        for _ in range(24)
+    ]
+    for _ in range(40):
+        x, y = rng.choice(points), rng.choice(points)
+        assert _report(datum, x, y) == _oracle_wall_report(datum, x, y)
+    for x in points[:3]:
+        assert _report(datum, x, x) == (0, None, 0)
+
+
+def test_wall_report_all_counts_zero(data):
+    a2 = data("A2")
+    x, y = origin(a2), (F(1), F(0))
+    first = a2.positive_roots[0]
+    # the first positive root is 0 at both points, a wall through both
+    assert eval_root(a2, first, x) == eval_root(a2, first, y) == 0
+    assert all(wall_count(a2, x, y, root) == 0 for root in a2.positive_roots)
+    assert _report(a2, x, y) == _oracle_wall_report(a2, x, y) == (1, first, 0)
 
 
 _REFUSALS = {
