@@ -43,7 +43,6 @@ __all__ = [
     "eval_root",
     "parse_type",
     "positive_root_count",
-    "root_datum_to_dict",
     "validate_type",
     "weyl_degrees",
 ]
@@ -200,8 +199,6 @@ def _simple_norms(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
             if i != j and cartan[i][j] != 0 and norm2[j] is None:
                 norm2[j] = norm2[i] * Fraction(cartan[j][i], cartan[i][j])
                 queue.append(j)
-    if any(v is None for v in norm2):
-        raise InvalidTypeError("Dynkin diagram is disconnected")
     top = max(norm2)  # type: ignore[type-var]
     scaled = tuple(Fraction(2) * v / top for v in norm2)  # type: ignore[operator]
     return scaled
@@ -391,16 +388,3 @@ def weyl_degrees(datum: RootDatum) -> tuple[int, ...]:
     exponents.sort()
     return tuple(e + 1 for e in exponents)
 
-
-def root_datum_to_dict(datum: RootDatum) -> dict:
-    """JSON-ready view with canonical key order handled by the emitter."""
-    return {
-        "family": datum.rstype.family,
-        "rank": datum.rstype.rank,
-        "cartan_matrix": [list(row) for row in datum.cartan],
-        "positive_roots": [list(r) for r in datum.positive_roots],
-        "highest_root_coeffs": list(datum.highest_root_coeffs),
-        "two_rho_coeffs": list(datum.two_rho_coeffs),
-        "positive_root_count": len(datum.positive_roots),
-        "weyl_degrees": list(weyl_degrees(datum)),
-    }

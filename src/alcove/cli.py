@@ -1,7 +1,9 @@
 """Command line interface with deterministic json, csv, and markdown output.
 
-Every command hands its payload to _output, which adds the envelope
-(schema_version and command) and prints it in the chosen format.
+Every command builds its payload from the data the library returns,
+since the library serializes nothing, and hands it to _output, which
+adds the envelope (schema_version and command) and prints it in the
+chosen format.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid input,
 3 resource budget exhausted, 4 unexpected internal error.  Every error
@@ -19,19 +21,11 @@ from math import prod
 
 import click
 
-from .cartan import as_point, build_root_datum, parse_type, root_datum_to_dict, weyl_degrees
-from .distance import distance_report_to_dict, simplicial_distance, wall_distance
+from .cartan import as_point, build_root_datum, parse_type, weyl_degrees
+from .distance import simplicial_distance, wall_distance
 from .errors import ResourceError, ValidationError
-from .growth import (
-    _poly_dict,
-    ball_report_to_dict,
-    ball_sum,
-    bounds_table_to_dict,
-    cind_sandwich,
-    growth_exponent,
-    sandwich_report_to_dict,
-    theorem_table,
-)
+from .growth import ball_sum, cind_sandwich, growth_exponent, theorem_table
+from .qpoly import QPolynomial
 from .verify import SUITE_NAMES, run_suites
 
 SCHEMA_VERSION = "1"
@@ -132,6 +126,10 @@ _budget_option = click.option(
 )
 
 
+def _poly(poly: QPolynomial) -> dict:
+    return {"terms": poly.to_serializable(), "rendered": poly.render()}
+
+
 def _check_q(q_eval: int | None) -> None:
     if q_eval is not None and q_eval < 2:
         raise ValidationError("--q-eval must be at least 2")
@@ -153,7 +151,14 @@ def info(type_text: str, fmt: str) -> None:
     degrees = weyl_degrees(datum)
     data = {
         "type": str(datum.rstype),
-        **root_datum_to_dict(datum),
+        "family": datum.rstype.family,
+        "rank": datum.rstype.rank,
+        "cartan_matrix": [list(row) for row in datum.cartan],
+        "positive_roots": [list(r) for r in datum.positive_roots],
+        "highest_root_coeffs": list(datum.highest_root_coeffs),
+        "two_rho_coeffs": list(datum.two_rho_coeffs),
+        "positive_root_count": len(datum.positive_roots),
+        "weyl_degrees": list(degrees),
         "weyl_order": prod(degrees),
         "marks_lcm": datum.scale,
         "growth_exponent": str(growth_exponent(datum)),
@@ -174,8 +179,18 @@ def info(type_text: str, fmt: str) -> None:
 @_guarded
 def table(max_rank: int, fmt: str) -> None:
     """Growth exponents and dimension bounds for every irreducible type."""
-    data = {"max_classical_rank": max_rank, **bounds_table_to_dict(theorem_table(max_rank))}
-    _output("table", data, fmt, tabular=data["rows"])
+    rows = [
+        {
+            "type": str(row.rstype),
+            "rank": row.rank,
+            "num_positive_roots": row.num_positive_roots,
+            "growth_exponent": str(row.growth_exponent),
+            "cdim_lower": row.cdim_lower,
+            "cdim_upper": row.cdim_upper,
+        }
+        for row in theorem_table(max_rank).rows
+    ]
+    _output("table", {"max_classical_rank": max_rank, "rows": rows}, fmt, tabular=rows)
 
 
 @main.command()
@@ -205,11 +220,20 @@ def ball(
         raise ValidationError("cap level must be a positive integer")
     datum = build_root_datum(parse_type(type_text))
     report = ball_sum(datum, radius, budget=budget)
-    data = ball_report_to_dict(report)
     polys = {"lower": report.lower_poly, "upper": report.upper_poly, "gamma": report.gamma_poly}
     if level is not None:
         polys["quotient"] = report.quotient_poly(level)
-        data["quotient"] = {"level": level, **_poly_dict(polys["quotient"])}
+    data = {
+        "type": str(report.rstype),
+        "radius": report.radius,
+        "vertex_count_chamber": report.vertex_count_chamber,
+        "per_type_counts": list(report.per_type_counts),
+        "max_two_rho": str(report.max_two_rho),
+        "chamber_vertices": [[str(t) for t in point] for point in report.chamber_vertices],
+        **{key: _poly(poly) for key, poly in polys.items()},
+    }
+    if level is not None:
+        data["quotient"]["level"] = level
     if q_eval is not None:
         data["q_eval"] = {"q": q_eval, **{k: str(p.evaluate(q_eval)) for k, p in polys.items()}}
     _output("ball", data, fmt)
@@ -234,7 +258,11 @@ def distance(type_text: str, x_text: str, y_text: str, budget: int | None, fmt: 
         "type": str(datum.rstype),
         "x": [str(t) for t in x],
         "y": [str(t) for t in y],
-        "wall": distance_report_to_dict(report),
+        "wall": {
+            "d": report.d,
+            "witness_root": list(report.witness_root) if report.witness_root else None,
+            "wall_count": report.wall_count,
+        },
         "simplicial": {"d": simplicial, "max_depth": depth},
         "adjacent": report.d == 1,
     }
@@ -261,7 +289,23 @@ def sandwich(
     _check_q(q_eval)
     datum = build_root_datum(parse_type(type_text))
     report = cind_sandwich(datum, big_radius, level, budget=budget)
-    data = sandwich_report_to_dict(report)
+    data = {
+        "type": str(report.rstype),
+        "big_radius": report.big_radius,
+        "level": report.level,
+        "lower": {
+            "radius": report.lower_radius,
+            "divisor": report.lower_divisor,
+            "empty": report.lower_empty,
+            "poly": None if report.lower_poly is None else _poly(report.lower_poly),
+        },
+        "upper": {
+            "radius": report.upper_radius,
+            "level": report.upper_level,
+            "depth_zero_only": report.upper_depth_zero_only,
+            "poly": _poly(report.upper_poly),
+        },
+    }
     if q_eval is not None:
         lower = None
         if report.lower_poly is not None:

@@ -56,7 +56,6 @@ __all__ = [
     "DistanceReport",
     "adjacent",
     "apartment_ball",
-    "distance_report_to_dict",
     "integers_strictly_between",
     "iter_wall_ball_points",
     "simplicial_distance",
@@ -480,11 +479,3 @@ def simplicial_distances(
     """
     require_int(max_depth, "search depth must be a nonnegative integer", 0)
     return _bfs(datum, _vertex_scaled(datum, source), max_depth, _Budget(candidate_budget))
-
-
-def distance_report_to_dict(report: DistanceReport) -> dict:
-    return {
-        "d": report.d,
-        "witness_root": list(report.witness_root) if report.witness_root else None,
-        "wall_count": report.wall_count,
-    }

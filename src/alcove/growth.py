@@ -42,16 +42,13 @@ __all__ = [
     "BoundsRow",
     "BoundsTable",
     "SandwichReport",
-    "ball_report_to_dict",
     "ball_sum",
-    "bounds_table_to_dict",
     "cind_sandwich",
     "gamma_polynomial",
     "growth_exponent",
     "max_two_rho",
     "parabolic_shift",
     "quotient_ball_sum",
-    "sandwich_report_to_dict",
     "theorem_table",
 ]
 
@@ -384,59 +381,3 @@ def cind_sandwich(
         upper_poly=gamma_polynomial(datum) * upper,
         upper_depth_zero_only=True,
     )
-
-
-def _poly_dict(poly: QPolynomial) -> dict:
-    return {"terms": poly.to_serializable(), "rendered": poly.render()}
-
-
-def ball_report_to_dict(report: BallReport) -> dict:
-    return {
-        "type": str(report.rstype),
-        "radius": report.radius,
-        "vertex_count_chamber": report.vertex_count_chamber,
-        "per_type_counts": list(report.per_type_counts),
-        "max_two_rho": str(report.max_two_rho),
-        "gamma": _poly_dict(report.gamma_poly),
-        "lower": _poly_dict(report.lower_poly),
-        "upper": _poly_dict(report.upper_poly),
-        "chamber_vertices": [
-            [str(t) for t in point] for point in report.chamber_vertices
-        ],
-    }
-
-
-def bounds_table_to_dict(table: BoundsTable) -> dict:
-    return {
-        "rows": [
-            {
-                "type": str(row.rstype),
-                "rank": row.rank,
-                "num_positive_roots": row.num_positive_roots,
-                "growth_exponent": str(row.growth_exponent),
-                "cdim_lower": row.cdim_lower,
-                "cdim_upper": row.cdim_upper,
-            }
-            for row in table.rows
-        ]
-    }
-
-
-def sandwich_report_to_dict(report: SandwichReport) -> dict:
-    return {
-        "type": str(report.rstype),
-        "big_radius": report.big_radius,
-        "level": report.level,
-        "lower": {
-            "radius": report.lower_radius,
-            "divisor": report.lower_divisor,
-            "empty": report.lower_empty,
-            "poly": None if report.lower_poly is None else _poly_dict(report.lower_poly),
-        },
-        "upper": {
-            "radius": report.upper_radius,
-            "level": report.upper_level,
-            "depth_zero_only": report.upper_depth_zero_only,
-            "poly": _poly_dict(report.upper_poly),
-        },
-    }

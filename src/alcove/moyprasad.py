@@ -43,7 +43,6 @@ from .errors import (
 __all__ = [
     "ConcaveFunction",
     "IndexExponent",
-    "concave_function_to_dict",
     "filtration_contains",
     "index_exponent",
     "is_concave",
@@ -317,13 +316,3 @@ def filtration_contains(datum: RootDatum, x, r1: int, y, r2: int) -> bool:
         raise ValidationError("levels must satisfy r1 > r2 >= 0")
     (ax, ay), N = _numerators((as_point(datum, x), as_point(datum, y)))
     return max(map(abs, _tester(datum).root_values(list(map(sub, ax, ay))))) <= (r1 - r2) * N
-
-
-def concave_function_to_dict(f: ConcaveFunction) -> dict:
-    return {
-        "at_zero": str(f.at_zero),
-        "values": [
-            {"root": list(root), "value": str(value)}
-            for root, value in sorted(f.values.items())
-        ],
-    }

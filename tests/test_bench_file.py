@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import alcove
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 MACHINE = "# machine: Linux x86_64, Test CPU, 2 cpus, Python 3.11.7; src/alcove: 3000 lines"
 
@@ -51,7 +53,7 @@ def _canned(calls):
 def test_bench_file_summarizes_each_workload(tool):
     calls = []
     lines = {"src/alcove/cartan.py": 270, "total": 270}
-    content = tool.bench_file(7, _canned(calls), 2.0, ["census", "pairs"], lines)
+    content = tool.bench_file(7, _canned(calls), 2.0, ["census", "pairs"], lines, 74)
     assert calls == [
         (name, seed, 2.0, trace)
         for name in ("census", "pairs")
@@ -62,6 +64,7 @@ def test_bench_file_summarizes_each_workload(tool):
         7, 2.0, [1, 2, 3, 4, 5], 1
     )
     assert content["code_lines"] == lines
+    assert content["public_names"] == 74
     census = content["workloads"]["census"]
     assert (census["correct"], census["attempted"], census["failed"]) == (True, 500, 3)
     assert census["end_to_end"] == {
@@ -87,3 +90,21 @@ def test_src_code_lines_total(tool):
     lines = tool.src_code_lines()
     assert lines["total"] == sum(v for k, v in lines.items() if k != "total")
     assert "src/alcove/apartment.py" in lines
+
+
+def test_public_names_counts_the_package_exports(tool):
+    assert tool.public_names() == len(alcove.__all__)
+
+
+def test_public_names_reads_without_import(tool, monkeypatch, tmp_path):
+    """Only literal __all__ lists count, and no module is run: one that
+    would exit on import still gives its names."""
+    package = tmp_path / "src" / "alcove"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from . import a\n__all__: list[str] = []\n__all__ += a.__all__\n"
+    )
+    (package / "a.py").write_text('raise SystemExit(1)\n__all__ = ["x", "y"]\n')
+    (package / "b.py").write_text('"""No exports."""\n')
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    assert tool.public_names() == 2

@@ -18,7 +18,6 @@ from alcove import (
     make_function,
     parse_type,
     positive_root_count,
-    root_datum_to_dict,
     theorem_table,
     validate_type,
     weyl_degrees,
@@ -410,13 +409,34 @@ def test_inverse_denominator_is_abs_det():
                 assert sum(m[i][k] * rows[k][j] for k in range(d)) == (D if i == j else 0)
 
 
-def test_root_datum_to_dict_shape():
-    info = root_datum_to_dict(build_root_datum(parse_type("G2")))
-    assert info["family"] == "G"
-    assert info["rank"] == 2
-    assert info["positive_root_count"] == 6
-    assert info["weyl_degrees"] == [2, 6]
-    assert info["highest_root_coeffs"] == [3, 2]
+@pytest.mark.parametrize(
+    "name,fault,message",
+    [
+        (
+            "positive_root_count",
+            lambda rstype: 4,
+            "closure produced 3 positive roots for A2, expected 4",
+        ),
+        (
+            "_generate_positive_roots",
+            lambda matrix: [(1, 1), (1, 0), (0, 1)],
+            "highest root fails to dominate some positive root",
+        ),
+        (
+            "_simple_norms",
+            lambda matrix: (Fraction(1), Fraction(1)),
+            "coroot pairing with the highest root is not integral",
+        ),
+    ],
+    ids=["closure-count", "highest-root", "coroot-row"],
+)
+def test_build_self_checks_fire(monkeypatch, name, fault, message):
+    """build_root_datum's three self-checks: a wrong closure count, a
+    last root that fails to dominate, and a non-integral highest coroot
+    row each raise AssertionError, the internal-error exit of the CLI."""
+    monkeypatch.setattr(cartan, name, fault)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        build_root_datum(parse_type("A2"))
 
 
 def test_root_index_tells_roots_and_positive_roots():

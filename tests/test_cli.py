@@ -39,6 +39,28 @@ def test_info_g2():
     assert payload["highest_root_coeffs"] == [3, 2]
 
 
+def test_info_payload_shape():
+    info = _json("info", "--type", "G2")
+    assert info["family"] == "G"
+    assert info["rank"] == 2
+    assert info["positive_root_count"] == 6
+    assert info["weyl_degrees"] == [2, 6]
+    assert info["highest_root_coeffs"] == [3, 2]
+
+
+def test_report_payload_shapes():
+    ball = _json("ball", "--type", "A2", "--radius", "1")
+    assert ball["type"] == "A2"
+    assert ball["lower"]["rendered"] == "3"
+    assert ball["per_type_counts"] == [1, 1, 1]
+    table = _json("table", "--max-rank", "2")
+    assert table["rows"][0]["type"] == "A1"
+    sandwich = _json("sandwich", "--type", "A2", "--R", "0", "--r", "4")
+    assert sandwich["lower"]["radius"] == 2
+    assert sandwich["upper"]["level"] == 5
+    assert sandwich["upper"]["depth_zero_only"] is True
+
+
 def test_output_is_deterministic():
     for args in (
         ("table", "--max-rank", "4"),

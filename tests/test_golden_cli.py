@@ -95,6 +95,11 @@ GOLDEN = [
         "d2ad973a7c50cd693bcb5452b94f5d39259807f2e6d8bbed027b27649bd12cb9",
     ),
     (
+        # a vertex to itself: wall d 0 and the witness root null
+        "distance --type A2 --x 0,0 --y 0,0",
+        "6262e51d0e1b86a0995129370e7d89366cce5e293dc6de35a5c645566c7e5cdf",
+    ),
+    (
         # the lower bound is empty: its polynomial is the empty csv cell
         "sandwich --type A2 --R 0 --r 1 --format csv",
         "0052667f658a758711a8f4188f400a24d3dfc6841f14bda2c136dfeebbb59a06",

@@ -12,9 +12,7 @@ from alcove import (
     EnumerationLimitError,
     QPolynomial,
     ValidationError,
-    ball_report_to_dict,
     ball_sum,
-    bounds_table_to_dict,
     build_root_datum,
     cind_sandwich,
     gamma_polynomial,
@@ -25,7 +23,6 @@ from alcove import (
     parse_type,
     quotient_ball_sum,
     quotient_exponents,
-    sandwich_report_to_dict,
     theorem_table,
     weyl_degrees,
 )
@@ -371,20 +368,6 @@ def test_sandwich_validation(data):
 def test_ball_budget_error(data):
     with pytest.raises(EnumerationLimitError):
         ball_sum(data("G2"), 3, budget=2)
-
-
-def test_report_dict_shapes(data):
-    a2 = data("A2")
-    ball = ball_report_to_dict(ball_sum(a2, 1))
-    assert ball["type"] == "A2"
-    assert ball["lower"]["rendered"] == "3"
-    assert ball["per_type_counts"] == [1, 1, 1]
-    table = bounds_table_to_dict(theorem_table(2))
-    assert table["rows"][0]["type"] == "A1"
-    sandwich = sandwich_report_to_dict(cind_sandwich(a2, 0, 4))
-    assert sandwich["lower"]["radius"] == 2
-    assert sandwich["upper"]["level"] == 5
-    assert sandwich["upper"]["depth_zero_only"] is True
 
 
 @pytest.fixture

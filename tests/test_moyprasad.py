@@ -33,7 +33,7 @@ from alcove import (
     shift,
     wall_distance,
 )
-from alcove.moyprasad import _addition_table, concave_function_to_dict
+from alcove.moyprasad import _addition_table
 
 
 def F(a, b=1):
@@ -220,16 +220,6 @@ def test_filtration_bridge_small(data):
     assert filtration_contains(b2, o, d + 2, y, 2)
 
 
-def test_concave_function_to_dict(data):
-    a1 = data("A1")
-    payload = concave_function_to_dict(point_function(a1, (F(1, 2),)))
-    assert payload["at_zero"] == "0"
-    assert payload["values"] == [
-        {"root": [-1], "value": "1/2"},
-        {"root": [1], "value": "-1/2"},
-    ]
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["A2", "B2", "G2"]), st.data())
 def test_concavity_closure(name, draw):
@@ -381,7 +371,7 @@ def test_function_checked_when_built():
     assert type(f.at_zero) is Fraction and f.at_zero == 1
     assert all(type(v) is Fraction for v in f.values.values())
     assert shift(f, 1) == ConcaveFunction(at_zero=F(2), values={(1,): F(3, 2), (-1,): F(1)})
-    assert concave_function_to_dict(f)["values"][1]["value"] == "1/2"
+    assert f.values[(1,)] == F(1, 2)
 
 
 def test_built_values_stay_checked(data):
@@ -449,7 +439,6 @@ def test_integer_functions_match_fraction_formulas(data, name):
             assert all(type(v) is Fraction for v in f.values.values())
             built = ConcaveFunction(at_zero=at_zero, values=values)
             assert repr(f) == repr(built)
-            assert concave_function_to_dict(f) == concave_function_to_dict(built)
             assert f == built and f.values == built.values
 
 

@@ -9,13 +9,15 @@ the first seed for the per-layer metrics.
 The file records the runner's "# machine:" line, the seeds, each
 workload's correctness and operations attempted and failed over its
 end-to-end runs, each end-to-end metric's median, min and max over
-those runs, the traced run's per-layer values, and the code lines of
-each module of src/alcove (tools/code_lines.py) with their total.
+those runs, the traced run's per-layer values, the code lines of each
+module of src/alcove (tools/code_lines.py) with their total, and the
+number of public names its modules export.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -55,7 +57,9 @@ def summarize(reports: list[dict]) -> dict:
     return summary
 
 
-def bench_file(pr: int, run: Runner, seconds: float, names: list[str], lines: dict) -> dict:
+def bench_file(
+    pr: int, run: Runner, seconds: float, names: list[str], lines: dict, public: int
+) -> dict:
     """The BENCH file's content, from run's output on each workload."""
     workloads = {}
     for name in names:
@@ -76,6 +80,7 @@ def bench_file(pr: int, run: Runner, seconds: float, names: list[str], lines: di
         "seeds": list(SEEDS),
         "trace_seed": SEEDS[0],
         "code_lines": lines,
+        "public_names": public,
         "workloads": workloads,
     }
 
@@ -87,6 +92,19 @@ def src_code_lines() -> dict:
         for path in sorted((ROOT / "src" / "alcove").rglob("*.py"))
     }
     return {**counts, "total": sum(counts.values())}
+
+
+def public_names() -> int:
+    """Total length of the literal __all__ lists of src/alcove's
+    modules, read with ast: no module is imported."""
+    return sum(
+        len(node.value.elts)
+        for path in (ROOT / "src" / "alcove").rglob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.List)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,7 +127,9 @@ def main(argv: list[str] | None = None) -> int:
         return done.stdout
 
     names = [workload["name"] for workload in spec["workloads"]]
-    content = bench_file(args.pr, run, spec["run_seconds"], names, src_code_lines())
+    content = bench_file(
+        args.pr, run, spec["run_seconds"], names, src_code_lines(), public_names()
+    )
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(content, indent=2) + "\n")
     print(out)
