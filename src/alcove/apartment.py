@@ -34,10 +34,12 @@ common denominator: datum.scale (the lcm of the marks) for vertices,
 the lcm of the input denominators for arbitrary rational points.  The
 grid walker, the vertex test and the fold all work on those integers;
 Fraction appears only at the public edge, where arguments come in and
-results go out.  Every public walker yields through one helper that
-reads a walk's Fractions from a memo of its own, so a walk builds one
-Fraction per distinct numerator it yields, and a walk's points are
-sorted on their integer tuples.
+results go out.  The grid walk is plain recursion that fills one list
+and spends its budget once per run of leaves along the last
+coordinate; every public walker is a generator over that list, which
+yields through one helper that reads a walk's Fractions from a memo of
+its own, so a walk builds one Fraction per distinct numerator it
+yields, and a walk's points are sorted on their integer tuples.
 """
 
 from __future__ import annotations
@@ -536,47 +538,51 @@ def _walk(
     hi: tuple[int, ...],
     state: _Budget,
     top: int | None = None,
-) -> Iterator[tuple[int, ...]]:
+) -> list[tuple[int, ...]]:
     """Vertices a with lo <= a <= hi, each once, as integer tuples in
     1/scale units; with top, only those with alpha_0(a) <= top.
 
     Each maximal denominator c's grid, of step scale // c, is walked
     within ceil(lo / step) and floor(hi / step), and top // step caps
     marks . (a / step), pruning the walk to the simplex; the marks are
-    positive, so the cap needs lo = 0, as rC has.  Every grid leaf
-    spends one unit of state, before the dedupe; each public walker
-    hands the walk a budget of its own.  At the grid point z the walk
-    holds the tester's packed values alpha(z mod c) of every root, one
-    add per coordinate step, and drops a leaf whose integral-root count
-    is no corner's before it builds the leaf's tuple; a new leaf that
-    passes is kept when the tester's residue_type puts it on an alcove
-    corner.
+    positive, so the cap needs lo = 0, as rC has.  The walk is plain
+    recursion that appends to one list.  It spends state once per run of
+    leaves along the last coordinate, one unit a leaf, before the dedupe;
+    each public walker hands the walk a budget of its own.  At the grid
+    point z the walk holds the tester's packed values alpha(z mod c) of
+    every root, one add per coordinate step, and drops a leaf whose
+    integral-root count is no corner's before it builds the leaf's tuple;
+    a new leaf that passes is kept when the tester's residue_type puts it
+    on an alcove corner.
     """
     tester = _tester(datum)
     marks = datum.highest_root_coeffs
-    N, d = datum.scale, datum.rank
-    coords = [0] * d
-    seen: set[tuple[int, ...]] = set()
+    N, last = datum.scale, datum.rank - 1
+    coords = [0] * datum.rank  # the scaled coordinates of the grid point
+    found: dict[tuple[int, ...], None] = {}  # the vertices as an insertion-ordered set
 
     # walk reads the grid of the loop below: c, step, contrib and count
-    def walk(j: int, room: int, packed: int) -> Iterator[tuple[int, ...]]:
-        if j == d:
-            state.spend()
-            if count(packed) in tester.corner_counts:
-                a = tuple([v * step for v in coords])
-                if a not in seen and tester.residue_type(tuple([v % N for v in a])) is not None:
-                    seen.add(a)
-                    yield a
-            return
+    def walk(j: int, room: int, packed: int) -> None:
         high = hi[j] // step
         if top is not None:
             high = min(high, room // marks[j])
-        for v in range(-(-lo[j] // step), high + 1):
-            coords[j] = v
-            yield from walk(j + 1, room - marks[j] * v, packed + contrib[j][v % c])
+        run, row = range(-(-lo[j] // step), high + 1), contrib[j]
+        if j < last:
+            for v in run:
+                coords[j] = v * step
+                walk(j + 1, room - marks[j] * v, packed + row[v % c])
+            return
+        state.spend(len(run))
+        for v in run:
+            if count(packed + row[v % c]) in tester.corner_counts:
+                coords[j] = v * step
+                a = tuple(coords)
+                if a not in found and tester.residue_type(tuple([u % N for u in a])) is not None:
+                    found[a] = None
 
     for c, step, contrib, count in tester.grids:
-        yield from walk(0, 0 if top is None else top // step, 0)
+        walk(0, 0 if top is None else top // step, 0)
+    return list(found)
 
 
 def iter_scaled_alcove_vertices(

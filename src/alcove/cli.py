@@ -223,13 +223,17 @@ def ball(
     polys = {"lower": report.lower_poly, "upper": report.upper_poly, "gamma": report.gamma_poly}
     if level is not None:
         polys["quotient"] = report.quotient_poly(level)
+    # the chamber vertices as the census's sorted integer tuples over the
+    # scale, with one string per distinct numerator
+    vertices = report.census.vertices
+    text = {v: str(Fraction(v, datum.scale)) for v in set().union(*vertices)}
     data = {
         "type": str(report.rstype),
         "radius": report.radius,
         "vertex_count_chamber": report.vertex_count_chamber,
         "per_type_counts": list(report.per_type_counts),
         "max_two_rho": str(report.max_two_rho),
-        "chamber_vertices": [[str(t) for t in point] for point in report.chamber_vertices],
+        "chamber_vertices": [list(map(text.__getitem__, a)) for a in vertices],
         **{key: _poly(poly) for key, poly in polys.items()},
     }
     if level is not None:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable
 
 from .apartment import (
@@ -57,10 +57,19 @@ def gamma_polynomial(datum: RootDatum) -> QPolynomial:
     """q^(number of positive roots) times the product of q^d - 1 over
     the invariant degrees d.  This is the point count of the finite
     group scheme attached to one vertex, up to the torus factor."""
-    poly = QPolynomial.monomial(len(datum.positive_roots))
+    return _times_gamma(datum, QPolynomial.one())
+
+
+def _times_gamma(datum: RootDatum, poly: QPolynomial) -> QPolynomial:
+    """poly times gamma_polynomial(datum), on dense coefficient lists: a
+    shift by q^(number of positive roots), then one shift-and-subtract
+    per invariant degree d, as p (q^d - 1) = q^d p - p."""
+    terms = dict(poly.term_list())
+    coeffs = [terms.get(e, 0) for e in range(max(terms, default=-1) + 1)]
+    coeffs = [0] * len(datum.positive_roots) + coeffs
     for degree in weyl_degrees(datum):
-        poly = poly * (QPolynomial.monomial(degree) - 1)
-    return poly
+        coeffs = list(map(sub, [0] * degree + coeffs, coeffs + [0] * degree))
+    return QPolynomial({e: c for e, c in enumerate(coeffs) if c})
 
 
 def growth_exponent(datum: RootDatum) -> Fraction:
@@ -82,15 +91,17 @@ class _Census:
     is ceil(alpha(x)) > l, so the quotient exponent capped at cap counts
     those top bits over l = 1..min(cap, r) - 1 (no level exceeds r).
 
-    The walk is the public iterator, not apartment._walk, although that
-    costs a Fraction round trip per vertex: bench/spans.py counts walks
+    The walk is the public iterator, a generator over the list that
+    apartment._walk returns, not _walk itself, although that costs a
+    Fraction round trip per vertex: bench/spans.py counts walks
     and vertices at iter_scaled_alcove_vertices, and bench/worker.py's
     layer_metrics divides apartment.vertices by apartment.walk_s.  In the
     census and search workloads the CLI ball calls through this class
     are the only walks the tracer sees before that division, so a census
     on _walk would make a traced run of either raise ZeroDivisionError.
     The move must land in the same change as the benchmark's engine
-    meters.
+    meters.  The CLI's ball writes its chamber vertices from vertices,
+    one string per distinct numerator.
     """
 
     def __init__(self, datum: RootDatum, r: int, budget: int | None):
@@ -245,15 +256,14 @@ def ball_sum(
     """
     census = _Census(datum, r, budget)
     lower = census.exponent_poly(None)
-    gamma = gamma_polynomial(datum)
     return BallReport(
         rstype=datum.rstype,
         radius=r,
         vertex_count_chamber=len(census.vertices),
         per_type_counts=_type_counts(datum, census.vertices),
         lower_poly=lower,
-        upper_poly=gamma * lower,
-        gamma_poly=gamma,
+        upper_poly=_times_gamma(datum, lower),
+        gamma_poly=gamma_polynomial(datum),
         max_two_rho=_two_rho_max(datum, census),
         chamber_vertices=census.points,
         census=census,
@@ -378,6 +388,6 @@ def cind_sandwich(
         lower_empty=lower_poly is None,
         upper_radius=upper_radius,
         upper_level=r + 1,
-        upper_poly=gamma_polynomial(datum) * upper,
+        upper_poly=_times_gamma(datum, upper),
         upper_depth_zero_only=True,
     )

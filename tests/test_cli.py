@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import alcove.verify
+from alcove import ball_sum
 from alcove.cli import main
 
 
@@ -102,6 +103,16 @@ def test_ball_json():
     assert payload["q_eval"]["lower"] == "24"
     gamma_at_3 = 3**8 - 3**6 - 3**5 + 3**3
     assert payload["q_eval"]["upper"] == str(24 * gamma_at_3)
+
+
+@pytest.mark.parametrize("name,r", [("G2", 6), ("F4", 3), ("C4", 4), ("E8", 2)])
+def test_ball_chamber_vertex_strings(data, name, r):
+    # the payload's strings, one per distinct numerator of the census,
+    # against str of every coordinate of the report's Fraction points
+    payload = _json("ball", "--type", name, "--radius", str(r))
+    report = ball_sum(data(name), r)
+    assert payload["chamber_vertices"] == [[str(t) for t in p] for p in report.chamber_vertices]
+    assert any("/" in t for p in payload["chamber_vertices"] for t in p)
 
 
 def test_ball_level_block():

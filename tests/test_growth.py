@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import ceil, prod
 
 import pytest
@@ -13,21 +13,19 @@ from alcove import (
     QPolynomial,
     ValidationError,
     ball_sum,
-    build_root_datum,
     cind_sandwich,
     gamma_polynomial,
     growth_exponent,
     iter_scaled_alcove_vertices,
     max_two_rho,
     parabolic_shift,
-    parse_type,
     quotient_ball_sum,
     quotient_exponents,
     theorem_table,
     weyl_degrees,
 )
 from alcove.apartment import _VertexTester
-from alcove.cartan import RootSystemType, _generate_positive_roots, eval_root
+from alcove.cartan import _generate_positive_roots, eval_root
 from alcove.cli import main
 from alcove.growth import _capped_census, _Census
 
@@ -80,6 +78,35 @@ def test_gamma_degree_and_sign(data):
         order = prod(weyl_degrees(datum))
         # q^[pos] prod (q^d - 1) ~ order * (q-1)^rank near q=1
         assert gamma.evaluate(2) > 0
+
+
+def _oracle_gamma(datum):
+    """The QPolynomial product loop gamma_polynomial replaced, kept as an
+    oracle: q^(number of positive roots) times q^d - 1 for each degree d."""
+    poly = QPolynomial.monomial(len(datum.positive_roots))
+    for degree in weyl_degrees(datum):
+        poly = poly * (QPolynomial.monomial(degree) - 1)
+    return poly
+
+
+@pytest.mark.parametrize("name", [str(row.rstype) for row in theorem_table(8).rows])
+def test_gamma_matches_product_oracle(data, name):
+    datum = data(name)
+    gamma = _oracle_gamma(datum)
+    assert gamma_polynomial(datum) == gamma
+    for r in (0, 1, 2):
+        report = ball_sum(datum, r)
+        assert report.upper_poly == gamma * report.lower_poly, r
+
+
+@pytest.mark.parametrize(
+    "name,R,r", [("A2", 0, 5), ("A3", 1, 3), ("G2", 0, 1), ("B2", 0, 2), ("C3", 0, 1)]
+)
+def test_sandwich_upper_matches_product_oracle(data, name, R, r):
+    datum = data(name)
+    report = cind_sandwich(datum, R, r)
+    census = _capped_census(datum, report.upper_radius, report.upper_level, None)
+    assert report.upper_poly == _oracle_gamma(datum) * census
 
 
 GROWTH = {
