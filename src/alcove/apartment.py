@@ -18,10 +18,12 @@ grid points of the closed alcove when the datum's tester is built: it
 is folded only when the certificate's entry is ambiguous, and
 invariants no alcove point has are no vertex's.  Since the integral
 count is such an invariant, the grid walk drops a leaf whose count is
-no corner's before it builds the leaf's tuple.  The count is read on
-the grid of a maximal denominator c (a mark that divides no other), of
-step 1/c, which holds every vertex whose type's mark divides c; a point
-on no such grid is no vertex.  At
+no corner's before it builds the leaf's tuple, and on a memo miss hands
+the count it has read to the certificate.  The class is read off the
+fewest rows of the inverse Cartan matrix that tell the classes apart,
+at most two.  The count is read on the grid of a maximal denominator c
+(a mark that divides no other), of step 1/c, which holds every vertex
+whose type's mark divides c; a point on no such grid is no vertex.  At
 z / c, a root alpha is integral iff alpha(z mod c) = 0 mod c, a value of
 at most height(theta) (c - 1), one byte on every exceptional type: the
 values of all roots pack into byte lanes of one integer, and one
@@ -39,7 +41,8 @@ and spends its budget once per run of leaves along the last
 coordinate; every public walker is a generator over that list, which
 yields through one helper that reads a walk's Fractions from a memo of
 its own, so a walk builds one Fraction per distinct numerator it
-yields, and a walk's points are sorted on their integer tuples.
+yields, and a walk's points are sorted on their integer tuples.  The
+fold returns its points through the same helper.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator
@@ -119,22 +123,21 @@ def scaled_coords(datum: RootDatum, x) -> tuple[int, ...] | None:
 
 
 def _grid_coords(point: Point, scale: int) -> tuple[int, ...] | None:
-    """Numerators of point over scale, or None when off that grid."""
+    """Numerators of point over scale, or None when off that grid; each
+    coordinate is read once, as its integer ratio."""
+    a = []
     for t in point:
-        if scale % t.denominator:
+        n, m = t.as_integer_ratio()
+        if scale % m:
             return None
-    return _scaled(point, scale)
-
-
-def _scaled(point: Point, scale: int) -> tuple[int, ...]:
-    """Numerators of point over scale, which its denominators divide."""
-    return tuple([t.numerator * (scale // t.denominator) for t in point])
+        a.append(n * (scale // m))
+    return tuple(a)
 
 
 def _numerators(points: tuple[Point, ...]) -> tuple[list[list[int]], int]:
     """The points as integer lists over the lcm N of their denominators."""
     N = lcm(*(t.denominator for p in points for t in p))
-    return [list(_scaled(p, N)) for p in points], N
+    return [list(_grid_coords(p, N)) for p in points], N
 
 
 class _VertexTester:
@@ -147,7 +150,13 @@ class _VertexTester:
     (coweight_class) permutes the types as it acts on the extended
     diagram.  Each (class, type) shift is read from the first vertex
     met with that class and type; all are trivial when inverse_denom is
-    1 (E8, F4, G2).
+    1 (E8, F4, G2).  A class is read off class_rows, the fewest rows of
+    the integer inverse Cartan matrix whose values mod inverse_denom
+    tell the classes apart, found when the tester is built by listing
+    the classes (the sums of the matrix's columns mod inverse_denom) and
+    taking the first set of rows that is injective on them: one row, two
+    on D_n with n even, none where P^v = Q^v.  Both the shifts and the
+    certificate's keys read the class this way.
 
     A memo or shift miss is typed by the certificate alone: the
     invariants (count, den, cls) of every point of (1/c)P^v in the
@@ -156,7 +165,11 @@ class _VertexTester:
     it.  Only an ambiguous entry is folded; invariants no such point has
     are no vertex's.  Here count is the number of positive roots
     integral at the point (None off every maximal grid), den the least
-    D with D x in P^v, and cls the class of den x in P^v/Q^v.
+    D with D x in P^v, and cls the class of den x in P^v/Q^v.  For x =
+    a / N, den is N // gcd(N, *a), one gcd, as g -> N / g turns the gcd
+    of divisors of N into their lcm.  The grid walk has read a leaf's
+    count in its screen, and passes it on to the certificate on a memo
+    miss, which then reads no count of its own.
     W_aff = W |x Q^v keeps all three: W acts on t-coordinates by integer
     matrices with integer inverses and permutes the roots, and acts
     trivially on P^v/Q^v; a Q^v translation adds integers, and den Q^v
@@ -175,8 +188,9 @@ class _VertexTester:
     alpha; and count, the _lane_counter of the lanes that hold multiples
     of c; the corners' integral-root counts, by which the grid walk
     screens its leaves; the inverse Cartan matrix as integer rows over
-    inverse_denom = |det C|; each wall's reflection as the sparse column
-    of (coordinate, coefficient) pairs it changes, simple walls first;
+    inverse_denom = |det C|, and the class rows taken from it; each
+    wall's reflection as the sparse column of (coordinate, coefficient)
+    pairs it changes, simple walls first;
     and the certificate, built with the tester."""
 
     def __init__(self, datum: RootDatum):
@@ -210,7 +224,22 @@ class _VertexTester:
         self.memo: dict[tuple[int, ...], int | None] = {}
         self.shifts: dict[tuple[tuple[int, ...], int], int] = {}
         cartan = datum.cartan
-        self.inverse_rows, self.inverse_denom = _integer_inverse(datum)
+        self.inverse_rows, D = _integer_inverse(datum)
+        self.inverse_denom = D
+        # the classes of P^v/Q^v as full tuples inverse_rows . lam mod D: the sums
+        # of the columns, listed until all D = |P^v/Q^v| of them are met
+        classes = {(0,) * d}
+        for column in zip(*self.inverse_rows):
+            if len(classes) == D:
+                break
+            classes = {tuple([(u + k * w) % D for u, w in zip(x, column)]) for x in classes
+                       for k in range(D)}
+        self.class_rows = next(
+            [self.inverse_rows[i] for i in rows]
+            for k in range(d + 1)
+            for rows in combinations(range(d), k)
+            if len({tuple([x[i] for i in rows]) for x in classes}) == len(classes)
+        )
         self.reflections = [
             [(j, cartan[j][i]) for j in range(d) if cartan[j][i]] for i in range(d)
         ] + [[(j, c) for j, c in enumerate(datum.alpha0_coroot_row) if c]]
@@ -235,12 +264,13 @@ class _VertexTester:
                 return count(sum([row[v // step] for row, v in zip(contrib, key)]))
         return None
 
-    def residue_type(self, key: tuple[int, ...]) -> int | None:
+    def residue_type(self, key: tuple[int, ...], count: int | None = None) -> int | None:
         """Type of the vertex key / scale for a residue key in [0, scale)^d,
         or None when it is no vertex: the memo's, else the certificate's,
-        which is then memoized."""
+        which is then memoized.  A caller that has read key's integral-root
+        count, as the grid walk has, passes it on to the certificate."""
         if key not in self.memo:
-            self.memo[key] = self.certified_type(key)
+            self.memo[key] = self.certified_type(key, count)
         return self.memo[key]
 
     def alcove_points(self) -> list[tuple[int, ...]]:
@@ -258,25 +288,26 @@ class _VertexTester:
 
     def coweight_class(self, lam) -> tuple[int, ...]:
         """The class in P^v/Q^v of the integer coweight lam, as
-        inverse_rows . lam mod inverse_denom; empty when inverse_denom is 1."""
+        class_rows . lam mod inverse_denom; empty when inverse_denom is 1."""
         D = self.inverse_denom
-        return tuple([sum(map(mul, row, lam)) % D for row in self.inverse_rows]) if D > 1 else ()
+        return tuple([sum(map(mul, row, lam)) % D for row in self.class_rows])
 
-    def invariants(self, a) -> tuple[int | None, int, tuple[int, ...]]:
+    def invariants(self, a, count: int | None = None) -> tuple[int | None, int, tuple[int, ...]]:
         """(count, den, cls) of a / scale, the certificate's key: its
-        integral-root count (None off every maximal grid), its exact
-        denominator and the class of den a / scale in P^v/Q^v."""
+        integral-root count (None off every maximal grid; read here unless
+        given), its exact denominator and the class of den a / scale in
+        P^v/Q^v."""
         N = self.datum.scale
-        den = lcm(*[N // gcd(N, v) for v in a])
+        den = N // gcd(N, *a)
         cls = self.coweight_class([v * den // N for v in a])
-        return self.grid_count([v % N for v in a]), den, cls
+        return count if count is not None else self.grid_count([v % N for v in a]), den, cls
 
-    def certified_type(self, a) -> int | None:
+    def certified_type(self, a, count: int | None = None) -> int | None:
         """Type of a / scale, or None when it is no vertex: the
         certificate's, or on an ambiguous entry the corner a fold of a
         lands on.  It is None for invariants no alcove point has, and for
         every integral-root count no corner has."""
-        t = self.certificate.get(self.invariants(a))
+        t = self.certificate.get(self.invariants(a, count))
         if t == _AMBIGUOUS:
             p = list(a)
             _fold(self.datum, [p], self.datum.scale)
@@ -293,7 +324,9 @@ class _VertexTester:
         memo's type of its residue, shifted by the class of a // scale."""
         N = self.datum.scale
         i = self.residue_type(tuple([v % N for v in a]))
-        if i is None or not any(cls := self.coweight_class([v // N for v in a])):
+        if i is None or not self.class_rows:
+            return i
+        if not any(cls := self.coweight_class([v // N for v in a])):
             return i
         j = self.shifts.get((cls, i))
         if j is None:
@@ -440,7 +473,7 @@ def _fold(datum: RootDatum, pts: list[list[int]], N: int) -> int:
 def _folded_points(datum: RootDatum, points: tuple[Point, ...]) -> tuple[Point, ...]:
     pts, N = _numerators(points)
     _fold(datum, pts, N)
-    return tuple(tuple(Fraction(v, N) for v in p) for p in pts)
+    return tuple(_as_points(N, pts))
 
 
 def fold_to_alcove(datum: RootDatum, x) -> Point:
@@ -482,7 +515,7 @@ def _sorted_walk(
     """The integer tuples over scale of a walk's points, sorted, and the
     points in that order: one denominator orders the integers as it
     orders the Fraction tuples."""
-    points = {_scaled(x, scale): x for x in walk}
+    points = {_grid_coords(x, scale): x for x in walk}
     vertices = sorted(points)
     return vertices, tuple(map(points.__getitem__, vertices))
 
@@ -552,8 +585,8 @@ def _walk(
     point z the walk holds the tester's packed values alpha(z mod c) of
     every root, one add per coordinate step, and drops a leaf whose
     integral-root count is no corner's before it builds the leaf's tuple;
-    a new leaf that passes is kept when the tester's residue_type puts it
-    on an alcove corner.
+    a new leaf that passes is kept when the tester's residue_type, handed
+    that count, puts it on an alcove corner.
     """
     tester = _tester(datum)
     marks = datum.highest_root_coeffs
@@ -574,10 +607,10 @@ def _walk(
             return
         state.spend(len(run))
         for v in run:
-            if count(packed + row[v % c]) in tester.corner_counts:
+            if (n := count(packed + row[v % c])) in tester.corner_counts:
                 coords[j] = v * step
                 a = tuple(coords)
-                if a not in found and tester.residue_type(tuple([u % N for u in a])) is not None:
+                if a not in found and tester.residue_type(tuple([u % N for u in a]), n) is not None:
                     found[a] = None
 
     for c, step, contrib, count in tester.grids:

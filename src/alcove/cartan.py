@@ -295,8 +295,10 @@ def _integer_inverse(datum: RootDatum) -> tuple[list[list[int]], int]:
 
 def as_point(datum: RootDatum, values: Iterable) -> Point:
     """values as exact coordinates t_i = alpha_i(x), one per simple root."""
-    # text would be read character by character, sets and mappings in no fixed order
-    if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
+    # text would be read character by character, sets and mappings in no fixed order;
+    # a plain tuple or list is none of these, so it skips the slower ABC checks
+    plain = type(values) in (tuple, list)
+    if not plain and isinstance(values, (str, bytes, bytearray, Set, Mapping)):
         raise ValidationError(f"a {type(values).__name__} is not a point")
     point = tuple(map(_rational, _items(values, "a point")))
     if len(point) != datum.rank:

@@ -69,7 +69,7 @@ def _times_gamma(datum: RootDatum, poly: QPolynomial) -> QPolynomial:
     coeffs = [0] * len(datum.positive_roots) + coeffs
     for degree in weyl_degrees(datum):
         coeffs = list(map(sub, [0] * degree + coeffs, coeffs + [0] * degree))
-    return QPolynomial({e: c for e, c in enumerate(coeffs) if c})
+    return QPolynomial._trusted(dict(enumerate(coeffs)))
 
 
 def growth_exponent(datum: RootDatum) -> Fraction:
@@ -115,7 +115,7 @@ class _Census:
         """Sum of q^e over the vertices, e the quotient exponent capped at
         cap (None: uncapped)."""
         biases = self.biases if cap is None else self.biases[: cap - 1]
-        return QPolynomial(Counter(_exponents(self.top, biases, self.packed)))
+        return QPolynomial._trusted(Counter(_exponents(self.top, biases, self.packed)))
 
 
 def _level_lanes(datum: RootDatum, bound: int, levels: int) -> tuple[list[int], int, list[int]]:
@@ -209,7 +209,7 @@ def _capped_census(datum: RootDatum, R: int, cap: int, budget: int | None) -> QP
             weight = {t: sum([c * P[m - t] for m, c in hist if m >= t]) for t in ts_met}
             for (e, t), count in pairs.items():
                 terms[e] += count * weight[t]
-    return QPolynomial(terms)
+    return QPolynomial._trusted(terms)
 
 
 def _two_rho_max(datum: RootDatum, census: _Census) -> Fraction:

@@ -3,7 +3,10 @@
 Cardinalities of filtration quotients over a residue field of size q
 are polynomials in q with nonnegative integer coefficients; keeping
 them symbolic keeps every bound exact for all prime powers at once.
-Sparse dict representation, arbitrary-precision coefficients.
+Sparse dict representation, arbitrary-precision coefficients.  The
+public constructor checks every term; the polynomials the library
+builds itself, here and in growth, go through one trusted constructor
+that skips those checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ def _operand(method):
     @wraps(method)
     def coerced(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            other = QPolynomial({0: other})
+            other = QPolynomial._trusted({0: other})
         elif not isinstance(other, QPolynomial):
             return NotImplemented
         return method(self, other)
@@ -59,26 +62,22 @@ class QPolynomial:
         object.__setattr__(self, "_terms", {e: c for e, c in given.items() if c})
 
     @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls()
+    def _trusted(cls, terms: Mapping[int, int]) -> "QPolynomial":
+        """A polynomial on terms the library built itself, nonnegative int
+        exponents to int coefficients: zeros are dropped, nothing is checked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     @classmethod
     def one(cls) -> "QPolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "QPolynomial":
-        return cls({exponent: coefficient})
+        return cls._trusted({0: 1})
 
     @property
     def degree(self):
         """Largest exponent with a nonzero coefficient; -inf for the zero
         polynomial."""
         return max(self._terms) if self._terms else NEG_INFINITY
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self._terms[max(self._terms)] if self._terms else 0
 
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)
@@ -99,20 +98,16 @@ class QPolynomial:
         terms = dict(self._terms)
         for exponent, coefficient in other._terms.items():
             terms[exponent] = terms.get(exponent, 0) + coefficient
-        return QPolynomial(terms)
+        return QPolynomial._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial({e: -c for e, c in self._terms.items()})
+        return QPolynomial._trusted({e: -c for e, c in self._terms.items()})
 
     @_operand
     def __sub__(self, other) -> "QPolynomial":
         return self + (-other)
-
-    @_operand
-    def __rsub__(self, other) -> "QPolynomial":
-        return other - self
 
     @_operand
     def __mul__(self, other) -> "QPolynomial":
@@ -121,20 +116,9 @@ class QPolynomial:
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return QPolynomial(terms)
+        return QPolynomial._trusted(terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPolynomial":
-        require_int(n, "power must be a nonnegative integer", 0)
-        result = QPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, q):
         """Exact value at a rational q, read as every rational argument is;
@@ -152,19 +136,6 @@ class QPolynomial:
         """Ascending [exponent, coefficient-string] pairs; big integers
         travel as strings."""
         return [[e, str(c)] for e, c in self.term_list()]
-
-    @classmethod
-    def from_serializable(cls, data) -> "QPolynomial":
-        """Inverse of to_serializable: int() reads strings, the constructor
-        checks the rest, and refuses an exponent given twice."""
-        try:
-            pairs = []
-            for pair in data:
-                exponent, coefficient = [int(v) if isinstance(v, str) else v for v in pair]
-                pairs.append((exponent, coefficient))
-            return cls(pairs)
-        except (TypeError, ValueError) as err:
-            raise ValidationError(f"malformed polynomial data: {err}") from err
 
     def render(self) -> str:
         """Human form, descending: '2q^3 + q + 3', '0' when zero."""

@@ -744,6 +744,46 @@ def test_ball_sum_fold_count(monkeypatch, name, r, folds):
     assert len(calls) == folds
 
 
+@pytest.mark.parametrize("name, r", [("E8", 3), ("E7", 3), ("A7", 4)])
+def test_walk_passes_its_count_on(monkeypatch, name, r):
+    # on a memo miss the walk hands the integral-root count its screen has
+    # just read to the certificate, so a walk on a fresh datum whose tester
+    # is built reads no count of its own
+    datum = build_root_datum(parse_type(name))
+    tester = _tester(datum)
+    grid_count = apartment._VertexTester.grid_count
+    calls = []
+
+    def counted(self, key):
+        calls.append(key)
+        return grid_count(self, key)
+
+    monkeypatch.setattr(apartment._VertexTester, "grid_count", counted)
+    assert list(iter_scaled_alcove_vertices(datum, r))
+    assert tester.memo and not calls
+
+
+def test_class_rows_split_like_the_full_inverse(data):
+    # coweight_class reads the fewest rows of the integer inverse Cartan
+    # matrix that tell the classes of P^v/Q^v apart: one, two on D_n with n
+    # even, none where P^v = Q^v.  On seeded random coweights meeting every
+    # class it splits them as the full inverse_rows . lam mod D does
+    rng = random.Random("class rows")
+    for row in theorem_table(8).rows:
+        name, d = str(row.rstype), row.rank
+        tester = _tester(data(name))
+        D = tester.inverse_denom
+        expected = 0 if D == 1 else 2 if name[0] == "D" and d % 2 == 0 else 1
+        assert len(tester.class_rows) == expected, name
+        pairs = set()
+        for _ in range(300):
+            lam = [rng.randint(-6, 6) for _ in range(d)]
+            full = tuple(sum(map(mul, r, lam)) % D for r in tester.inverse_rows)
+            pairs.add((full, tester.coweight_class(lam)))
+        fulls, classes = {full for full, _ in pairs}, {cls for _, cls in pairs}
+        assert len(fulls) == len(classes) == len(pairs) == D, name
+
+
 def _support_rule_counts(datum):
     """For each mask J' of simple walls, the positive roots alpha with
     supp alpha in J' and those with supp(theta - alpha) in J', summed over

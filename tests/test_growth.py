@@ -72,7 +72,7 @@ def test_gamma_degree_and_sign(data):
         gamma = gamma_polynomial(datum)
         num_pos = len(datum.positive_roots)
         assert gamma.degree == 2 * num_pos + datum.rank
-        assert gamma.leading_coefficient == 1
+        assert gamma.coefficient(gamma.degree) == 1
         # value at q=1 vanishes since each factor q^d - 1 does
         assert gamma.evaluate(1) == 0
         order = prod(weyl_degrees(datum))
@@ -83,9 +83,9 @@ def test_gamma_degree_and_sign(data):
 def _oracle_gamma(datum):
     """The QPolynomial product loop gamma_polynomial replaced, kept as an
     oracle: q^(number of positive roots) times q^d - 1 for each degree d."""
-    poly = QPolynomial.monomial(len(datum.positive_roots))
+    poly = QPolynomial({len(datum.positive_roots): 1})
     for degree in weyl_degrees(datum):
-        poly = poly * (QPolynomial.monomial(degree) - 1)
+        poly = poly * QPolynomial({degree: 1, 0: -1})
     return poly
 
 
