@@ -15,10 +15,11 @@ linear part of the fold.  Each residue class modulo the scale is
 generated once per search; E6 and E7 distances run interactively.
 The search keys a vertex by one integer, its offsets from the start
 packed as balanced digits in the radix 2 * depth * scale + 1, exact
-because an edge moves no simple-root value by more than the scale.  It
-carries each vertex's residue class record and the step that reached
-it beside its key, so a candidate neighbour costs one integer add and
-one dict lookup, and no coordinate tuple is built during the search.
+because an edge moves no simple-root value by more than the scale.  Its
+frontier is two flat lists: the packed keys, and beside each key the
+(step, class record) edge that reached it, taken as is from the link,
+so a candidate neighbour costs one integer add and one dict lookup and
+a discovered vertex allocates no tuple of its own.
 A vertex v reached from p skips the candidates in the closed
 neighbourhood of p: p was expanded a layer before v, so they are all
 known, and skipping them changes no depth and no order.  Those
@@ -170,18 +171,15 @@ def _link(
     N, d = datum.scale, datum.rank
     marks = datum.highest_root_coeffs
     tester = _tester(datum)
-
-    def value(i: int, p: tuple[int, ...]) -> int:
-        return p[i] if i < d else sum(map(mul, marks, p)) - N
-
-    through = [(i, col) for i, col in enumerate(tester.reflections) if not value(i, corner)]
+    values = (*corner, sum(map(mul, marks, corner)) - N)
+    through = [(i, col) for i, col in enumerate(tester.reflections) if not values[i]]
     orbit = {c for c in tester.corners if c != corner}
     todo = list(orbit)
     while todo:
         p = todo.pop()
         state.spend(len(through))
         for i, col in through:
-            f = value(i, p)
+            f = p[i] if i < d else sum(map(mul, marks, p)) - N
             if f:
                 q = list(p)
                 for j, c in col:
@@ -256,9 +254,11 @@ def _bfs(
     handed to _neighbor_offsets.  The vertex, not the residue tuple, is
     handed over: where P^v/Q^v is not trivial the residue tuple can
     fold onto another corner, whose link spends a different budget.
-    The frontier carries (key, incoming step, record) triples, so an
-    edge costs one integer add and one dict lookup, and no coordinate
-    tuple is built.
+    The frontier is two flat lists, the packed keys and beside each the
+    (incoming step, record) edge that reached it, the very tuple of the
+    link or pruned list it was read from: an edge costs one integer add
+    and one dict lookup, and a discovered vertex allocates no container,
+    so the frontier gives the cyclic garbage collector nothing to track.
 
     A vertex v at depth d reached from p along step s scans only the
     steps _pruned keeps: each dropped one leads into the closed
@@ -286,7 +286,8 @@ def _bfs(
         steps = record[1] = []
         for delta in _neighbor_offsets(datum, _unpack(key, cols, reach), cache, state):
             r = tuple([(u + v) % N for u, v in zip(record[0], delta)])
-            steps.append((sum(map(mul, delta, powers)), records.setdefault(r, [r, None, {}, None])))
+            neighbour = records.get(r) or records.setdefault(r, [r, None, {}, None])
+            steps.append((sum(map(mul, delta, powers)), neighbour))
         return steps
 
     def build(key: int, step: int, record: list) -> list:
@@ -306,27 +307,29 @@ def _bfs(
     table = _DistanceTable(datum, start, reach, depths)
     if goal == 0:
         return table
-    frontier = [(0, 0, records[residue])]
+    keys, edges = [0], [(0, records[residue])]
     for depth in range(1, max_depth + 1):
-        nxt = []
-        for key, came, record in frontier:
-            for step, t in record[2].get(came) or build(key, came, record):
-                k = key + step
+        next_keys, next_edges = [], []
+        for key, (came, record) in zip(keys, edges):
+            for edge in record[2].get(came) or build(key, came, record):
+                k = key + edge[0]
                 if k not in depths:
                     depths[k] = depth
-                    nxt.append((k, step, t))
+                    next_keys.append(k)
+                    next_edges.append(edge)
                     if k == goal:
                         return table
-        frontier = nxt
+        keys, edges = next_keys, next_edges
     return table
 
 
 def _pruned(record: list, step: int, parent: list) -> list:
-    """The (step, record) pairs of record's link that can lead a vertex v
-    of its class, reached by step from a vertex p of parent's class, to a
-    vertex the search has not met: those s' with step + s' neither zero
-    nor a step of parent's link, so v + s' is outside the closed
-    neighbourhood of p.  known, parent's steps and 0, is built once.
+    """The (step, record) edges of record's link, the link's own tuples,
+    that can lead a vertex v of its class, reached by step from a vertex
+    p of parent's class, to a vertex the search has not met: those s'
+    with step + s' neither zero nor a step of parent's link, so v + s'
+    is outside the closed neighbourhood of p.  known, parent's steps and
+    0, is built once.
 
     The sums are exact on packed keys.  The vertices at depth 1 are
     reached from the start along distinct steps, so an edge class is
@@ -336,7 +339,7 @@ def _pruned(record: list, step: int, parent: list) -> list:
     known = parent[3]
     if known is None:
         known = parent[3] = {0, *[t for t, _ in parent[1]]}
-    return [(t, u) for t, u in record[1] if step + t not in known]
+    return [edge for edge in record[1] if step + edge[0] not in known]
 
 
 def _pack(a: tuple[int, ...], start: tuple[int, ...], reach: int) -> int | None:

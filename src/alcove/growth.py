@@ -57,19 +57,19 @@ def gamma_polynomial(datum: RootDatum) -> QPolynomial:
     """q^(number of positive roots) times the product of q^d - 1 over
     the invariant degrees d.  This is the point count of the finite
     group scheme attached to one vertex, up to the torus factor."""
-    return _times_gamma(datum, QPolynomial.one())
+    return _times_gamma(datum, QPolynomial.one())[0]
 
 
-def _times_gamma(datum: RootDatum, poly: QPolynomial) -> QPolynomial:
-    """poly times gamma_polynomial(datum), on dense coefficient lists: a
-    shift by q^(number of positive roots), then one shift-and-subtract
-    per invariant degree d, as p (q^d - 1) = q^d p - p."""
-    terms = dict(poly.term_list())
-    coeffs = [terms.get(e, 0) for e in range(max(terms, default=-1) + 1)]
-    coeffs = [0] * len(datum.positive_roots) + coeffs
+def _times_gamma(datum: RootDatum, *polys: QPolynomial) -> list[QPolynomial]:
+    """Each poly times gamma_polynomial(datum), on dense coefficient lists:
+    a shift by q^(number of positive roots), then one shift-and-subtract
+    per invariant degree d, as p (q^d - 1) = q^d p - p.  The degrees are
+    read once for all the polys."""
+    shift = [0] * len(datum.positive_roots)
+    rows = [shift + [p.coefficient(e) for e in range(max(p.degree, -1) + 1)] for p in polys]
     for degree in weyl_degrees(datum):
-        coeffs = list(map(sub, [0] * degree + coeffs, coeffs + [0] * degree))
-    return QPolynomial._trusted(dict(enumerate(coeffs)))
+        rows = [list(map(sub, [0] * degree + c, c + [0] * degree)) for c in rows]
+    return [QPolynomial._trusted(dict(enumerate(c))) for c in rows]
 
 
 def growth_exponent(datum: RootDatum) -> Fraction:
@@ -256,14 +256,15 @@ def ball_sum(
     """
     census = _Census(datum, r, budget)
     lower = census.exponent_poly(None)
+    gamma, upper = _times_gamma(datum, QPolynomial.one(), lower)
     return BallReport(
         rstype=datum.rstype,
         radius=r,
         vertex_count_chamber=len(census.vertices),
         per_type_counts=_type_counts(datum, census.vertices),
         lower_poly=lower,
-        upper_poly=_times_gamma(datum, lower),
-        gamma_poly=gamma_polynomial(datum),
+        upper_poly=upper,
+        gamma_poly=gamma,
         max_two_rho=_two_rho_max(datum, census),
         chamber_vertices=census.points,
         census=census,
@@ -388,6 +389,6 @@ def cind_sandwich(
         lower_empty=lower_poly is None,
         upper_radius=upper_radius,
         upper_level=r + 1,
-        upper_poly=_times_gamma(datum, upper),
+        upper_poly=_times_gamma(datum, upper)[0],
         upper_depth_zero_only=True,
     )

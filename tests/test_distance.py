@@ -806,6 +806,29 @@ def test_tightest_reach_matches_reference(data, monkeypatch, name, depth):
     assert bool(built) == (depth == 3)
 
 
+# (type, alcove corners, depth): the two deepest spheres are discovered
+# by vertices that scan pruned steps
+PRUNED_POINT_CASES = [("D4", (0,), 6), ("B3", (0, 1, 2, 3), 7), ("C3", (0, 1, 2, 3), 7)]
+
+
+@pytest.mark.parametrize(
+    "name,corners,depth", PRUNED_POINT_CASES, ids=[c[0] for c in PRUNED_POINT_CASES]
+)
+def test_pruned_point_query_matches_reference(data, name, corners, depth):
+    """A point query for the first, middle and last vertex of each of
+    the two deepest spheres returns the reference's prefix up to that
+    vertex and spends its budget, so the early return inside the pruned
+    region stops where the full scan would."""
+    datum = data(name)
+    for i in corners:
+        a = scaled_coords(datum, alcove_vertex(datum, i))
+        expected = _assert_search_matches_reference(datum, a, depth)
+        for k in (depth - 1, depth):
+            sphere = [w for w, j in expected if j == k]
+            for target in (sphere[0], sphere[len(sphere) // 2], sphere[-1]):
+                assert _assert_search_matches_reference(datum, a, depth, target)[-1][0] == target
+
+
 @pytest.mark.parametrize("name", ["C3", "D4"])
 def test_deep_point_query_matches_table(data, name):
     # targets at distance 3 to 5 are discovered by vertices that scan
